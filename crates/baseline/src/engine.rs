@@ -1,22 +1,21 @@
 //! The step-centric multi-threaded CPU engine.
 //!
-//! Since the session refactor (DESIGN.md §6) all mutable walk state —
-//! per-worker SoA arrays, samplers, sweep cursors — lives in
-//! [`CpuSession`], so sessions are re-entrant: two sessions over one
-//! [`CpuEngine`] (and one graph) can interleave freely. The monolithic
-//! [`CpuEngine::run`] is now a thin convenience over one session driven
-//! to completion.
+//! All mutable walk state — per-worker walker records, samplers, sweep
+//! cursors — lives in the per-session [`LaneSession`] (DESIGN.md §6), so
+//! sessions are re-entrant: two sessions over one [`CpuEngine`] (and one
+//! graph) can interleave freely. What this crate adds to the shared lane
+//! kernel is the [`LanePlan`] sizing policy and core pinning. The
+//! monolithic [`CpuEngine::run`] is a thin convenience over one session
+//! driven to completion.
 
 use std::time::{Duration, Instant};
 
 use lightrw_graph::Graph;
-use lightrw_rng::splitmix::mix64;
-use lightrw_walker::engine::{BatchProgress, InOrderEmitter, WalkEngine, WalkSession, WalkSink};
-use lightrw_walker::program::WalkProgram;
-use lightrw_walker::{QuerySet, SamplerKind, WalkApp, WalkResults};
+use lightrw_walker::engine::{WalkEngine, WalkSession};
+use lightrw_walker::{LaneSession, QuerySet, SamplerKind, WalkApp, WalkResults};
 
 use crate::affinity;
-use crate::lanes::{resolve_workers, LanePlan, WorkerLane};
+use crate::lanes::{resolve_workers, LanePlan};
 
 /// CPU engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +26,7 @@ pub struct BaselineConfig {
     /// Per-step weighted sampling method. The paper configures ThunderRW
     /// with inverse transformation sampling (§6.1.4).
     pub sampler: SamplerKind,
-    /// Base RNG seed (each thread derives its own stream).
+    /// Engine RNG seed (each query derives its own stream from it).
     pub seed: u64,
 }
 
@@ -93,9 +92,20 @@ impl<'g> CpuEngine<'g> {
     }
 
     /// Start a batched streaming session (concrete type; the
-    /// [`WalkEngine`] impl boxes the same thing).
-    pub fn session(&self, queries: &QuerySet) -> CpuSession<'_> {
-        CpuSession::new(self, queries)
+    /// [`WalkEngine`] impl boxes the same thing): contiguous lanes sized
+    /// by the [`LanePlan`], spawned workers pinned best-effort to a
+    /// stable core each.
+    pub fn session(&self, queries: &QuerySet) -> LaneSession<'g> {
+        let plan = LanePlan::plan(self.cfg.threads, queries.len());
+        LaneSession::new(
+            self.graph,
+            self.app,
+            self.cfg.sampler,
+            self.cfg.seed,
+            queries,
+            plan.lane_len,
+        )
+        .with_pinning(affinity::pin_current_thread)
     }
 
     /// Execute all queries; returns paths in query order plus timing.
@@ -129,171 +139,6 @@ impl WalkEngine for CpuEngine<'_> {
 
     fn start_session<'s>(&'s self, queries: &QuerySet) -> Box<dyn WalkSession + 's> {
         Box::new(self.session(queries))
-    }
-}
-
-/// Minimum per-lane step work (this batch) before a session spawns
-/// scoped worker threads; below it, lanes run inline on the caller's
-/// thread. Chosen so that thread setup (~tens of µs) stays under ~1% of
-/// a lane's batch at CPU step rates — small quick-bench workloads
-/// (e.g. rmat-10's ~5k steps/lane) fall back to the single-thread fast
-/// path, which used to *beat* the threaded run on them.
-pub const MIN_STEPS_PER_LANE: u64 = 16_384;
-
-/// A batched session of the CPU engine: queries are split into contiguous
-/// per-worker lanes by a [`LanePlan`] with exactly the monolithic run's
-/// boundaries and derived per-lane seeds, and every
-/// [`WalkSession::advance`] gives each [`WorkerLane`] up to `max_steps`
-/// Gather–Move–Update visits — executed on scoped threads (each pinned
-/// best-effort to a stable core) when more than one lane still has work.
-/// Completed paths are emitted in global query-id order through an
-/// [`InOrderEmitter`]; because lanes are contiguous, a lane's paths emit
-/// once all earlier lanes have drained, and each emitted path's buffer is
-/// released immediately.
-pub struct CpuSession<'s> {
-    graph: &'s Graph,
-    app: &'s dyn WalkApp,
-    program: WalkProgram,
-    lanes: Vec<WorkerLane>,
-    /// Queries per lane (all lanes but the last).
-    lane_len: usize,
-    emitter: InOrderEmitter,
-    steps_done: u64,
-    /// Workers successfully core-pinned in the last parallel batch.
-    pinned: usize,
-}
-
-impl<'s> CpuSession<'s> {
-    fn new(engine: &CpuEngine<'s>, queries: &QuerySet) -> Self {
-        let qs = queries.queries();
-        let plan = LanePlan::plan(engine.cfg.threads, qs.len());
-        // Hoisted out of the workers: one degree scan sizes every worker's
-        // sampler/bitset scratch for the whole session.
-        let max_degree = engine.graph.max_degree() as usize;
-        let lanes = qs
-            .chunks(plan.lane_len)
-            .enumerate()
-            .map(|(t, lane_qs)| {
-                let seed = mix64(engine.cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                WorkerLane::new(lane_qs, engine.app, engine.cfg.sampler, seed, max_degree)
-            })
-            .collect();
-        Self {
-            graph: engine.graph,
-            app: engine.app,
-            program: queries.program().clone(),
-            lanes,
-            lane_len: plan.lane_len,
-            emitter: InOrderEmitter::new(qs.len()),
-            steps_done: 0,
-            pinned: 0,
-        }
-    }
-
-    /// Emit every completed-but-unemitted path whose predecessors are all
-    /// emitted, releasing path buffers as they go out.
-    fn drain_ready(&mut self, sink: &mut dyn WalkSink) -> usize {
-        let (lanes, lane_len) = (&mut self.lanes, self.lane_len);
-        self.emitter
-            .drain(sink, |id| lanes[id / lane_len].take_path(id % lane_len))
-    }
-}
-
-impl WalkSession for CpuSession<'_> {
-    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let budget = max_steps.max(1);
-        let (graph, app) = (self.graph, self.app);
-        let program = &self.program;
-        let busy = self.lanes.iter().filter(|l| !l.is_idle()).count();
-        // Spawn gate: scoped-thread setup plus cross-core cache traffic
-        // costs more than it buys when a batch hands each lane only a
-        // few thousand steps (the threads=2 regression on small quick
-        // runs). Below the threshold the lanes run inline sequentially —
-        // per-lane stepper seeding makes the sampled walks identical
-        // either way.
-        let per_lane_cap = self
-            .lanes
-            .iter()
-            .filter(|l| !l.is_idle())
-            .map(|l| l.remaining_steps().min(budget))
-            .max()
-            .unwrap_or(0);
-        let batch_steps: u64 = if busy > 1 && per_lane_cap >= MIN_STEPS_PER_LANE {
-            // One scoped thread per lane with remaining work — the same
-            // parallelism shape as the monolithic run, re-spawned per
-            // batch. Workers pin to their *lane index*'s core (stable
-            // across batches); the enumerate-before-filter keeps that
-            // index stable as lanes drain. Pinning is best-effort — a
-            // false return means the worker runs unpinned.
-            let (steps, pinned) = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .lanes
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, l)| !l.is_idle())
-                    .map(|(i, l)| {
-                        scope.spawn(move || {
-                            let pinned = affinity::pin_current_thread(i);
-                            (l.advance(budget, graph, app, program), pinned)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker thread panicked"))
-                    .fold((0u64, 0usize), |(s, p), (steps, pinned)| {
-                        (s + steps, p + pinned as usize)
-                    })
-            });
-            self.pinned = pinned;
-            steps
-        } else {
-            // Single busy lane: run inline on the caller's thread, which
-            // is never pinned (it belongs to the embedding application).
-            self.lanes
-                .iter_mut()
-                .map(|l| l.advance(budget, graph, app, program))
-                .sum()
-        };
-        self.steps_done += batch_steps;
-        let paths_completed = self.drain_ready(sink);
-        BatchProgress {
-            steps: batch_steps,
-            paths_completed,
-            finished: self.finished(),
-        }
-    }
-
-    fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
-        for lane in &mut self.lanes {
-            lane.cancel();
-        }
-        let paths_completed = self.drain_ready(sink);
-        BatchProgress {
-            steps: 0,
-            paths_completed,
-            finished: true,
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.emitter.finished()
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps_done
-    }
-
-    fn paths_completed(&self) -> usize {
-        self.emitter.emitted()
-    }
-
-    fn diagnostics(&self) -> Option<String> {
-        Some(format!(
-            "{} worker lanes, {} pinned",
-            self.lanes.len(),
-            self.pinned
-        ))
     }
 }
 
@@ -360,8 +205,7 @@ mod tests {
     fn spawn_gate_keeps_small_batches_inline_without_changing_walks() {
         let g = generators::rmat_dataset(8, 7);
         // Well under MIN_STEPS_PER_LANE per lane: the threaded config
-        // must take the inline path (no workers pinned) and still
-        // produce the exact walks of the single-thread run.
+        // must take the inline path (no workers pinned).
         let qs = QuerySet::per_nonisolated_vertex(&g, 6, 11);
         let threaded = BaselineConfig {
             threads: 2,
@@ -378,13 +222,10 @@ mod tests {
             "2 worker lanes, 0 pinned",
             "small batch should not reach the spawn path"
         );
+        // Lanes are scheduling only: the single-lane run samples the
+        // same walks.
         let (single, _) = CpuEngine::new(&g, &Uniform, one_thread()).run(&qs);
-        // Lane seeds derive from lane boundaries, not the execution
-        // mode, but thread-count changes lane boundaries; only compare
-        // against a 2-thread run driven through the same plan.
-        let (reference, _) = engine.run(&qs);
-        assert_eq!(results, reference);
-        assert_eq!(results.len(), single.len());
+        assert_eq!(results, single);
     }
 
     #[test]

@@ -1,27 +1,9 @@
-//! Step-centric worker lanes: the CPU engine's execution layout.
+//! Lane planning: how the CPU engine maps queries onto worker lanes.
 //!
-//! A session splits its query set into contiguous per-worker **lanes**
-//! ([`LanePlan`]); each [`WorkerLane`] owns its walkers' SoA state plus a
-//! [`WalkerRing`] and advances them with the paper's step-centric
-//! Gather–Move–Update cycle (DESIGN.md §9):
-//!
-//! - **Gather** — fix the ring's current walker and software-prefetch the
-//!   *following* walker's CSR row ([`prefetch_row`], distance 1), so its
-//!   adjacency travels toward cache while the current walker samples.
-//! - **Move** — one turn of the shared [`WalkProgram`] state machine,
-//!   which resolves the current row and draws through the fused
-//!   [`HotStepper`] fast paths.
-//! - **Update** — write back walker state, append the emitted vertex, and
-//!   retire or keep the walker in the ring.
-//!
-//! The visit order is exactly the pre-lane engine's cursor +
-//! `swap_remove` sweep (the ring replays it; tests/engine_agreement.rs
-//! pins bit-identity), so the lane refactor changes memory behaviour,
-//! never sampled walks.
-
-use lightrw_graph::{Graph, VertexId};
-use lightrw_walker::program::{StepOutcome, WalkProgram, WalkState};
-use lightrw_walker::{prefetch_row, HotStepper, Query, SamplerKind, WalkApp, WalkerRing};
+//! The lanes themselves — walker records, the Gather–Move–Update sweep
+//! and the session over them — live in `lightrw_walker::lane`, shared
+//! with the reference and sharded engines (DESIGN.md §9). What is the
+//! CPU engine's own is the sizing policy below.
 
 /// How a session maps queries onto worker lanes.
 ///
@@ -65,163 +47,6 @@ impl LanePlan {
     }
 }
 
-/// One worker's walkers in structure-of-arrays layout: the ring sweep
-/// touches `cur`/`prev`/`step` for every active walker, so dense parallel
-/// arrays (instead of an array of structs with inline path buffers) keep
-/// the sweep's working set to a few cache lines per walker. Each lane owns
-/// its stepper (seeded per lane, so thread interleaving never changes
-/// sampled walks) and its ring, which lets a session pause mid-sweep and
-/// resume exactly where it stopped.
-pub struct WorkerLane {
-    stepper: HotStepper,
-    queries: Vec<Query>,
-    cur: Vec<VertexId>,
-    prev: Vec<Option<VertexId>>,
-    /// Step budget consumed per walker (moves + teleports).
-    taken: Vec<u32>,
-    /// Step index within the current restart segment (resets on teleport)
-    /// — the `t` the weight rules see.
-    seg: Vec<u32>,
-    /// Output paths, preallocated to full length at setup — the step loop
-    /// never allocates. A path's buffer is released (taken) once emitted.
-    paths: Vec<Vec<VertexId>>,
-    done: Vec<bool>,
-    /// Scheduling state: which walkers still walk, and where in the sweep.
-    ring: WalkerRing,
-}
-
-impl WorkerLane {
-    /// Build a lane over `qs`, with scratch sized for `max_degree`.
-    pub fn new(
-        qs: &[Query],
-        app: &dyn WalkApp,
-        sampler: SamplerKind,
-        seed: u64,
-        max_degree: usize,
-    ) -> Self {
-        let mut stepper = HotStepper::new(app, sampler, seed);
-        stepper.reserve(max_degree);
-        Self {
-            stepper,
-            cur: qs.iter().map(|q| q.start).collect(),
-            prev: vec![None; qs.len()],
-            taken: vec![0; qs.len()],
-            seg: vec![0; qs.len()],
-            paths: qs
-                .iter()
-                .map(|q| {
-                    let mut p = Vec::with_capacity(q.length as usize + 1);
-                    p.push(q.start);
-                    p
-                })
-                .collect(),
-            done: vec![false; qs.len()],
-            ring: WalkerRing::full(qs.len()),
-            queries: qs.to_vec(),
-        }
-    }
-
-    /// Whether every walker in this lane has retired.
-    pub fn is_idle(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Run up to `budget` Gather–Move–Update visits, one step attempt per
-    /// visit, round-robin over the ring. Returns steps executed
-    /// (truncating dead-end and target-at-start visits consume budget but
-    /// no step; teleports count as steps, keeping step totals equal to
-    /// emitted path lengths).
-    pub fn advance(
-        &mut self,
-        budget: u64,
-        g: &Graph,
-        app: &dyn WalkApp,
-        program: &WalkProgram,
-    ) -> u64 {
-        let mut attempts = 0u64;
-        let mut steps = 0u64;
-        while attempts < budget {
-            // Gather: fix this visit's walker, then prefetch the row the
-            // *next* walker will sample from, one full Move+Update ahead
-            // of its use.
-            let Some(qi) = self.ring.current() else {
-                break;
-            };
-            if let Some(next) = self.ring.upcoming() {
-                prefetch_row(g, self.cur[next]);
-            }
-            // Move: one turn of the shared program state machine (which
-            // resolves the current row and samples through the fused
-            // stepper paths).
-            let q = self.queries[qi];
-            let mut st = WalkState {
-                cur: self.cur[qi],
-                prev: self.prev[qi],
-                taken: self.taken[qi],
-                seg: self.seg[qi],
-            };
-            let outcome = program.step_attempt(g, app, &mut self.stepper, &q, &mut st);
-            // Update: write back, append, retire or keep.
-            self.cur[qi] = st.cur;
-            self.prev[qi] = st.prev;
-            self.taken[qi] = st.taken;
-            self.seg[qi] = st.seg;
-            let done = match outcome {
-                StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                    steps += 1;
-                    let v = outcome.appended(q.start).expect("advancing outcome");
-                    self.paths[qi].push(v);
-                    done
-                }
-                StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
-            };
-            if done {
-                self.done[qi] = true;
-                self.ring.retire();
-            } else {
-                self.ring.keep();
-            }
-            attempts += 1;
-        }
-        steps
-    }
-
-    /// Upper-bound estimate of the step attempts left in this lane: the
-    /// sum of each active walker's remaining step budget. Truncating
-    /// visits (dead ends, target-at-start) retire walkers early, so the
-    /// true count can only be lower. The session's spawn gate uses this
-    /// to keep tiny batches off the thread pool.
-    pub fn remaining_steps(&self) -> u64 {
-        self.ring
-            .active()
-            .iter()
-            .map(|&qi| self.queries[qi].length.saturating_sub(self.taken[qi]) as u64)
-            .sum()
-    }
-
-    /// Release the finished path of local walker `local`, or `None` while
-    /// it is still walking. Feeds an
-    /// [`lightrw_walker::engine::InOrderEmitter`]'s `take_ready`; the
-    /// buffer handoff (`std::mem::take`) is what makes emission
-    /// exactly-once.
-    pub fn take_path(&mut self, local: usize) -> Option<Vec<VertexId>> {
-        if self.done[local] {
-            Some(std::mem::take(&mut self.paths[local]))
-        } else {
-            None
-        }
-    }
-
-    /// Retire every remaining walker, freezing paths as they stand
-    /// (cancellation).
-    pub fn cancel(&mut self) {
-        for &qi in self.ring.active() {
-            self.done[qi] = true;
-        }
-        self.ring.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,8 +75,8 @@ mod tests {
 
     #[test]
     fn lane_boundaries_match_the_chunking_formula() {
-        // The plan must reproduce `qs.chunks(lane_len)` exactly — the
-        // session's seed derivation depends on these boundaries.
+        // The plan must reproduce `qs.chunks(lane_len)` exactly: the
+        // session chunks by `lane_len` and the plan reports the count.
         for (threads, n) in [(1, 10), (3, 10), (4, 9), (7, 7), (2, 1)] {
             let plan = LanePlan::plan(threads, n);
             assert_eq!(plan.lane_len, n.div_ceil(threads).max(1));

@@ -9,8 +9,8 @@
 //!   run a table-based sampler's initialization (the O(|N(v)|) table), then
 //!   its generation phase.
 //! - **Step-centric multi-query interleaving**: each worker thread owns a
-//!   [`lanes::WorkerLane`] of queries and advances them round-robin one
-//!   Gather–Move–Update visit at a time — ThunderRW's scheduling shape,
+//!   `lightrw_walker::WorkerLane` of queries (sized by [`LanePlan`]) and
+//!   advances them round-robin one Gather–Move–Update visit at a time — ThunderRW's scheduling shape,
 //!   including its distance-1 software prefetch of the next walker's CSR
 //!   row (`_mm_prefetch` on x86-64) and best-effort one-worker-per-core
 //!   pinning ([`affinity`]); both degrade gracefully where unsupported
@@ -26,7 +26,7 @@
 //! substitution documented in DESIGN.md).
 //!
 //! The per-step path follows the hot-path conventions of DESIGN.md §5:
-//! workers keep SoA walk state and a `lightrw_walker::HotStepper` whose
+//! workers keep per-walker records and a `lightrw_walker::HotStepper` whose
 //! scratch is sized once at setup, so the steady-state walk loop performs
 //! no heap allocation — the engine measures sampling cost, not allocator
 //! cost. For *dynamic* apps (Node2Vec, and anything whose
@@ -50,8 +50,8 @@
 //!
 //! [`CpuEngine`] also implements the engine-agnostic
 //! `lightrw_walker::WalkEngine` trait (DESIGN.md §6): all mutable walk
-//! state lives in a per-session [`CpuSession`] (so sessions are
-//! re-entrant and interleave on one graph), batches execute up to
+//! state lives in a per-session `lightrw_walker::LaneSession` (so
+//! sessions are re-entrant and interleave on one graph), batches execute up to
 //! `max_steps` visits per worker on scoped threads, and finished paths
 //! stream out in query-id order — bit-identical to [`CpuEngine::run`]
 //! for every batch schedule.
@@ -64,7 +64,7 @@ pub mod profile;
 pub mod signal;
 pub mod thread_clock;
 
-pub use engine::{BaselineConfig, BaselineRunStats, CpuEngine, CpuSession};
-pub use lanes::{LanePlan, WorkerLane};
+pub use engine::{BaselineConfig, BaselineRunStats, CpuEngine};
+pub use lanes::LanePlan;
 pub use llc::LlcSim;
 pub use profile::{profile_top_down, TopDownProfile};

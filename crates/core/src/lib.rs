@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::platform::{AppKind, U250_PLATFORM, XEON_6246R};
     pub use crate::report::RunReport;
     pub use crate::sharded::ShardedEngine;
-    pub use lightrw_baseline::{BaselineConfig, CpuEngine, CpuSession};
+    pub use lightrw_baseline::{BaselineConfig, CpuEngine};
     pub use lightrw_graph::{generators, DatasetProfile, Graph, GraphBuilder};
     pub use lightrw_hwsim::{LightRwConfig, LightRwSim, SimReport};
     pub use lightrw_memsim::{BurstConfig, CachePolicy, DramConfig};

@@ -31,14 +31,15 @@
 //!
 //! The three contracts that make all of this safe:
 //!
-//! - **RNG streams travel with the walker.** Every query gets its own
-//!   [`SamplerStream`] (seed derived from the engine seed and the query
-//!   index); the destination lane's stepper imports the stream before
-//!   stepping, so a walk's draws are a pure function of its query — not
-//!   of shard count, flush budget, thread count, or batch schedule.
-//!   That is what makes the parallel executors **bit-identical** to the
-//!   sequential interleave, and what the conformance and property
-//!   suites pin.
+//! - **RNG streams travel with the walker.** Every walker starts on
+//!   [`lightrw_walker::SamplerStream::for_query`] — the derivation every
+//!   software engine shares (DESIGN.md §5) — and each step goes through
+//!   the one walker kernel, [`VisitEnv::visit`], which positions the
+//!   lane's stepper on the walker's stream first. A walk's draws are therefore a pure
+//!   function of its query — not of shard count, flush budget, thread
+//!   count, or batch schedule. That is what makes every configuration of
+//!   this engine **bit-identical** to [`lightrw_walker::ReferenceEngine`],
+//!   and what the agreement, conformance and property suites pin.
 //! - **Second-order hand-offs carry the previous row.** Node2Vec weights
 //!   read the *previous* vertex's adjacency, which the destination shard
 //!   does not store. The record ships the row (charged to the transfer
@@ -58,10 +59,8 @@
 //! transfer seconds depend on batch coalescing and may differ between
 //! the sequential and parallel schedules.
 //!
-//! `k = 1` takes a dedicated sequential path that is **bit-identical**
-//! to [`lightrw_walker::ReferenceEngine`]: one continuous stepper over
-//! all queries, seeded with the engine seed (pinned by
-//! `tests/sharded_execution.rs`).
+//! `k = 1` has nothing to hand off: it runs the ordinary
+//! [`LaneSession`], one lane on shard 0's graph.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -71,10 +70,9 @@ use std::time::Instant;
 
 use lightrw_baseline::{affinity, thread_clock};
 use lightrw_graph::{partition_graph, Graph, ShardStrategy, ShardedGraph, VertexId};
-use lightrw_rng::splitmix::{mix64, GOLDEN_GAMMA};
 use lightrw_walker::{
-    AnySampler, BatchProgress, HotStepper, InOrderEmitter, Query, QuerySet, SamplerKind,
-    SamplerStream, StepOutcome, WalkApp, WalkEngine, WalkProgram, WalkSession, WalkSink, WalkState,
+    BatchProgress, HotStepper, InOrderEmitter, LaneSession, QuerySet, SamplerKind, VisitEnv,
+    WalkApp, WalkEngine, WalkProgram, WalkSession, WalkSink, Walker,
 };
 
 use crate::pcie::PcieBreakdown;
@@ -82,8 +80,9 @@ use crate::platform::U250_PLATFORM;
 
 /// Serialized size of one hand-off record, excluding the optional
 /// prev-row payload: query id (4), current and previous vertex (4 + 5),
-/// step counters (4 + 4), restart-segment flag padding (1), and the
-/// [`SamplerStream`] triple (24). Payload entries add four bytes each.
+/// step counters (4 + 4), a has-payload flag (1), and the
+/// [`lightrw_walker::SamplerStream`] position (16) — 38 bytes, padded to
+/// the 8-byte record alignment. Payload entries add four bytes each.
 pub const HANDOFF_RECORD_BYTES: u64 = 40;
 
 /// A partitioned-execution engine: one step lane per shard, bounded
@@ -193,7 +192,17 @@ impl WalkEngine for ShardedEngine<'_> {
     fn start_session<'s>(&'s self, queries: &QuerySet) -> Box<dyn WalkSession + 's> {
         let engine: &'s ShardedEngine<'s> = self;
         if self.sharded.k() == 1 {
-            Box::new(SingleShardSession::new(engine, queries))
+            Box::new(
+                LaneSession::new(
+                    &self.sharded.shards[0].graph,
+                    self.app,
+                    self.sampler,
+                    self.seed,
+                    queries,
+                    queries.len(),
+                )
+                .with_note(self.partition_note.as_deref()),
+            )
         } else {
             Box::new(MultiShardSession::new(engine, queries))
         }
@@ -206,143 +215,47 @@ impl WalkEngine for ShardedEngine<'_> {
     }
 }
 
-// --- k = 1: the sequential fast path -------------------------------------
-
-/// Degenerate single-shard session — a verbatim replay of the reference
-/// engine's session loop (one continuous stepper, one query in flight),
-/// so `--shards 1` is bit-identical to the unsharded reference backend.
-struct SingleShardSession<'s> {
-    graph: &'s Graph,
-    app: &'s dyn WalkApp,
-    stepper: HotStepper,
-    program: WalkProgram,
-    queries: Vec<Query>,
-    qi: usize,
-    path: Vec<VertexId>,
-    st: WalkState,
-    steps_done: u64,
-    note: Option<&'s str>,
-}
-
-impl<'s> SingleShardSession<'s> {
-    fn new(engine: &'s ShardedEngine<'s>, queries: &QuerySet) -> Self {
-        let graph = &engine.sharded.shards[0].graph;
-        let mut stepper = HotStepper::new(engine.app, engine.sampler, engine.seed);
-        stepper.reserve(graph.max_degree() as usize);
-        let program = queries.program().clone();
-        let queries = queries.queries().to_vec();
-        let mut path = Vec::new();
-        let mut st = WalkState::start(0);
-        if let Some(q) = queries.first() {
-            path.reserve(q.length as usize + 1);
-            path.push(q.start);
-            st = WalkState::start(q.start);
-        }
-        Self {
-            graph,
-            app: engine.app,
-            stepper,
-            program,
-            queries,
-            qi: 0,
-            path,
-            st,
-            steps_done: 0,
-            note: engine.partition_note.as_deref(),
-        }
-    }
-
-    fn finish_current(&mut self, sink: &mut dyn WalkSink) {
-        sink.emit(self.qi as u32, &self.path);
-        self.qi += 1;
-        self.path.clear();
-        if let Some(q) = self.queries.get(self.qi) {
-            self.path.push(q.start);
-            self.st = WalkState::start(q.start);
-        }
-    }
-}
-
-impl WalkSession for SingleShardSession<'_> {
-    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let budget = max_steps.max(1);
-        let mut progress = BatchProgress::default();
-        let mut attempts = 0u64;
-        while attempts < budget && self.qi < self.queries.len() {
-            let q = self.queries[self.qi];
-            attempts += 1;
-            let outcome = self.program.step_attempt(
-                self.graph,
-                self.app,
-                &mut self.stepper,
-                &q,
-                &mut self.st,
-            );
-            let done = match outcome {
-                StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                    let v = outcome.appended(q.start).expect("advancing outcome");
-                    self.path.push(v);
-                    self.steps_done += 1;
-                    progress.steps += 1;
-                    done
-                }
-                StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
-            };
-            if done {
-                self.finish_current(sink);
-                progress.paths_completed += 1;
-            }
-        }
-        progress.finished = self.finished();
-        progress
-    }
-
-    fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
-        let mut progress = BatchProgress::default();
-        while self.qi < self.queries.len() {
-            self.finish_current(sink);
-            progress.paths_completed += 1;
-        }
-        progress.finished = true;
-        progress
-    }
-
-    fn finished(&self) -> bool {
-        self.qi >= self.queries.len()
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps_done
-    }
-
-    fn paths_completed(&self) -> usize {
-        self.qi
-    }
-
-    fn diagnostics(&self) -> Option<String> {
-        let mut d = "k=1 (sequential fast path)".to_string();
-        if let Some(note) = self.note {
-            d.push_str(", ");
-            d.push_str(note);
-        }
-        Some(d)
-    }
-}
-
 // --- k >= 2: lanes, outboxes and hand-offs -------------------------------
 
-/// One in-flight walker: its program state, partial path, serialized RNG
-/// stream, and (between hand-off and arrival step) the shipped prev-row
-/// payload.
-struct Walker {
-    st: WalkState,
-    path: Vec<VertexId>,
-    stream: SamplerStream,
+/// Modelled interconnect charges for hand-off flushes.
+#[derive(Default)]
+struct FlushTally {
+    flushes: u64,
+    bytes: u64,
+    seconds: f64,
+}
+
+impl FlushTally {
+    /// Charge one coalesced flush of `batch`: a record per walker plus
+    /// four bytes per shipped prev-row entry, as one modelled link
+    /// transfer (latency + bytes / bandwidth).
+    fn charge<'a>(&mut self, batch: impl Iterator<Item = &'a ShardWalker>) {
+        let bytes: u64 = batch
+            .map(|wk| HANDOFF_RECORD_BYTES + 4 * wk.prev_row.as_ref().map_or(0, Vec::len) as u64)
+            .sum();
+        self.seconds += PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0).upload_s;
+        self.bytes += bytes;
+        self.flushes += 1;
+    }
+}
+
+/// One in-flight walker plus, between a hand-off and the arrival step,
+/// the shipped prev-row payload.
+struct ShardWalker {
+    w: Walker,
     /// Previous vertex's adjacency row, shipped with a second-order
     /// hand-off; armed as the stepper's prev-row override for exactly
     /// the arrival step.
     prev_row: Option<Vec<VertexId>>,
-    done: bool,
+}
+
+impl ShardWalker {
+    /// One visit on `stepper`, consuming the prev-row payload if this is
+    /// the arrival step. Returns whether a step was taken.
+    fn visit(&mut self, env: VisitEnv<'_>, stepper: &mut HotStepper) -> bool {
+        let prev_row = self.prev_row.take();
+        env.visit(stepper, &mut self.w, prev_row.as_deref())
+    }
 }
 
 /// Multi-shard session. With `shard_threads == 1`: a deterministic
@@ -354,8 +267,8 @@ struct MultiShardSession<'s> {
     sharded: &'s ShardedGraph,
     app: &'s dyn WalkApp,
     program: WalkProgram,
-    queries: Vec<Query>,
-    /// One stepper per shard lane; streams are imported per attempt.
+    /// One stepper per shard lane; each visit positions it on the
+    /// walker's stream.
     steppers: Vec<HotStepper>,
     /// Runnable walkers parked on each shard (owner of their `cur`).
     runq: Vec<VecDeque<usize>>,
@@ -368,13 +281,11 @@ struct MultiShardSession<'s> {
     threads: usize,
     /// Walker slots; `None` only while a walker is out on an executor
     /// during a parallel `advance`.
-    walkers: Vec<Option<Walker>>,
+    walkers: Vec<Option<ShardWalker>>,
     emitter: InOrderEmitter,
     steps_done: u64,
     hand_offs: u64,
-    flushes: u64,
-    transfer_bytes: u64,
-    transfer_s: f64,
+    transfers: FlushTally,
     /// Measured wall seconds spent inside `advance` — the lane compute
     /// component of `model_seconds`.
     compute_s: f64,
@@ -404,24 +315,16 @@ impl<'s> MultiShardSession<'s> {
                 st
             })
             .collect();
-        let qs = queries.queries().to_vec();
         let mut runq: Vec<VecDeque<usize>> = vec![VecDeque::new(); k];
-        let walkers: Vec<Option<Walker>> = qs
+        let walkers = queries
+            .queries()
             .iter()
             .enumerate()
-            .map(|(qi, q)| {
-                // Per-query stream: draws are a pure function of the
-                // query, never of shard count or schedule.
-                let stream_seed = mix64(engine.seed ^ (qi as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
-                runq[sharded.owner_of(q.start)].push_back(qi);
-                let mut path = Vec::with_capacity(q.length as usize + 1);
-                path.push(q.start);
-                Some(Walker {
-                    st: WalkState::start(q.start),
-                    path,
-                    stream: AnySampler::new(engine.sampler, stream_seed).export_stream(),
+            .map(|(wi, &q)| {
+                runq[sharded.owner_of(q.start)].push_back(wi);
+                Some(ShardWalker {
+                    w: Walker::start(q, engine.sampler, engine.seed),
                     prev_row: None,
-                    done: false,
                 })
             })
             .collect();
@@ -429,7 +332,6 @@ impl<'s> MultiShardSession<'s> {
             sharded,
             app: engine.app,
             program: queries.program().clone(),
-            queries: qs,
             steppers,
             runq,
             outbox: vec![Vec::new(); k * k],
@@ -439,9 +341,7 @@ impl<'s> MultiShardSession<'s> {
             emitter: InOrderEmitter::new(queries.len()),
             steps_done: 0,
             hand_offs: 0,
-            flushes: 0,
-            transfer_bytes: 0,
-            transfer_s: 0.0,
+            transfers: FlushTally::default(),
             compute_s: 0.0,
             pinned: 0,
             note: engine.partition_note.as_deref(),
@@ -457,18 +357,12 @@ impl<'s> MultiShardSession<'s> {
         if batch.is_empty() {
             return;
         }
-        let mut bytes = 0u64;
-        for &w in &batch {
-            let payload = self.walkers[w]
-                .as_ref()
-                .map_or(0, |wk| wk.prev_row.as_ref().map_or(0, |r| r.len()))
-                as u64;
-            bytes += HANDOFF_RECORD_BYTES + 4 * payload;
-        }
-        let link = PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0);
-        self.transfer_s += link.upload_s;
-        self.transfer_bytes += bytes;
-        self.flushes += 1;
+        let walkers = &self.walkers;
+        self.transfers.charge(
+            batch
+                .iter()
+                .map(|&w| walkers[w].as_ref().expect("outbox walker in slot")),
+        );
         self.runq[t].extend(batch);
     }
 
@@ -502,42 +396,28 @@ impl<'s> MultiShardSession<'s> {
                     };
                     worked = true;
                     *lane_attempts += 1;
-                    let q = self.queries[w];
                     let g = &self.sharded.shards[s].graph;
-                    let stepper = &mut self.steppers[s];
-                    let wk = self.walkers[w].as_mut().expect("runnable walker in slot");
-                    stepper.import_stream(&wk.stream);
-                    if let Some(row) = wk.prev_row.take() {
-                        stepper.arm_prev_row(&row);
-                    }
-                    let outcome = self
-                        .program
-                        .step_attempt(g, self.app, stepper, &q, &mut wk.st);
-                    stepper.clear_prev_row();
-                    wk.stream = stepper.export_stream();
-                    let done = match outcome {
-                        StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                            let v = outcome.appended(q.start).expect("advancing outcome");
-                            wk.path.push(v);
-                            self.steps_done += 1;
-                            progress.steps += 1;
-                            done
-                        }
-                        StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
+                    let env = VisitEnv {
+                        graph: g,
+                        app: self.app,
+                        program: &self.program,
                     };
-                    if done {
-                        wk.done = true;
+                    let wk = self.walkers[w].as_mut().expect("runnable walker in slot");
+                    let stepped = wk.visit(env, &mut self.steppers[s]);
+                    self.steps_done += stepped as u64;
+                    progress.steps += stepped as u64;
+                    if wk.w.done {
                         self.runq[s].pop_front();
                         continue;
                     }
-                    let t = self.sharded.owner_of(wk.st.cur);
+                    let t = self.sharded.owner_of(wk.w.st.cur);
                     if t != s {
                         // Hand-off: serialize the walker into the (s, t)
                         // outbox. Second-order apps ship the previous
                         // vertex's row — it lives on this shard, not the
                         // destination.
                         if self.app.second_order() {
-                            if let Some(prev) = wk.st.prev {
+                            if let Some(prev) = wk.w.st.prev {
                                 wk.prev_row = Some(g.neighbors(prev).to_vec());
                             }
                         }
@@ -573,7 +453,7 @@ impl<'s> MultiShardSession<'s> {
         // Schedule: move every runnable walker out of its slot, grouped
         // by owning shard.
         let mut scheduled = 0usize;
-        let mut shard_queues: Vec<VecDeque<(usize, Walker)>> = Vec::with_capacity(k);
+        let mut shard_queues: Vec<VecDeque<(usize, ShardWalker)>> = Vec::with_capacity(k);
         for q in &mut self.runq {
             let mut local = VecDeque::with_capacity(q.len());
             for wi in q.drain(..) {
@@ -608,7 +488,6 @@ impl<'s> MultiShardSession<'s> {
 
             let app = self.app;
             let program = &self.program;
-            let queries: &[Query] = &self.queries;
             let sharded = self.sharded;
             let flush_budget = self.flush_budget;
             let walkers = &mut self.walkers;
@@ -630,7 +509,6 @@ impl<'s> MultiShardSession<'s> {
                             flush_budget,
                             app,
                             program,
-                            queries,
                             sharded,
                             txs: txs.clone(),
                             done_tx: done_tx.clone(),
@@ -678,9 +556,9 @@ impl<'s> MultiShardSession<'s> {
                 progress.steps += st.steps;
                 self.steps_done += st.steps;
                 self.hand_offs += st.hand_offs;
-                self.flushes += st.flushes;
-                self.transfer_bytes += st.transfer_bytes;
-                self.transfer_s += st.transfer_s;
+                self.transfers.flushes += st.transfers.flushes;
+                self.transfers.bytes += st.transfers.bytes;
+                self.transfers.seconds += st.transfers.seconds;
             }
         }
 
@@ -695,13 +573,10 @@ impl<'s> MultiShardSession<'s> {
 /// while out on an executor, and those are never `done`).
 fn drain_ready(
     emitter: &mut InOrderEmitter,
-    walkers: &mut [Option<Walker>],
+    walkers: &mut [Option<ShardWalker>],
     sink: &mut dyn WalkSink,
 ) -> usize {
-    emitter.drain(sink, |id| match walkers[id].as_mut() {
-        Some(w) if w.done => Some(std::mem::take(&mut w.path)),
-        _ => None,
-    })
+    emitter.drain(sink, |id| walkers[id].as_mut()?.w.take_path())
 }
 
 impl WalkSession for MultiShardSession<'_> {
@@ -730,16 +605,9 @@ impl WalkSession for MultiShardSession<'_> {
             b.clear();
         }
         for wk in self.walkers.iter_mut().flatten() {
-            wk.done = true;
+            wk.w.done = true;
         }
-        let walkers = &mut self.walkers;
-        progress.paths_completed += self.emitter.drain(sink, |id| {
-            Some(
-                walkers[id]
-                    .as_mut()
-                    .map_or_else(Vec::new, |w| std::mem::take(&mut w.path)),
-            )
-        });
+        progress.paths_completed += drain_ready(&mut self.emitter, &mut self.walkers, sink);
         progress.finished = true;
         progress
     }
@@ -763,7 +631,7 @@ impl WalkSession for MultiShardSession<'_> {
     /// busy time per round (the overlapped duration, independent of how
     /// many physical cores the host could actually grant).
     fn model_seconds(&self) -> Option<f64> {
-        Some(self.transfer_s + self.compute_s)
+        Some(self.transfers.seconds + self.compute_s)
     }
 
     fn diagnostics(&self) -> Option<String> {
@@ -774,9 +642,9 @@ impl WalkSession for MultiShardSession<'_> {
             self.threads,
             self.pinned,
             self.hand_offs,
-            self.flushes,
-            self.transfer_bytes,
-            self.transfer_s,
+            self.transfers.flushes,
+            self.transfers.bytes,
+            self.transfers.seconds,
             self.compute_s,
         );
         if let Some(note) = self.note {
@@ -794,7 +662,7 @@ impl WalkSession for MultiShardSession<'_> {
 enum ExecMsg {
     Batch {
         shard: usize,
-        walkers: Vec<(usize, Walker)>,
+        walkers: Vec<(usize, ShardWalker)>,
     },
     Quiesce,
 }
@@ -804,7 +672,7 @@ enum ExecMsg {
 /// budget ran out; it re-enters `runq[parked_at]` for the next advance).
 struct Completion {
     wi: usize,
-    walker: Walker,
+    walker: ShardWalker,
     parked_at: Option<usize>,
 }
 
@@ -813,9 +681,7 @@ struct Completion {
 struct ExecStats {
     steps: u64,
     hand_offs: u64,
-    flushes: u64,
-    transfer_bytes: u64,
-    transfer_s: f64,
+    transfers: FlushTally,
     /// Seconds this executor spent with work in hand: its own thread CPU
     /// time (wall minus inbox-blocked time where the per-thread clock is
     /// unsupported). The session's parallel compute clock is the straggler
@@ -831,7 +697,7 @@ struct ExecLane<'a> {
     shard: usize,
     graph: &'a Graph,
     stepper: &'a mut HotStepper,
-    runq: VecDeque<(usize, Walker)>,
+    runq: VecDeque<(usize, ShardWalker)>,
     attempts: u64,
 }
 
@@ -844,7 +710,6 @@ struct ExecCtx<'a> {
     flush_budget: usize,
     app: &'a dyn WalkApp,
     program: &'a WalkProgram,
-    queries: &'a [Query],
     sharded: &'a ShardedGraph,
     txs: Vec<Sender<ExecMsg>>,
     done_tx: Sender<Vec<Completion>>,
@@ -865,7 +730,7 @@ impl ExecCtx<'_> {
     /// completion itself travels in a batch — flushed at
     /// [`COMPLETION_BATCH`], before this executor blocks, and at exit —
     /// so the walker is *counted* out immediately but *shipped* lazily.
-    fn finish(&self, wi: usize, walker: Walker, parked_at: Option<usize>) {
+    fn finish(&self, wi: usize, walker: ShardWalker, parked_at: Option<usize>) {
         let mut buf = self.done_buf.borrow_mut();
         buf.push(Completion {
             wi,
@@ -902,7 +767,7 @@ fn deliver(
     ctx: &ExecCtx<'_>,
     lanes: &mut [ExecLane<'_>],
     shard: usize,
-    batch: Vec<(usize, Walker)>,
+    batch: Vec<(usize, ShardWalker)>,
 ) {
     let lane = &mut lanes[shard / ctx.threads];
     debug_assert_eq!(lane.shard, shard);
@@ -922,7 +787,7 @@ fn deliver(
 fn flush_outbox(
     ctx: &ExecCtx<'_>,
     lanes: &mut [ExecLane<'_>],
-    outbox: &mut [Vec<(usize, Walker)>],
+    outbox: &mut [Vec<(usize, ShardWalker)>],
     stats: &mut ExecStats,
     force: bool,
 ) -> usize {
@@ -932,15 +797,7 @@ fn flush_outbox(
             continue;
         }
         let batch = std::mem::take(slot);
-        let mut bytes = 0u64;
-        for (_, wk) in &batch {
-            let payload = wk.prev_row.as_ref().map_or(0, |r| r.len()) as u64;
-            bytes += HANDOFF_RECORD_BYTES + 4 * payload;
-        }
-        let link = PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0);
-        stats.transfer_s += link.upload_s;
-        stats.transfer_bytes += bytes;
-        stats.flushes += 1;
+        stats.transfers.charge(batch.iter().map(|(_, wk)| wk));
         if t % ctx.threads == ctx.exec {
             delivered_local += batch.len();
             deliver(ctx, lanes, t, batch);
@@ -964,16 +821,20 @@ fn flush_outbox(
 fn sweep_lane(
     ctx: &ExecCtx<'_>,
     lane: &mut ExecLane<'_>,
-    outbox: &mut [Vec<(usize, Walker)>],
+    outbox: &mut [Vec<(usize, ShardWalker)>],
     stats: &mut ExecStats,
 ) -> bool {
+    let env = VisitEnv {
+        graph: lane.graph,
+        app: ctx.app,
+        program: ctx.program,
+    };
     let mut worked = false;
     while lane.attempts < ctx.budget {
         let Some((wi, wk)) = lane.runq.pop_front() else {
             break;
         };
         worked = true;
-        let q = ctx.queries[wi];
         // The walker sits in `slot` while it steps; retirement and
         // hand-off take it out, and anything left at the budget goes
         // back to the queue head.
@@ -981,35 +842,15 @@ fn sweep_lane(
         while lane.attempts < ctx.budget {
             let wk = slot.as_mut().expect("live walker");
             lane.attempts += 1;
-            let stepper = &mut *lane.stepper;
-            stepper.import_stream(&wk.stream);
-            if let Some(row) = wk.prev_row.take() {
-                stepper.arm_prev_row(&row);
-            }
-            let outcome = ctx
-                .program
-                .step_attempt(lane.graph, ctx.app, stepper, &q, &mut wk.st);
-            stepper.clear_prev_row();
-            wk.stream = stepper.export_stream();
-            let done = match outcome {
-                StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                    let v = outcome.appended(q.start).expect("advancing outcome");
-                    wk.path.push(v);
-                    stats.steps += 1;
-                    done
-                }
-                StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
-            };
-            if done {
-                let mut wk = slot.take().expect("live walker");
-                wk.done = true;
-                ctx.finish(wi, wk, None);
+            stats.steps += wk.visit(env, lane.stepper) as u64;
+            if wk.w.done {
+                ctx.finish(wi, slot.take().expect("live walker"), None);
                 break;
             }
-            let t = ctx.sharded.owner_of(wk.st.cur);
+            let t = ctx.sharded.owner_of(wk.w.st.cur);
             if t != lane.shard {
                 if ctx.app.second_order() {
-                    if let Some(prev) = wk.st.prev {
+                    if let Some(prev) = wk.w.st.prev {
                         wk.prev_row = Some(lane.graph.neighbors(prev).to_vec());
                     }
                 }
@@ -1021,15 +862,7 @@ fn sweep_lane(
                     // Inline remote flush (no lane access needed): charge
                     // and send so the destination can start immediately.
                     let batch = std::mem::take(&mut outbox[t]);
-                    let mut bytes = 0u64;
-                    for (_, w) in &batch {
-                        let payload = w.prev_row.as_ref().map_or(0, |r| r.len()) as u64;
-                        bytes += HANDOFF_RECORD_BYTES + 4 * payload;
-                    }
-                    let link = PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0);
-                    stats.transfer_s += link.upload_s;
-                    stats.transfer_bytes += bytes;
-                    stats.flushes += 1;
+                    stats.transfers.charge(batch.iter().map(|(_, wk)| wk));
                     let _ = ctx.txs[dst_exec].send(ExecMsg::Batch {
                         shard: t,
                         walkers: batch,
@@ -1079,7 +912,7 @@ fn run_executor(
     let cpu_enter = thread_clock::now();
     let t_enter = Instant::now();
     let mut blocked_s = 0.0f64;
-    let mut outbox: Vec<Vec<(usize, Walker)>> = (0..ctx.k).map(|_| Vec::new()).collect();
+    let mut outbox: Vec<Vec<(usize, ShardWalker)>> = (0..ctx.k).map(|_| Vec::new()).collect();
     'round: loop {
         // Absorb queued arrivals without blocking.
         loop {

@@ -201,6 +201,7 @@ impl GraphBuilder {
             edge_labels: edge_labels.into(),
             directed: self.directed,
             prefix: None,
+            max_degree: Default::default(),
         };
         if self.prefix_cache {
             g.build_prefix_cache();

@@ -5,6 +5,8 @@
 //! packed file (see `crate::packed` and DESIGN.md §10). Accessors return
 //! plain slices either way.
 
+use std::sync::OnceLock;
+
 use crate::store::Section;
 
 /// Vertex identifier. 32 bits, as in the paper's hardware (vertex ids and
@@ -115,11 +117,14 @@ pub struct Graph {
     /// Optional static-weight prefix cache (derived data; excluded from
     /// equality — see the manual `PartialEq` below).
     pub(crate) prefix: Option<PrefixCache>,
+    /// [`Graph::max_degree`], computed on first use (derived data like
+    /// the prefix cache: excluded from equality, carried by clones).
+    pub(crate) max_degree: OnceLock<u32>,
 }
 
-/// Structural equality only: the prefix cache is derived data, so two
-/// graphs with identical CSR content compare equal whether or not either
-/// carries the cache.
+/// Structural equality only: the prefix cache and the cached maximum
+/// degree are derived data, so two graphs with identical CSR content
+/// compare equal whether or not either carries them.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.row_index == other.row_index
@@ -369,12 +374,16 @@ impl Graph {
         }
     }
 
-    /// Maximum out-degree.
+    /// Maximum out-degree. One O(V) scan of `row_index` on first use,
+    /// cached for the graph's lifetime (every engine session sizes its
+    /// scratch from this).
     pub fn max_degree(&self) -> u32 {
-        (0..self.num_vertices() as VertexId)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
+        *self.max_degree.get_or_init(|| {
+            (0..self.num_vertices() as VertexId)
+                .map(|v| self.degree(v))
+                .max()
+                .unwrap_or(0)
+        })
     }
 
     /// Vertices with non-zero out-degree, in id order. The paper's query
@@ -625,6 +634,10 @@ mod tests {
         let mut without = triangle();
         without.drop_prefix_cache();
         assert_eq!(with, without);
+        // Likewise the cached maximum degree: computed on one side only.
+        assert_eq!(with.max_degree(), 2);
+        assert_eq!(with, without);
+        assert_eq!(with.clone().max_degree.get(), Some(&2));
     }
 
     #[test]

@@ -311,6 +311,7 @@ pub fn read_binary_with<R: Read>(reader: R, prefix_cache: bool) -> Result<Graph,
         edge_labels: edge_labels.into(),
         directed,
         prefix: None,
+        max_degree: Default::default(),
     };
     validate(&g).map_err(IoError::Invalid)?;
     if prefix_cache {

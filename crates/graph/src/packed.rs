@@ -873,6 +873,7 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
         edge_labels,
         directed: flags & FLAG_DIRECTED != 0,
         prefix,
+        max_degree: Default::default(),
     };
     Ok(LoadedFile {
         packed: PackedGraph {
@@ -976,6 +977,7 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
                 edge_labels: g.edge_labels.clone(),
                 directed: g.is_directed(),
                 prefix: g.prefix.clone(),
+                max_degree: Default::default(),
             },
             ShardStrategy::Fennel | ShardStrategy::Walk => {
                 let me = counts.owned_edges as usize;
@@ -1019,6 +1021,7 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
                     edge_labels,
                     directed: g.is_directed(),
                     prefix,
+                    max_degree: Default::default(),
                 }
             }
         };

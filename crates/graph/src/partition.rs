@@ -584,6 +584,7 @@ fn build_shards(
             edge_labels: Section::from(rel),
             directed: g.is_directed(),
             prefix: None,
+            max_degree: Default::default(),
         };
         if g.has_prefix_cache() {
             sg.build_prefix_cache();

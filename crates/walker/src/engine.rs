@@ -13,9 +13,10 @@
 //! All three engines implement the trait: the sequential
 //! [`crate::ReferenceEngine`] (here), the ThunderRW-like CPU engine
 //! (`lightrw-baseline`) and the accelerator model (`lightrw-hwsim`).
-//! Batching never changes a sampled walk: a session consumes the RNG in
-//! exactly the order the engine's monolithic `run` does, whatever
-//! `max_steps` schedule drives it (`tests/engine_agreement.rs` pins this).
+//! Batching never changes a sampled walk: on the software engines every
+//! walker owns its RNG stream (DESIGN.md §5), and the accelerator model
+//! replays its event order exactly, whatever `max_steps` schedule drives
+//! the session (`tests/engine_agreement.rs` pins both).
 //!
 //! ```
 //! use lightrw_graph::GraphBuilder;
@@ -39,10 +40,9 @@
 //! assert_eq!(results, engine.run(&queries)); // batching is invisible
 //! ```
 
-use crate::hotpath::HotStepper;
+use crate::lane::LaneSession;
 use crate::path::WalkResults;
-use crate::program::{StepOutcome, WalkProgram, WalkState};
-use crate::query::{Query, QuerySet};
+use crate::query::QuerySet;
 use crate::reference::ReferenceEngine;
 use lightrw_graph::VertexId;
 
@@ -51,8 +51,9 @@ use lightrw_graph::VertexId;
 /// Sessions call [`WalkSink::emit`] once per finished path, in ascending
 /// `query_id` order (ids are dense, starting at 0 within a session's
 /// [`QuerySet`]). A path is final when emitted: it either reached its
-/// requested length or dead-ended early (see [`Query::length`]), or the
-/// session was cancelled with the walk still in flight.
+/// requested length or dead-ended early (see
+/// [`crate::query::Query::length`]), or the session was cancelled with the
+/// walk still in flight.
 pub trait WalkSink {
     /// Receive the completed path of query `query_id`.
     fn emit(&mut self, query_id: u32, path: &[VertexId]);
@@ -129,9 +130,9 @@ pub struct BatchProgress {
 ///   start-vertex-only path per query, with zero steps and (for modelled
 ///   engines) zero model time — identically on every backend
 ///   (`tests/engine_agreement.rs` pins the cross-engine equality).
-/// - Batch boundaries never change sampled walks: the RNG draw order is
-///   identical to the engine's monolithic `run` for every `max_steps`
-///   schedule.
+/// - Batch boundaries never change sampled walks: every `max_steps`
+///   schedule yields the paths of the engine's monolithic `run`. *Which*
+///   walkers a partial budget reaches is not part of the contract.
 pub trait WalkSession {
     /// Execute up to `max_steps` step attempts per worker lane, emitting
     /// completed paths into `sink`.
@@ -309,130 +310,23 @@ impl InOrderEmitter {
     }
 }
 
-// --- Reference engine session -------------------------------------------
-
-/// Streaming session of the sequential [`ReferenceEngine`]: one query in
-/// flight at a time, paths emitted the moment they complete — the fully
-/// incremental end of the session spectrum (a single reusable path
-/// buffer, no corpus materialization).
-struct ReferenceSession<'s> {
-    engine: &'s ReferenceEngine<'s>,
-    stepper: HotStepper,
-    program: WalkProgram,
-    queries: Vec<Query>,
-    /// Index of the in-flight query.
-    qi: usize,
-    /// The in-flight query's partial path (starts at its start vertex).
-    path: Vec<VertexId>,
-    /// The in-flight query's program state.
-    st: WalkState,
-    steps_done: u64,
-}
-
-impl<'s> ReferenceSession<'s> {
-    fn new(engine: &'s ReferenceEngine<'s>, queries: &QuerySet) -> Self {
-        let mut stepper = HotStepper::new(engine.app(), engine.sampler(), engine.seed());
-        stepper.reserve(engine.graph().max_degree() as usize);
-        let program = queries.program().clone();
-        let queries = queries.queries().to_vec();
-        let mut path = Vec::new();
-        let mut st = WalkState::start(0);
-        if let Some(q) = queries.first() {
-            path.reserve(q.length as usize + 1);
-            path.push(q.start);
-            st = WalkState::start(q.start);
-        }
-        Self {
-            engine,
-            stepper,
-            program,
-            queries,
-            qi: 0,
-            path,
-            st,
-            steps_done: 0,
-        }
-    }
-
-    /// Seal the in-flight query's path, emit it, and arm the next query.
-    /// Emits the session-local index (dense from 0), not `Query::id` —
-    /// the sink contract all engines share, which differs only for
-    /// partitioned query sets (partitions keep their original ids).
-    fn finish_current(&mut self, sink: &mut dyn WalkSink) {
-        sink.emit(self.qi as u32, &self.path);
-        self.qi += 1;
-        self.path.clear();
-        if let Some(q) = self.queries.get(self.qi) {
-            self.path.push(q.start);
-            self.st = WalkState::start(q.start);
-        }
-    }
-}
-
-impl WalkSession for ReferenceSession<'_> {
-    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let budget = max_steps.max(1);
-        let mut progress = BatchProgress::default();
-        let mut attempts = 0u64;
-        while attempts < budget && self.qi < self.queries.len() {
-            let q = self.queries[self.qi];
-            attempts += 1;
-            let outcome = self.program.step_attempt(
-                self.engine.graph(),
-                self.engine.app(),
-                &mut self.stepper,
-                &q,
-                &mut self.st,
-            );
-            let done = match outcome {
-                StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                    let v = outcome.appended(q.start).expect("advancing outcome");
-                    self.path.push(v);
-                    self.steps_done += 1;
-                    progress.steps += 1;
-                    done
-                }
-                StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
-            };
-            if done {
-                self.finish_current(sink);
-                progress.paths_completed += 1;
-            }
-        }
-        progress.finished = self.finished();
-        progress
-    }
-
-    fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
-        let mut progress = BatchProgress::default();
-        while self.qi < self.queries.len() {
-            self.finish_current(sink);
-            progress.paths_completed += 1;
-        }
-        progress.finished = true;
-        progress
-    }
-
-    fn finished(&self) -> bool {
-        self.qi >= self.queries.len()
-    }
-
-    fn steps_done(&self) -> u64 {
-        self.steps_done
-    }
-
-    fn paths_completed(&self) -> usize {
-        self.qi
-    }
-}
-
+/// The reference engine's streaming form: one [`LaneSession`] lane over
+/// the whole query set, sampling exactly the walks of
+/// [`ReferenceEngine::run`].
 impl WalkEngine for ReferenceEngine<'_> {
     fn label(&self) -> String {
         format!("reference({})", self.sampler().name())
     }
 
     fn start_session<'s>(&'s self, queries: &QuerySet) -> Box<dyn WalkSession + 's> {
-        Box::new(ReferenceSession::new(self, queries))
+        Box::new(LaneSession::new(
+            self.graph(),
+            self.app(),
+            self.sampler(),
+            self.seed(),
+            queries,
+            queries.len(),
+        ))
     }
 }
 
@@ -527,14 +421,20 @@ mod tests {
         let engine = ReferenceEngine::new(&g, &Uniform, SamplerKind::InverseTransform, 1);
         let mut session = engine.start_session(&qs);
         let mut results = WalkResults::new();
-        session.advance(10, &mut results); // 10 steps into query 0
+        let batch = session.advance(10, &mut results);
+        assert_eq!(batch.steps, 10);
         assert!(!session.finished());
         let progress = session.cancel(&mut results);
         assert!(progress.finished);
         assert!(session.finished());
         assert_eq!(results.len(), 3, "every query emitted exactly once");
-        assert_eq!(results.path(0).len(), 11, "partial path kept its steps");
-        assert_eq!(results.path(1), &[1], "undispatched query = start only");
+        // Which walkers the 10 steps went to is the session's business;
+        // that none is lost and every partial path is a walk is not.
+        assert_eq!(results.total_steps(), 10, "partial paths kept their steps");
+        for (q, p) in qs.queries().iter().zip(results.iter()) {
+            assert_eq!(p[0], q.start);
+            assert!(p.windows(2).all(|w| g.has_edge(w[0], w[1])));
+        }
         // Idempotent: cancelling again emits nothing.
         let again = session.cancel(&mut results);
         assert_eq!(again.paths_completed, 0);

@@ -26,10 +26,16 @@
 //!   [`app::WalkApp::weight_profile`] (degree-indexed uniform, prefix
 //!   cache, or generic streaming) under the RNG-identity contract of
 //!   DESIGN.md §5, with zero per-step heap allocation. Its sampler
-//!   stream export/import and prev-row override are what let the
-//!   sharded engine (DESIGN.md §11) hand a mid-walk walker — RNG
-//!   position and second-order context included — to another shard's
-//!   lane without changing the sampled walk.
+//!   stream export/import is what lets a walker own its RNG position,
+//!   and its prev-row override lets the sharded engine (DESIGN.md §11)
+//!   hand a mid-walk second-order walker to another shard's lane
+//!   without changing the sampled walk.
+//! - [`lane`] is the one software walker kernel built on it:
+//!   [`lane::VisitEnv::visit`] runs one step attempt of one walker on
+//!   its own stream, [`lane::WorkerLane`] sweeps a worker's walkers
+//!   step-centrically (DESIGN.md §9), and [`lane::LaneSession`] is the
+//!   [`engine::WalkSession`] of the reference, CPU and single-shard
+//!   engines.
 //! - [`engine`] is the streaming execution seam every backend plugs into:
 //!   [`engine::WalkEngine`] starts [`engine::WalkSession`]s that run in
 //!   bounded batches and emit each finished path exactly once into a
@@ -42,8 +48,8 @@
 //!   admission quotas, cancellation/deadlines, and a
 //!   [`service::ServiceStats`] snapshot (DESIGN.md §7).
 //! - [`crate::reference`] is a simple sequential engine over any sampler — the
-//!   correctness oracle every other engine is tested against; it doubles
-//!   as the fully incremental [`engine::WalkEngine`] implementation.
+//!   correctness oracle every other engine is tested against. Its
+//!   [`engine::WalkEngine`] form is a one-lane [`lane::LaneSession`].
 //! - [`path`] stores walk outputs compactly and checks their validity.
 //!
 //! ## Fixed-point weights
@@ -72,6 +78,7 @@ pub mod app;
 pub mod corpus_io;
 pub mod engine;
 pub mod hotpath;
+pub mod lane;
 pub mod membership;
 pub mod path;
 pub mod program;
@@ -86,6 +93,7 @@ pub use engine::{
     WalkSession, WalkSink,
 };
 pub use hotpath::{prefetch_row, HotStepper, WalkerRing};
+pub use lane::{LaneSession, VisitEnv, Walker, WorkerLane};
 pub use lightrw_graph::VertexId;
 pub use membership::NeighborBitset;
 pub use path::WalkResults;

@@ -137,8 +137,8 @@ impl StepOutcome {
 }
 
 /// One walk's control/position state, engine-agnostic. Engines keep one
-/// per in-flight query (a few words; the CPU engine stores the fields in
-/// its SoA lanes) and hand it to [`WalkProgram::step_attempt`].
+/// per in-flight query (a few words, inside each [`crate::lane::Walker`]
+/// on the software engines) and hand it to [`WalkProgram::step_attempt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkState {
     /// Current vertex `a_t`.

@@ -12,7 +12,8 @@ use crate::path::WalkResults;
 use crate::program::{StepOutcome, WalkState};
 use crate::query::QuerySet;
 use lightrw_graph::Graph;
-use lightrw_rng::{Rng, SplitMix64, StreamBank};
+use lightrw_rng::splitmix::{mix64, GOLDEN_GAMMA};
+use lightrw_rng::{Mcg64, Rng, SplitMix64, StreamBank};
 use lightrw_sampling::{reservoir, AliasScratch, ParallelWrs};
 
 /// Which weighted sampling method the engine uses per step.
@@ -72,24 +73,43 @@ enum SamplerState {
     Parallel(ParallelWrs),
 }
 
-/// A serialized sampler stream position — the RNG half of a shard
-/// hand-off record (DESIGN.md §11).
+/// A sampler stream **position** — the RNG state a walker owns
+/// (DESIGN.md §5, "RNG-stream contract").
 ///
-/// `seed` names the stream (decorrelator lanes and table scratch are
-/// pure functions of it); `state`/`rows` pin the position inside it.
-/// Table kinds carry the raw SplitMix64 Weyl state in `state` (`rows`
-/// unused); bank kinds carry the shared MCG state plus the row counter.
-/// [`AnySampler::import_stream`] restores the exact stream on any
-/// sampler of the same [`SamplerKind`], reseeding first if the receiving
-/// sampler was built from a different seed.
+/// Table kinds keep the raw SplitMix64 Weyl state in `state` (`rows`
+/// unused); bank kinds keep the shared MCG state plus the row counter.
+/// Everything else a sampler holds — decorrelator lanes, table scratch —
+/// is built once per stepper from the engine seed and is not part of the
+/// stream, so moving a position in and out of a sampler
+/// ([`AnySampler::import_stream`] / [`AnySampler::export_stream`]) never
+/// allocates and never rebuilds anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerStream {
-    /// The construction seed of the stream.
-    pub seed: u64,
     /// Raw generator state (SplitMix64 Weyl counter or shared MCG state).
     pub state: u64,
     /// Rows generated (bank kinds only; 0 for table kinds).
     pub rows: u64,
+}
+
+impl SamplerStream {
+    /// The start of query `query_id`'s stream under engine seed `seed`:
+    /// the one derivation every software engine uses, so a walk's draws
+    /// are a pure function of `(seed, kind, query_id)` and of nothing
+    /// else — not lanes, threads, shards, visit order or batch budgets.
+    pub fn for_query(kind: SamplerKind, seed: u64, query_id: u32) -> Self {
+        let stream_seed = mix64(seed ^ (query_id as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
+        let state = match kind {
+            SamplerKind::InverseTransform
+            | SamplerKind::Alias
+            | SamplerKind::Rejection
+            | SamplerKind::AExpJ => stream_seed,
+            // Seeded through the generator so the odd-state invariant holds.
+            SamplerKind::SequentialWrs | SamplerKind::ParallelWrs { .. } => {
+                Mcg64::new(stream_seed).state()
+            }
+        };
+        Self { state, rows: 0 }
+    }
 }
 
 /// A ready-to-use weighted sampler of any [`SamplerKind`]: builds per-step
@@ -105,8 +125,6 @@ pub struct SamplerStream {
 /// changing a single sampled walk.
 pub struct AnySampler {
     state: SamplerState,
-    kind: SamplerKind,
-    seed: u64,
     /// Inverse-transform cumulative scratch, reused across steps.
     cum: Vec<u64>,
     /// Vose alias build scratch, reused across steps.
@@ -116,55 +134,37 @@ pub struct AnySampler {
 impl AnySampler {
     /// Instantiate a sampler of the given kind.
     pub fn new(kind: SamplerKind, seed: u64) -> Self {
-        Self {
-            state: Self::build_state(kind, seed),
-            kind,
-            seed,
-            cum: Vec::new(),
-            alias: AliasScratch::new(),
-        }
-    }
-
-    fn build_state(kind: SamplerKind, seed: u64) -> SamplerState {
-        match kind {
+        let state = match kind {
             SamplerKind::InverseTransform
             | SamplerKind::Alias
             | SamplerKind::Rejection
             | SamplerKind::AExpJ => SamplerState::Table(SplitMix64::new(seed), kind),
             SamplerKind::SequentialWrs => SamplerState::Sequential(StreamBank::new(seed, 1)),
             SamplerKind::ParallelWrs { k } => SamplerState::Parallel(ParallelWrs::new(seed, k)),
+        };
+        Self {
+            state,
+            cum: Vec::new(),
+            alias: AliasScratch::new(),
         }
     }
 
-    /// Capture this sampler's stream position for hand-off serialization
-    /// (DESIGN.md §11). The capture is a plain-data triple; restoring it
-    /// with [`AnySampler::import_stream`] on any sampler of the same kind
-    /// resumes the stream exactly.
+    /// This sampler's current stream position.
+    #[inline]
     pub fn export_stream(&self) -> SamplerStream {
         let (state, rows) = match &self.state {
             SamplerState::Table(rng, _) => (rng.state(), 0),
             SamplerState::Sequential(bank) => bank.stream_state(),
             SamplerState::Parallel(wrs) => wrs.stream_state(),
         };
-        SamplerStream {
-            seed: self.seed,
-            state,
-            rows,
-        }
+        SamplerStream { state, rows }
     }
 
-    /// Resume a stream captured by [`AnySampler::export_stream`]. If the
-    /// capture came from a different construction seed, the sampler is
-    /// reseeded first (bank kinds rebuild their seed-derived decorrelator
-    /// lanes), then the raw position is installed — so a walker's stream
-    /// continues bit-exactly on whichever shard's sampler it lands on.
+    /// Move this sampler to `stream`: the next draw continues that stream
+    /// exactly. `stream` must come from a sampler of the same kind and
+    /// engine seed (or from [`SamplerStream::for_query`] with them).
+    #[inline]
     pub fn import_stream(&mut self, stream: &SamplerStream) {
-        if stream.seed != self.seed {
-            // Rebuild the generator state only; table/alias scratch is
-            // seed-independent and keeps its capacity.
-            self.state = Self::build_state(self.kind, stream.seed);
-            self.seed = stream.seed;
-        }
         match &mut self.state {
             SamplerState::Table(rng, _) => *rng = SplitMix64::new(stream.state),
             SamplerState::Sequential(bank) => bank.restore_stream(stream.state, stream.rows),
@@ -412,8 +412,12 @@ impl<'g> ReferenceEngine<'g> {
         self.seed
     }
 
-    /// Execute all queries sequentially, returning their paths in query-id
-    /// order. Each step attempt runs the query set's
+    /// Execute all queries one walker at a time, returning their paths in
+    /// query order. The stepper is re-positioned to
+    /// [`SamplerStream::for_query`] before each walk, so every session
+    /// engine — whatever its lanes, threads or shards — must reproduce
+    /// these walks bit for bit; this loop deliberately shares nothing with
+    /// them beyond [`HotStepper`]. Each step attempt runs the query set's
     /// [`crate::program::WalkProgram`] state machine — control decision
     /// (restart draw, target halt), then one fused weight-calculation +
     /// sampling pass through [`HotStepper`] — so fixed-length programs
@@ -432,6 +436,7 @@ impl<'g> ReferenceEngine<'g> {
         let program = queries.program();
 
         for q in queries.queries() {
+            stepper.import_stream(&SamplerStream::for_query(self.sampler, self.seed, q.id));
             let mut st = WalkState::start(q.start);
             results.push_vertex(q.start);
             while st.taken < q.length {

@@ -190,9 +190,8 @@ fn rejection_sampler_conforms_on_node2vec_for_all_three_engines() {
     // chi-square against the hand-derived kite law (see
     // `node2vec_sampler_conforms_on_every_engine` for the derivation) is
     // its correctness gate. All three backends run it explicitly: the
-    // reference oracle, the CPU lanes (multi-threaded, so the per-lane
-    // RNG split is exercised too), and the hwsim via its functional
-    // sampler override.
+    // reference oracle, the CPU lanes (multi-threaded), and the hwsim via
+    // its functional sampler override.
     let g = GraphBuilder::undirected()
         .edges([(0, 1), (0, 2), (1, 2), (1, 3)])
         .build();

@@ -3,13 +3,15 @@
 //! distribution and emit only valid walks — the property that makes the
 //! paper's Fig. 14 comparison meaningful (same answers, different speed).
 //!
-//! Since the session refactor all three engines also implement
-//! `WalkEngine` (DESIGN.md §6), and the second half of this suite pins
-//! the batching contract: for every app × sampler kind, driving a
-//! session through `&dyn WalkEngine` with a *randomized* `max_steps`
-//! schedule reproduces the monolithic `run` bit for bit — the
-//! RNG-identity contract of DESIGN.md §5 survives batching.
+//! All engines also implement `WalkEngine` (DESIGN.md §6), and the second
+//! half of this suite pins the two identity contracts: every *software*
+//! engine — reference, CPU at any lane count, sharded at any shard and
+//! executor count — samples the oracle's walks bit for bit (the
+//! RNG-stream contract of DESIGN.md §5), and for every engine a session
+//! driven through `&dyn WalkEngine` with a *randomized* `max_steps`
+//! schedule reproduces its monolithic `run`.
 
+use lightrw::graph::ShardStrategy;
 use lightrw::prelude::*;
 use lightrw::rng::stats::{chi_square_counts, chi_square_crit_999};
 use lightrw::rng::{Rng, SplitMix64};
@@ -189,95 +191,117 @@ fn randomized_batches_replay_monolithic_walks_for_every_app_and_sampler() {
     }
 }
 
-/// The pre-lane CPU engine's inner loop, inlined as an oracle: one
-/// `HotStepper` on chunk 0's RNG stream (`mix64(seed ^ 0·φ)` =
-/// `mix64(seed)`) driving a walker-at-a-time cursor + `swap_remove`
-/// sweep. This is the sequential semantics the step-centric lanes must
-/// replay exactly — kept here, independent of `WorkerLane`, so a lane
-/// regression (ring order, seed derivation, prefetch gone wrong) cannot
-/// hide by changing oracle and engine in lockstep.
-fn sequential_oracle(
-    g: &Graph,
-    app: &dyn WalkApp,
-    kind: SamplerKind,
-    seed: u64,
-    qs: &QuerySet,
-) -> WalkResults {
-    use lightrw::rng::splitmix::mix64;
-    use lightrw::walker::program::{StepOutcome, WalkState};
-    let program = qs.program();
-    let queries = qs.queries();
-    let mut stepper = HotStepper::new(app, kind, mix64(seed));
-    stepper.reserve(g.max_degree() as usize);
-
-    let mut cur: Vec<u32> = queries.iter().map(|q| q.start).collect();
-    let mut prev: Vec<Option<u32>> = vec![None; queries.len()];
-    let mut taken = vec![0u32; queries.len()];
-    let mut seg = vec![0u32; queries.len()];
-    let mut paths: Vec<Vec<u32>> = queries.iter().map(|q| vec![q.start]).collect();
-
-    let mut active: Vec<usize> = (0..queries.len()).collect();
-    let mut cursor = 0usize;
-    while !active.is_empty() {
-        if cursor >= active.len() {
-            cursor = 0;
-        }
-        let qi = active[cursor];
-        let q = queries[qi];
-        let mut st = WalkState {
-            cur: cur[qi],
-            prev: prev[qi],
-            taken: taken[qi],
-            seg: seg[qi],
-        };
-        let outcome = program.step_attempt(g, app, &mut stepper, &q, &mut st);
-        cur[qi] = st.cur;
-        prev[qi] = st.prev;
-        taken[qi] = st.taken;
-        seg[qi] = st.seg;
-        let done = match outcome {
-            StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
-                paths[qi].push(outcome.appended(q.start).expect("advancing outcome"));
-                done
-            }
-            StepOutcome::DeadEnd | StepOutcome::TargetAtStart => true,
-        };
-        if done {
-            active.swap_remove(cursor);
-        } else {
-            cursor += 1;
-        }
-    }
-    let mut results = WalkResults::new();
-    for (i, p) in paths.into_iter().enumerate() {
-        results.emit(i as u32, &p);
-    }
-    results
-}
-
 #[test]
-fn single_lane_engine_replays_the_sequential_oracle_for_every_app_and_sampler() {
-    // The lane refactor's regression pin: with threads = 1, the
-    // interleaved Gather–Move–Update lane must be bit-identical to the
-    // pre-refactor sequential walk loop for every app × sampler —
-    // including Rejection, whose RNG stream differs from inverse
-    // transform only inside a step, never across walkers.
+fn every_software_engine_samples_the_reference_walks_bit_for_bit() {
+    // The RNG-stream contract (DESIGN.md §5): a walk's draws are a pure
+    // function of (engine seed, sampler kind, Query::id), so the
+    // walker-at-a-time oracle, the reference session, the CPU engine at
+    // any lane count and the sharded engine at any shard / executor count
+    // all sample the same walks — for every app × sampler kind, fixed
+    // and restarting programs, under any `advance` schedule.
     let g = generators::rmat_dataset(8, 14);
+    assert!(g.has_prefix_cache(), "shards inherit the cache from here");
     let mp = MetaPath::new(vec![0, 1, 0, 1, 0]);
     let nv = Node2Vec::paper_params();
     let apps: [&dyn WalkApp; 4] = [&Uniform, &StaticWeighted, &mp, &nv];
-    let qs = QuerySet::per_nonisolated_vertex(&g, 6, 4);
-    let seed = 0xC0FFEE;
-    for app in apps {
-        for kind in ALL_SAMPLERS {
-            let oracle = sequential_oracle(&g, app, kind, seed, &qs);
-            let cfg = BaselineConfig {
-                threads: 1,
-                sampler: kind,
-                seed,
-            };
-            let (lanes, _) = CpuEngine::new(&g, app, cfg).run(&qs);
-            assert_eq!(oracle, lanes, "{} {:?}", app.name(), kind);
+    let fixed = QuerySet::per_nonisolated_vertex(&g, 6, 4);
+    let ppr = fixed.clone().with_program(WalkProgram::ppr(0.2, 9));
+    let seed = 21;
+    let mut batch_rng = SplitMix64::new(0xBA7C);
+
+    for qs in [&fixed, &ppr] {
+        for app in apps {
+            for kind in ALL_SAMPLERS {
+                let reference = ReferenceEngine::new(&g, app, kind, seed);
+                let oracle = reference.run(qs);
+                let mut check = |engine: &dyn WalkEngine, what: &str| {
+                    let got = run_batched(engine, qs, &mut batch_rng, 64);
+                    assert_eq!(
+                        got,
+                        oracle,
+                        "{what} diverged from the oracle: {} {} {kind:?}",
+                        qs.program(),
+                        app.name()
+                    );
+                };
+                check(&reference, "reference session");
+                for threads in [1, 2, 3, 8] {
+                    let cfg = BaselineConfig {
+                        threads,
+                        sampler: kind,
+                        seed,
+                    };
+                    check(
+                        &CpuEngine::new(&g, app, cfg),
+                        &format!("cpu threads={threads}"),
+                    );
+                }
+                for k in [1, 2, 4] {
+                    for shard_threads in [1, 2, 0] {
+                        let engine =
+                            ShardedEngine::partition(&g, k, ShardStrategy::Range, app, kind, seed)
+                                .with_shard_threads(shard_threads);
+                        check(
+                            &engine,
+                            &format!("sharded k={k} shard_threads={shard_threads}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// Scheduling freedom, keyed by `Query::id`: visiting a lane's
+    /// walkers in any order, and splitting a `QuerySet` with `partition`
+    /// into separately executed parts, leave every path unchanged.
+    #[test]
+    fn visit_order_and_partitioning_never_change_a_walk(
+        gseed in 0u64..100,
+        eseed in 0u64..1000,
+        perm_seed in 0u64..u64::MAX,
+        parts in 1usize..5,
+        kind in 0usize..7,
+        app in 0usize..4,
+        budget in 1u64..40,
+    ) {
+        use lightrw::walker::{VisitEnv, WorkerLane};
+        let g = generators::rmat_dataset(7, gseed);
+        let mp = MetaPath::new(vec![0, 1, 0, 1, 0]);
+        let nv = Node2Vec::paper_params();
+        let apps: [&dyn WalkApp; 4] = [&Uniform, &StaticWeighted, &mp, &nv];
+        let (app, kind) = (apps[app], ALL_SAMPLERS[kind]);
+        let mut qs = QuerySet::n_queries(&g, 48, 8, gseed ^ eseed);
+        if eseed % 2 == 1 {
+            qs = qs.with_program(WalkProgram::ppr(0.25, 8));
+        }
+        let oracle = ReferenceEngine::new(&g, app, kind, eseed).run(&qs);
+
+        // One lane over the queries in a shuffled order.
+        let mut order = qs.queries().to_vec();
+        SplitMix64::new(perm_seed).shuffle(&mut order);
+        let mut lane = WorkerLane::new(&order, app, kind, eseed, g.max_degree() as usize);
+        let env = VisitEnv { graph: &g, app, program: qs.program() };
+        while !lane.is_idle() {
+            lane.advance(budget, env);
+        }
+        for (slot, q) in order.iter().enumerate() {
+            let path = lane.take_path(slot).expect("idle lane has finished every walk");
+            proptest::prop_assert!(path == oracle.path(q.id as usize), "lane, query {}", q.id);
+        }
+
+        // The parts of a partition, each its own session; emission ids are
+        // session-local, `Query::id` names the walk.
+        let cfg = BaselineConfig { threads: 2, sampler: kind, seed: eseed };
+        let engine = CpuEngine::new(&g, app, cfg);
+        for part in qs.partition(parts) {
+            let got = run_batched(&engine, &part, &mut SplitMix64::new(perm_seed), budget);
+            for (q, path) in part.queries().iter().zip(got.iter()) {
+                proptest::prop_assert!(path == oracle.path(q.id as usize), "part, query {}", q.id);
+            }
         }
     }
 }

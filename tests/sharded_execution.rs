@@ -66,10 +66,8 @@ fn partition_strategy_shard_count_and_flush_budget_never_change_walks() {
     // *where* each vertex lives and *when* migrants flush — pin it
     // across both partition strategies, several shard counts and flush
     // budgets, for a second-order app (hand-offs carry prev-row
-    // payloads). The baseline is k = 2: k = 1 is the sequential fast
-    // path with the reference engine's stream assignment (pinned by the
-    // bit-identity test above), so the migrating-walker contract starts
-    // at two shards.
+    // payloads). The baseline is k = 2, the smallest partition with
+    // migrating walkers.
     let mut g = generators::rmat_dataset(8, 14);
     g.build_prefix_cache();
     let nv = Node2Vec::paper_params();
