@@ -168,7 +168,9 @@ pub fn usage() -> &'static str {
      graph    pack (rmat:SCALE[:SEED] | GRAPH.bin) -o FILE.lrwpak\n\
      \x20        [--relabel] [--no-prefix] [--chunk-records N] [--compress]\n\
      \x20        [--shards K] [--strategy range|fennel|walk]\n\
-     \x20        rmat inputs stream in bounded memory (external sort);\n\
+     \x20        rmat inputs stream in bounded memory (external sort in\n\
+     \x20        chunks of N 16-byte records, default 4 Mi = 64 MiB; the\n\
+     \x20        output does not depend on N);\n\
      \x20        fennel/walk strategies materialize the graph instead\n\
      graph    stats FILE.lrwpak  — header, sections, degree histogram\n\
      \x20        (reads via mmap; never materializes the CSR on heap)\n\

@@ -43,6 +43,14 @@ pub fn rmat_edges(
 /// (same RNG draws, same order) without materializing the list. The
 /// out-of-core pack pipeline (`crate::pack`) consumes this so an rmat-22+
 /// dataset can be packed in bounded memory.
+///
+/// Each level picks its quadrant by comparing the draw's 53 random bits
+/// against integer thresholds and sets both id bits without a branch.
+/// The stream is draw for draw the float generator's (`next_f64() < t`
+/// chained through a three-way `if`, kept as the test oracle below):
+/// `next_f64()` is `x · 2^-53` for the integer `x = next_u64() >> 11`,
+/// and scaling by a power of two is exact, so
+/// `x · 2^-53 < t  ⇔  x < ⌈t · 2^53⌉`.
 pub fn rmat_edge_stream(
     scale: u32,
     edge_factor: usize,
@@ -51,24 +59,17 @@ pub fn rmat_edge_stream(
 ) -> impl Iterator<Item = (VertexId, VertexId)> {
     assert!(scale < 32, "scale must fit in u32 vertex ids");
     assert!(a > 0.0 && b >= 0.0 && c >= 0.0 && a + b + c < 1.0);
+    let threshold = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
+    // Quadrants by draw: [0, ta) none, [ta, tab) v, [tab, tabc) u, rest both.
+    let (ta, tab, tabc) = (threshold(a), threshold(a + b), threshold(a + b + c));
     let n_edges = edge_factor << scale;
     let mut rng = SplitMix64::new(seed);
     (0..n_edges).map(move |_| {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
-            let r = rng.next_f64();
-            if r < a {
-                // top-left quadrant: no bits set
-            } else if r < a + b {
-                v |= 1;
-            } else if r < a + b + c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            let x = rng.next_u64() >> 11;
+            u = u << 1 | (x >= tab) as u32;
+            v = v << 1 | ((x >= ta) & (x < tab) | (x >= tabc)) as u32;
         }
         (u, v)
     })
@@ -290,6 +291,75 @@ mod tests {
     use super::*;
     use crate::stats::degree_histogram;
     use crate::validate::validate;
+
+    /// The float generator `rmat_edge_stream` replaced: one `next_f64`
+    /// per level, quadrant by a three-way `if`. The oracle for the
+    /// integer-threshold version.
+    fn rmat_edge_stream_float(
+        scale: u32,
+        edge_factor: usize,
+        (a, b, c): (f64, f64, f64),
+        seed: u64,
+    ) -> impl Iterator<Item = (VertexId, VertexId)> {
+        let mut rng = SplitMix64::new(seed);
+        (0..edge_factor << scale).map(move |_| {
+            let (mut u, mut v) = (0u32, 0u32);
+            for _ in 0..scale {
+                u <<= 1;
+                v <<= 1;
+                let r = rng.next_f64();
+                if r < a {
+                    // top-left quadrant: no bits set
+                } else if r < a + b {
+                    v |= 1;
+                } else if r < a + b + c {
+                    u |= 1;
+                } else {
+                    u |= 1;
+                    v |= 1;
+                }
+            }
+            (u, v)
+        })
+    }
+
+    fn assert_streams_equal(scale: u32, skew: (f64, f64, f64), seed: u64) {
+        let got = rmat_edge_stream(scale, 8, skew, seed).take(100_000);
+        let want = rmat_edge_stream_float(scale, 8, skew, seed).take(100_000);
+        assert!(
+            got.eq(want),
+            "scale {scale} skew {skew:?} seed {seed}: streams differ"
+        );
+    }
+
+    #[test]
+    fn rmat_stream_is_draw_for_draw_the_float_generator() {
+        let graph500 = (RMAT_A, RMAT_B, RMAT_C);
+        let patents = DatasetProfile::us_patents().skew;
+        for scale in [1, 7, 20, 31] {
+            for seed in [0, 1, 7, 0xDEAD_BEEF, u64::MAX] {
+                assert_streams_equal(scale, graph500, seed);
+                assert_streams_equal(scale, patents, seed);
+            }
+        }
+        assert_eq!(rmat_edge_stream(0, 8, graph500, 3).count(), 8);
+    }
+
+    #[test]
+    fn rmat_thresholds_hold_at_the_edges() {
+        // b = 0 empties the "v only" quadrant (a + b == a).
+        assert_streams_equal(12, (0.5, 0.0, 0.25), 5);
+        assert!(rmat_edge_stream(12, 8, (0.5, 0.0, 0.0), 5).all(|(u, v)| u == v));
+        // a + b + c one ulp below 1: the last quadrant is a single draw
+        // value wide and the top threshold is 2^53 - 1.
+        let c = 0.25;
+        let a = f64::from_bits(1.0f64.to_bits() - 1) - 0.25 - c;
+        assert_eq!((a + 0.25 + c).to_bits(), 1.0f64.to_bits() - 1);
+        assert_streams_equal(12, (a, 0.25, c), 9);
+        // Thresholds that are not multiples of 2^-53 round up, not down.
+        assert_streams_equal(12, (1e-17, 1e-17, 1e-17), 11);
+        assert_streams_equal(3, (f64::MIN_POSITIVE, 0.0, 0.0), 13);
+    }
 
     #[test]
     fn rmat_vertex_count_and_validity() {

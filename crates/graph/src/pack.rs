@@ -3,38 +3,44 @@
 //!
 //! The pipeline never holds the edge list in memory. Its phases:
 //!
-//! 1. **Ingest + run generation.** Edge records (24 bytes: endpoints,
-//!    weight, relation, input sequence number) are buffered in a
-//!    fixed-capacity chunk; each full chunk is sorted by `(u, v, seq)`
-//!    and spilled to a temporary run file. Undirected inputs are
-//!    mirrored at ingest, exactly like `GraphBuilder`.
-//! 2. **K-way merge + dedup + stats.** All runs merge into one sorted
-//!    stream; duplicate `(u, v)` pairs collapse keeping the lowest
-//!    sequence number (the input's first occurrence — deterministic,
-//!    where the in-memory builder's unstable sort leaves the survivor
-//!    unspecified when duplicate attributes differ). The surviving
-//!    records stream to a merged temp file while one O(|V|) pass of
-//!    state accumulates: per-vertex degrees, max weight, the relation
-//!    histogram — everything needed to size the section table.
+//! 1. **Ingest + run generation.** Edge records (16 bytes: the key
+//!    `u << 32 | v`, weight, relation) fill a fixed-capacity chunk.
+//!    A record that finds the chunk full has it sorted by key — equal
+//!    keys left in arrival order — and spilled to `<out>.partial.runN.tmp`;
+//!    the final chunk, full or not, stays in memory. Undirected inputs
+//!    are mirrored at ingest, exactly like `GraphBuilder`.
+//! 2. **K-way merge + dedup + stats.** The runs merge into one sorted
+//!    stream; of a group of duplicate `(u, v)` the record from the lowest
+//!    run wins, which is the input's first occurrence — the survivor
+//!    `GraphBuilder` keeps too. The merged stream is not spooled: each
+//!    pass that needs it merges the runs again. The first pass
+//!    accumulates O(|V|) of state: per-vertex degrees, max weight, the
+//!    relation histogram — everything needed to size the section table.
 //! 3. **(Optional) degree relabeling.** With `PackOptions::relabel`,
 //!    vertices are renumbered in descending-degree order (ties by old
 //!    id — the same order as `reorder::by_degree_descending`) and the
-//!    merged records are re-sorted externally under the new ids; the
+//!    merged records go through a second external sort under the new ids
+//!    (runs `<out>.partial.relabelN.tmp`); the first sort then spills its
+//!    final chunk as well, so the two chunks never coexist. The
 //!    `new_to_old` permutation is persisted in the file.
-//! 4. **Section streaming.** The output file is sized up front; one
+//! 4. **Section streaming.** `<out>.partial` is sized up front; one
 //!    seeked write handle per section (col_index, weights, labels, each
 //!    prefix cumulative) consumes the merged stream in a single linear
 //!    pass, so the prefix caches are computed on the fly and
-//!    `build_prefix_cache` is a no-op on load.
+//!    `build_prefix_cache` is a no-op on load. Only a complete file is
+//!    renamed to `out`; an error removes the partial file and every run.
 //!
-//! Peak memory is `O(chunk + |V|)`: the sort chunk (configurable,
-//! default 4 Mi records ≈ 96 MB) plus one `u32` degree per vertex —
-//! independent of |E|.
+//! Peak memory is `16·chunk_records` bytes (64 MiB at the default 4 Mi
+//! records; the sort is in place) plus 64 KiB per open run or section
+//! and O(|V|): 12 bytes per vertex of degrees and row offsets, the
+//! vertex labels, `shards·|V|` ghost bits — independent of |E|. Temp disk
+//! is 16 bytes per input record beyond the final chunk.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use lightrw_rng::{Rng, SplitMix64};
@@ -59,8 +65,9 @@ pub struct PackOptions {
     /// Renumber vertices in descending-degree order at pack time and
     /// persist the relabeling in the file.
     pub relabel: bool,
-    /// Sort-chunk capacity in records (24 bytes each). Bounds the
-    /// pipeline's memory; smaller values spill more runs.
+    /// Sort-chunk capacity in records (16 bytes each; at most 2^24 are
+    /// used). Bounds the pipeline's memory; smaller values spill more
+    /// runs. The output does not depend on it.
     pub chunk_records: usize,
     /// Precompute prefix cumulative sections into the file (skipped
     /// automatically when any weight exceeds the 16-bit promote limit).
@@ -96,206 +103,268 @@ pub struct PackStats {
     pub edges: usize,
     /// Duplicate `(u, v)` records collapsed.
     pub duplicates: usize,
-    /// Sorted runs spilled to disk (0 when one chunk held everything).
+    /// Sorted runs the first sort spilled to disk: one per full chunk
+    /// before the final one (with `relabel`, the final one too).
     pub runs: usize,
     /// Total size of the packed output file.
     pub file_bytes: u64,
 }
 
-/// A 24-byte edge record: the unit the external sort works in.
+/// Capacity of every buffered run and section handle. Small on purpose:
+/// these buffers, not the sort chunk, are what the heap keeps once the
+/// chunk is freed.
+const IO_BUF: usize = 64 << 10;
+
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    name.into()
+}
+
+/// A 16-byte edge record: the unit the external sort works in. `key` is
+/// `u << 32 | v`, so key order is `(u, v)` order.
 #[derive(Debug, Clone, Copy)]
 struct Rec {
-    u: u32,
-    v: u32,
+    key: u64,
     w: u32,
+    /// A `u8` relation; [`Sorter::sort_chunk`] borrows the upper 24 bits.
     rel: u32,
-    seq: u64,
 }
 
 impl Rec {
-    fn key(&self) -> (u32, u32, u64) {
-        (self.u, self.v, self.seq)
+    fn new(u: u32, v: u32, w: u32, rel: u32) -> Self {
+        let key = (u as u64) << 32 | v as u64;
+        Self { key, w, rel }
     }
 
-    fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        let mut b = [0u8; 24];
-        b[0..4].copy_from_slice(&self.u.to_le_bytes());
-        b[4..8].copy_from_slice(&self.v.to_le_bytes());
-        b[8..12].copy_from_slice(&self.w.to_le_bytes());
-        b[12..16].copy_from_slice(&self.rel.to_le_bytes());
-        b[16..24].copy_from_slice(&self.seq.to_le_bytes());
-        out.write_all(&b)
+    fn u(&self) -> u32 {
+        (self.key >> 32) as u32
+    }
+
+    fn v(&self) -> u32 {
+        self.key as u32
+    }
+
+    /// The run-file encoding: `key`, `w`, `rel`, little-endian.
+    fn to_bytes(self) -> [u8; 16] {
+        (self.key as u128 | (self.w as u128) << 64 | (self.rel as u128) << 96).to_le_bytes()
     }
 
     /// `Ok(None)` on clean EOF; mid-record EOF is an error.
-    fn read_from(r: &mut impl Read) -> io::Result<Option<Rec>> {
-        let mut b = [0u8; 24];
-        match r.read_exact(&mut b) {
-            Ok(()) => Ok(Some(Rec {
-                u: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-                v: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-                w: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-                rel: u32::from_le_bytes(b[12..16].try_into().unwrap()),
-                seq: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            })),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(e),
+    fn read_from(r: &mut impl BufRead) -> io::Result<Option<Rec>> {
+        if r.fill_buf()?.is_empty() {
+            return Ok(None);
         }
+        let mut b = [0u8; 16];
+        r.read_exact(&mut b)?;
+        let x = u128::from_le_bytes(b);
+        Ok(Some(Rec {
+            key: x as u64,
+            w: (x >> 64) as u32,
+            rel: (x >> 96) as u32,
+        }))
     }
 }
 
-/// One source of sorted records for the k-way merge: a spilled run file
-/// or the final in-memory chunk (kept unspilled when it is the only
-/// run's worth of leftover data).
-enum Cursor {
+/// One sorted run under the k-way merge: a spilled file, or the final
+/// chunk where it lies in memory.
+enum Cursor<'a> {
     File(BufReader<File>),
-    Mem(std::vec::IntoIter<Rec>),
+    Mem(std::slice::Iter<'a, Rec>),
 }
 
-impl Cursor {
+impl Cursor<'_> {
     fn next(&mut self) -> io::Result<Option<Rec>> {
         match self {
             Cursor::File(r) => Rec::read_from(r),
-            Cursor::Mem(it) => Ok(it.next()),
+            Cursor::Mem(it) => Ok(it.next().copied()),
         }
     }
 }
 
-/// `(record sort key, cursor index)` — min-heap entries for the k-way merge.
-type MergeEntry = Reverse<((u32, u32, u64), usize)>;
-
-/// Merge any number of sorted cursors into one sorted stream.
-struct Merge {
-    cursors: Vec<Cursor>,
-    heap: BinaryHeap<MergeEntry>,
-    pending: Vec<Option<Rec>>,
+/// What one external sort leaves: sorted run files in the order they
+/// were cut from the input, then the final chunk, still in memory (empty
+/// when [`Sorter::finish`] was told to spill it too).
+struct Runs {
+    files: Vec<PathBuf>,
+    tail: Vec<Rec>,
 }
 
-impl Merge {
-    fn new(mut cursors: Vec<Cursor>) -> io::Result<Self> {
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        let mut pending = Vec::with_capacity(cursors.len());
-        for (i, c) in cursors.iter_mut().enumerate() {
-            let first = c.next()?;
-            if let Some(rec) = first {
-                heap.push(Reverse((rec.key(), i)));
-            }
-            pending.push(first);
+impl Runs {
+    /// One pass over the sorted, deduplicated records. Every consumer
+    /// takes its own: merging the runs again costs no more than spooling
+    /// the merged stream to a temp file and reading that back.
+    fn merge(&self) -> io::Result<Merge<'_>> {
+        let mut cursors = Vec::with_capacity(self.files.len() + 1);
+        for path in &self.files {
+            let file = File::open(path)?;
+            cursors.push(Cursor::File(BufReader::with_capacity(IO_BUF, file)));
         }
-        Ok(Self {
-            cursors,
-            heap,
-            pending,
-        })
+        cursors.push(Cursor::Mem(self.tail.iter()));
+        Merge::new(cursors)
+    }
+}
+
+/// K-way merge of sorted runs into one sorted stream without duplicate
+/// keys. Of a group of equal keys the record from the lowest run wins,
+/// and within a run the earliest: runs are cut from the input in order
+/// and each keeps equal keys in arrival order, so the survivor is the
+/// input's first occurrence.
+#[derive(Default)]
+struct Merge<'a> {
+    /// The non-empty runs, in run order.
+    cursors: Vec<Cursor<'a>>,
+    /// `(head record's key, cursor index)`, smallest on top.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Each cursor's head record, valid while the cursor is in the heap.
+    heads: Vec<Rec>,
+    last: Option<u64>,
+    duplicates: usize,
+}
+
+impl<'a> Merge<'a> {
+    fn new(cursors: Vec<Cursor<'a>>) -> io::Result<Self> {
+        let mut merge = Self::default();
+        for mut cursor in cursors {
+            if let Some(rec) = cursor.next()? {
+                merge.heap.push(Reverse((rec.key, merge.cursors.len())));
+                merge.cursors.push(cursor);
+                merge.heads.push(rec);
+            }
+        }
+        Ok(merge)
     }
 
     fn next(&mut self) -> io::Result<Option<Rec>> {
-        let Some(Reverse((_, i))) = self.heap.pop() else {
-            return Ok(None);
-        };
-        let rec = self.pending[i]
-            .take()
-            .expect("heap entry backed by a record");
-        if let Some(next) = self.cursors[i].next()? {
-            self.heap.push(Reverse((next.key(), i)));
-            self.pending[i] = Some(next);
+        loop {
+            let Some(mut top) = self.heap.peek_mut() else {
+                return Ok(None);
+            };
+            let i = top.0 .1;
+            let rec = self.heads[i];
+            match self.cursors[i].next()? {
+                Some(next) => {
+                    top.0 .0 = next.key;
+                    self.heads[i] = next;
+                }
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+            if self.last != Some(rec.key) {
+                self.last = Some(rec.key);
+                return Ok(Some(rec));
+            }
+            self.duplicates += 1;
         }
-        Ok(Some(rec))
     }
 }
 
-/// Chunked sorter: buffers records, spills sorted runs, hands the final
-/// set of cursors to a [`Merge`].
+/// The temp files of one pack. Whatever is still there when the pack
+/// ends — by return, error or unwinding — is removed.
+struct Temps(Vec<PathBuf>);
+
+impl Drop for Temps {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            std::fs::remove_file(path).ok();
+        }
+    }
+}
+
+/// Chunked sorter: buffers records, spills sorted runs, leaves [`Runs`].
 struct Sorter<'t> {
     buf: Vec<Rec>,
     cap: usize,
     runs: Vec<PathBuf>,
+    /// Run `i` is spilled to `<tmp_base><i>.tmp`.
     tmp_base: PathBuf,
-    temps: &'t mut Vec<PathBuf>,
+    temps: &'t mut Temps,
 }
 
 impl<'t> Sorter<'t> {
-    fn new(cap: usize, tmp_base: PathBuf, temps: &'t mut Vec<PathBuf>) -> Self {
+    fn new(cap: usize, tmp_base: PathBuf, temps: &'t mut Temps) -> Self {
         Self {
             buf: Vec::with_capacity(cap.min(1 << 22)),
-            cap: cap.max(2),
+            // `sort_chunk` numbers a chunk's records in 24 bits.
+            cap: cap.clamp(2, 1 << 24),
             runs: Vec::new(),
             tmp_base,
             temps,
         }
     }
 
+    /// Spills only when a record arrives to find the chunk full, so the
+    /// final chunk — full or not — is still in memory at `finish`.
     fn push(&mut self, rec: Rec) -> io::Result<()> {
-        self.buf.push(rec);
         if self.buf.len() >= self.cap {
             self.spill()?;
         }
+        self.buf.push(rec);
         Ok(())
     }
 
+    /// Sort the chunk by key with equal keys left in arrival order, in
+    /// place. The arrival index rides in the 24 bits of `rel` that a `u8`
+    /// relation leaves free, so only the groups of equal keys, which an
+    /// unstable sort may have shuffled, need putting back in order: the
+    /// result of a stable sort without its n/2 records of scratch.
+    fn sort_chunk(&mut self) {
+        for (i, r) in self.buf.iter_mut().enumerate() {
+            r.rel |= (i as u32) << 8;
+        }
+        self.buf.sort_unstable_by_key(|r| r.key);
+        for group in self.buf.chunk_by_mut(|a, b| a.key == b.key) {
+            if group.len() > 1 {
+                group.sort_unstable_by_key(|r| r.rel);
+            }
+            for r in group {
+                r.rel &= 0xFF;
+            }
+        }
+    }
+
     fn spill(&mut self) -> io::Result<()> {
-        self.buf.sort_unstable_by_key(Rec::key);
-        let path = self
-            .tmp_base
-            .with_extension(format!("run{}.tmp", self.runs.len()));
-        let mut out = BufWriter::new(File::create(&path)?);
+        self.sort_chunk();
+        let path = with_suffix(&self.tmp_base, &format!("{}.tmp", self.runs.len()));
+        self.temps.0.push(path.clone());
+        let mut out = BufWriter::with_capacity(IO_BUF, File::create(&path)?);
         for rec in &self.buf {
-            rec.write_to(&mut out)?;
+            out.write_all(&rec.to_bytes())?;
         }
         out.flush()?;
-        self.temps.push(path.clone());
         self.runs.push(path);
         self.buf.clear();
         Ok(())
     }
 
-    /// Finish ingestion: returns merge cursors (spilled runs plus the
-    /// sorted in-memory remainder) and the number of spilled runs.
-    fn into_merge(mut self) -> io::Result<(Merge, usize)> {
-        self.buf.sort_unstable_by_key(Rec::key);
-        let n_runs = self.runs.len();
-        let mut cursors: Vec<Cursor> = Vec::with_capacity(n_runs + 1);
-        for path in &self.runs {
-            cursors.push(Cursor::File(BufReader::new(File::open(path)?)));
+    /// Finish ingestion. `keep_tail` leaves the final chunk in memory;
+    /// without it the chunk is spilled too and its memory given back, for
+    /// a caller about to fill a second sorter from these runs.
+    fn finish(mut self, keep_tail: bool) -> io::Result<Runs> {
+        if keep_tail {
+            self.sort_chunk();
+        } else if !self.buf.is_empty() {
+            self.spill()?;
+            self.buf = Vec::new();
         }
-        if !self.buf.is_empty() {
-            cursors.push(Cursor::Mem(std::mem::take(&mut self.buf).into_iter()));
-        }
-        Ok((Merge::new(cursors)?, n_runs))
-    }
-}
-
-/// A section writer: its own handle on the output file, seeked to the
-/// section's offset. Multiple live at once so one linear pass over the
-/// merged edge stream can fill every edge-indexed section.
-struct SecWriter {
-    out: BufWriter<File>,
-}
-
-impl SecWriter {
-    fn at(path: &Path, offset: u64) -> io::Result<Self> {
-        let mut f = OpenOptions::new().write(true).open(path)?;
-        f.seek(SeekFrom::Start(offset))?;
-        Ok(Self {
-            out: BufWriter::new(f),
+        Ok(Runs {
+            files: self.runs,
+            tail: self.buf,
         })
     }
+}
 
-    fn put_u32(&mut self, x: u32) -> io::Result<()> {
-        self.out.write_all(&x.to_le_bytes())
+/// Write `items`, each already little-endian bytes, and flush.
+fn fill<B: AsRef<[u8]>>(
+    mut w: BufWriter<File>,
+    items: impl IntoIterator<Item = B>,
+) -> io::Result<()> {
+    for bytes in items {
+        w.write_all(bytes.as_ref())?;
     }
-
-    fn put_u64(&mut self, x: u64) -> io::Result<()> {
-        self.out.write_all(&x.to_le_bytes())
-    }
-
-    fn put_u8(&mut self, x: u8) -> io::Result<()> {
-        self.out.write_all(&[x])
-    }
-
-    fn finish(mut self) -> io::Result<()> {
-        self.out.flush()
-    }
+    w.flush()
 }
 
 /// Everything phase 2 learns about the edge set.
@@ -304,11 +373,7 @@ struct StreamStats {
     max_endpoint: Option<u32>,
     max_weight: u32,
     label_used: [bool; 256],
-    /// Any record (pre-dedup, like `GraphBuilder`) carried a non-zero
-    /// relation ⇒ the file stores an edge-label section.
-    any_rel: bool,
     edges: usize,
-    duplicates: usize,
 }
 
 impl StreamStats {
@@ -318,19 +383,18 @@ impl StreamStats {
             max_endpoint: None,
             max_weight: 0,
             label_used: [false; 256],
-            any_rel: false,
             edges: 0,
-            duplicates: 0,
         }
     }
 
     fn see_kept(&mut self, rec: &Rec) {
-        let hi = rec.u.max(rec.v);
+        let (u, v) = (rec.u(), rec.v());
+        let hi = u.max(v);
         self.max_endpoint = Some(self.max_endpoint.map_or(hi, |m| m.max(hi)));
-        if self.degree.len() <= rec.u as usize {
-            self.degree.resize(rec.u as usize + 1, 0);
+        if self.degree.len() <= u as usize {
+            self.degree.resize(u as usize + 1, 0);
         }
-        self.degree[rec.u as usize] += 1;
+        self.degree[u as usize] += 1;
         self.max_weight = self.max_weight.max(rec.w);
         self.label_used[(rec.rel & 0xFF) as usize] = true;
         self.edges += 1;
@@ -344,8 +408,10 @@ impl StreamStats {
 /// given, is called once with the final vertex count and must return
 /// that many labels (in *original* ids; the pipeline permutes them
 /// itself under `relabel`). The resulting file loads to a graph equal
-/// to `GraphBuilder` fed the same stream — see the dedup caveat in the
-/// module docs.
+/// to `GraphBuilder` fed the same stream, and its bytes do not depend on
+/// `chunk_records`. `out` appears only once complete: the sections
+/// stream into `<out>.partial`, which is renamed on success and removed,
+/// like every run file, on error.
 pub fn pack_edge_stream<I>(
     records: I,
     directed: bool,
@@ -357,80 +423,36 @@ pub fn pack_edge_stream<I>(
 where
     I: IntoIterator<Item = (u32, u32, u32, u8)>,
 {
-    let mut temps: Vec<PathBuf> = Vec::new();
-    let result = pack_edge_stream_inner(
-        records,
-        directed,
-        min_vertices,
-        vertex_labels,
-        out,
-        opts,
+    let partial = with_suffix(out, ".partial");
+    let mut temps = Temps(vec![partial.clone()]);
+
+    // ---- Phase 1: ingest, mirror, chunk-sort, spill. ----
+    let mut sorter = Sorter::new(
+        opts.chunk_records,
+        with_suffix(&partial, ".run"),
         &mut temps,
     );
-    for p in temps {
-        std::fs::remove_file(p).ok();
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pack_edge_stream_inner<I>(
-    records: I,
-    directed: bool,
-    min_vertices: usize,
-    vertex_labels: Option<Box<dyn FnOnce(usize) -> Vec<u8>>>,
-    out: &Path,
-    opts: &PackOptions,
-    temps: &mut Vec<PathBuf>,
-) -> Result<PackStats, IoError>
-where
-    I: IntoIterator<Item = (u32, u32, u32, u8)>,
-{
-    // ---- Phase 1: ingest, mirror, chunk-sort, spill. ----
-    let mut sorter = Sorter::new(opts.chunk_records, out.to_path_buf(), temps);
-    let mut seq = 0u64;
+    // Any record (pre-dedup, like `GraphBuilder`) with a non-zero relation
+    // ⇒ the file stores an edge-label section.
     let mut any_rel = false;
     for (u, v, w, rel) in records {
         any_rel |= rel != 0;
-        sorter.push(Rec {
-            u,
-            v,
-            w,
-            rel: rel as u32,
-            seq,
-        })?;
-        seq += 1;
+        sorter.push(Rec::new(u, v, w, rel as u32))?;
         if !directed {
-            sorter.push(Rec {
-                u: v,
-                v: u,
-                w,
-                rel: rel as u32,
-                seq,
-            })?;
-            seq += 1;
+            sorter.push(Rec::new(v, u, w, rel as u32))?;
         }
     }
+    let mut runs = sorter.finish(!opts.relabel)?;
+    let n_runs = runs.files.len();
 
-    // ---- Phase 2: merge, dedup (min seq wins), stats, merged spool. ----
-    let (mut merge, n_runs) = sorter.into_merge()?;
-    let merged_path = out.with_extension("merged.tmp");
-    temps.push(merged_path.clone());
-    let mut merged_out = BufWriter::new(File::create(&merged_path)?);
+    // ---- Phase 2: merge, dedup (first occurrence wins), stats. ----
     let mut stats = StreamStats::new();
-    stats.any_rel = any_rel;
-    let mut last: Option<(u32, u32)> = None;
+    let mut merge = runs.merge()?;
     while let Some(rec) = merge.next()? {
-        if last == Some((rec.u, rec.v)) {
-            stats.duplicates += 1;
-            continue;
-        }
-        last = Some((rec.u, rec.v));
         stats.see_kept(&rec);
-        Rec { seq: 0, ..rec }.write_to(&mut merged_out)?;
     }
-    merged_out.flush()?;
-    drop(merged_out);
+    let duplicates = merge.duplicates;
+    drop(merge);
 
     let n = stats
         .degree
@@ -442,29 +464,23 @@ where
 
     // ---- Phase 3 (optional): degree relabeling + external re-sort. ----
     let mut relabeling: Option<Relabeling> = None;
-    let mut edge_source = merged_path.clone();
     if opts.relabel {
         let mut order: Vec<VertexId> = (0..n as VertexId).collect();
         order.sort_by_key(|&v| (Reverse(stats.degree[v as usize]), v));
         let map = Relabeling::from_new_to_old(order);
 
-        let mut resort = Sorter::new(opts.chunk_records, out.with_extension("relabel"), temps);
-        let mut merged_in = BufReader::new(File::open(&merged_path)?);
-        while let Some(rec) = Rec::read_from(&mut merged_in)? {
-            resort.push(Rec {
-                u: map.new_id(rec.u),
-                v: map.new_id(rec.v),
-                ..rec
-            })?;
+        let mut resort = Sorter::new(
+            opts.chunk_records,
+            with_suffix(&partial, ".relabel"),
+            &mut temps,
+        );
+        let mut merge = runs.merge()?;
+        while let Some(rec) = merge.next()? {
+            let (u, v) = (map.new_id(rec.u()), map.new_id(rec.v()));
+            resort.push(Rec::new(u, v, rec.w, rec.rel))?;
         }
-        let (mut remerge, _) = resort.into_merge()?;
-        let relabeled_path = out.with_extension("relabeled.tmp");
-        temps.push(relabeled_path.clone());
-        let mut relabeled_out = BufWriter::new(File::create(&relabeled_path)?);
-        while let Some(rec) = remerge.next()? {
-            rec.write_to(&mut relabeled_out)?;
-        }
-        relabeled_out.flush()?;
+        drop(merge);
+        runs = resort.finish(true)?;
 
         let old_degree = std::mem::take(&mut stats.degree);
         stats.degree = map
@@ -472,21 +488,12 @@ where
             .iter()
             .map(|&old| old_degree[old as usize])
             .collect();
-        edge_source = relabeled_path;
         relabeling = Some(map);
     }
 
     // ---- Phase 4: lay out sections and stream them out. ----
     let n64 = n as u64;
     let m64 = m as u64;
-    let mut vlabels = vertex_labels.map(|f| f(n));
-    if let Some(labels) = &mut vlabels {
-        assert_eq!(labels.len(), n, "vertex-label closure length mismatch");
-        if let Some(map) = &relabeling {
-            let orig = std::mem::take(labels);
-            *labels = map.new_to_old().iter().map(|&o| orig[o as usize]).collect();
-        }
-    }
     let distinct = stats.label_used.iter().filter(|&&u| u).count();
     let max_label = (0..256).rev().find(|&r| stats.label_used[r]);
     let with_prefix = opts.prefix_cache && stats.max_weight <= MAX_PREFIX_STATIC_WEIGHT;
@@ -494,7 +501,7 @@ where
     // for typed graphs with few enough distinct labels, only for labels
     // actually used.
     let rel_prefix_labels: Vec<usize> =
-        if with_prefix && stats.any_rel && distinct <= MAX_CACHED_RELATIONS {
+        if with_prefix && any_rel && distinct <= MAX_CACHED_RELATIONS {
             (0..=max_label.unwrap_or(0))
                 .filter(|&r| stats.label_used[r])
                 .collect()
@@ -536,29 +543,30 @@ where
     let mut boundary = vec![0u64; k];
     let mut varint_total = 0u64;
     if k > 1 || opts.compress {
-        let mut reader = BufReader::new(File::open(&edge_source)?);
+        let mut merge = runs.merge()?;
         let mut cur_u: Option<u32> = None;
         let mut prev_v = 0u32;
         let mut s = 0usize;
-        while let Some(rec) = Rec::read_from(&mut reader)? {
-            if cur_u != Some(rec.u) {
-                cur_u = Some(rec.u);
+        while let Some(rec) = merge.next()? {
+            let (u, v) = (rec.u(), rec.v());
+            if cur_u != Some(u) {
+                cur_u = Some(u);
                 if opts.compress {
-                    varint_total += varint_len(rec.v);
+                    varint_total += varint_len(v);
                 }
                 // Records stream sorted by u, so the owner only advances.
-                while s + 1 < k && rec.u >= cuts[s + 1] {
+                while s + 1 < k && u >= cuts[s + 1] {
                     s += 1;
                 }
             } else if opts.compress {
-                varint_total += varint_len(rec.v - prev_v - 1);
+                varint_total += varint_len(v - prev_v - 1);
             }
-            prev_v = rec.v;
+            prev_v = v;
             if k > 1 {
-                let t = cuts.partition_point(|&c| c <= rec.v) - 1;
+                let t = cuts.partition_point(|&c| c <= v) - 1;
                 if t != s {
                     boundary[s] += 1;
-                    ghost_bits[s][rec.v as usize / 64] |= 1 << (rec.v % 64);
+                    ghost_bits[s][v as usize / 64] |= 1 << (v % 64);
                 }
             }
         }
@@ -585,11 +593,11 @@ where
         lens.push((SEC_COL, m64 * 4));
     }
     lens.push((SEC_WEIGHTS, m64 * 4));
-    if vlabels.is_some() {
+    if vertex_labels.is_some() {
         flags |= FLAG_VLABELS;
         lens.push((SEC_VLABELS, n64));
     }
-    if stats.any_rel {
+    if any_rel {
         flags |= FLAG_ELABELS;
         lens.push((SEC_ELABELS, m64));
     }
@@ -617,153 +625,131 @@ where
         }
     }
     let (table, total) = assign_offsets(&lens);
-    let offset_of = |id: u64| -> u64 {
-        table
-            .iter()
-            .find(|&&(tid, _, _)| tid == id)
-            .expect("section laid out")
-            .1
+    // A buffered handle on the file, seeked to a section's offset. Several
+    // live at once so one linear pass over the merged edge stream can fill
+    // every edge-indexed section.
+    let section = |id: u64| -> io::Result<BufWriter<File>> {
+        let entry = table.iter().find(|e| e.0 == id).expect("section laid out");
+        let mut f = OpenOptions::new().write(true).open(&partial)?;
+        f.seek(SeekFrom::Start(entry.1))?;
+        Ok(BufWriter::with_capacity(IO_BUF, f))
     };
 
     {
-        let file = File::create(out)?;
+        let file = File::create(&partial)?;
         file.set_len(total)?; // zero-fills, which also provides padding
         let mut head = BufWriter::new(file);
         write_header(&mut head, flags, n64, m64, &table)?;
         head.flush()?;
     }
 
-    {
-        let mut w = SecWriter::at(out, offset_of(SEC_ROW))?;
-        for &off in &row {
-            w.put_u64(off)?;
-        }
-        w.finish()?;
-    }
+    fill(section(SEC_ROW)?, row.iter().map(|x| x.to_le_bytes()))?;
     if k > 0 {
-        let mut meta = SecWriter::at(out, offset_of(SEC_SHARD_META))?;
-        meta.put_u64(k as u64)?;
-        meta.put_u64(ShardStrategy::Range.code())?;
-        for s in 0..k {
+        let per_shard = (0..k).flat_map(|s| {
             let (lo, hi) = (cuts[s] as usize, cuts[s + 1] as usize);
-            meta.put_u64((hi - lo) as u64)?;
-            meta.put_u64(row[hi] - row[lo])?;
-            meta.put_u64(boundary[s])?;
-        }
-        meta.finish()?;
-        let mut cw = SecWriter::at(out, offset_of(SEC_SHARD_CUTS))?;
-        for &c in &cuts {
-            cw.put_u32(c)?;
-        }
-        cw.finish()?;
+            [(hi - lo) as u64, row[hi] - row[lo], boundary[s]]
+        });
+        let meta = [k as u64, ShardStrategy::Range.code()];
+        let meta = meta.into_iter().chain(per_shard).map(u64::to_le_bytes);
+        fill(section(SEC_SHARD_META)?, meta)?;
+        let cut_bytes = cuts.iter().map(|c| c.to_le_bytes());
+        fill(section(SEC_SHARD_CUTS)?, cut_bytes)?;
         for s in 0..k {
             // Range shard rows are the global offsets clamped to the
             // owned span — see `packed::range_shard_row`.
-            let mut rw = SecWriter::at(out, offset_of(shard_section(s, SHARD_LANE_ROW)))?;
-            for v in 0..=n as u32 {
-                rw.put_u64(row[v.clamp(cuts[s], cuts[s + 1]) as usize])?;
-            }
-            rw.finish()?;
-            let mut gw = SecWriter::at(out, offset_of(shard_section(s, SHARD_LANE_GHOSTS)))?;
-            for &gv in &ghosts[s] {
-                gw.put_u32(gv)?;
-            }
-            gw.finish()?;
+            let rows = (0..=n as u32).map(|v| row[v.clamp(cuts[s], cuts[s + 1]) as usize]);
+            let lane = section(shard_section(s, SHARD_LANE_ROW))?;
+            fill(lane, rows.map(u64::to_le_bytes))?;
+            let lane = section(shard_section(s, SHARD_LANE_GHOSTS))?;
+            fill(lane, ghosts[s].iter().map(|g| g.to_le_bytes()))?;
         }
     }
-    if let Some(labels) = &vlabels {
-        let mut w = SecWriter::at(out, offset_of(SEC_VLABELS))?;
-        w.out.write_all(labels)?;
-        w.finish()?;
+    if let Some(labels_of) = vertex_labels {
+        let mut labels = labels_of(n);
+        if labels.len() != n {
+            let what = "vertex-label closure length mismatch";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, what).into());
+        }
+        if let Some(map) = &relabeling {
+            labels = map
+                .new_to_old()
+                .iter()
+                .map(|&o| labels[o as usize])
+                .collect();
+        }
+        fill(section(SEC_VLABELS)?, [labels])?;
     }
     if let Some(map) = &relabeling {
-        let mut w = SecWriter::at(out, offset_of(SEC_NEW_TO_OLD))?;
-        for &old in map.new_to_old() {
-            w.put_u32(old)?;
-        }
-        w.finish()?;
+        let olds = map.new_to_old().iter().map(|o| o.to_le_bytes());
+        fill(section(SEC_NEW_TO_OLD)?, olds)?;
     }
 
     // One linear pass over the merged (possibly relabeled) records fills
     // every edge-indexed section in parallel.
     {
-        let mut col = if opts.compress {
-            SecWriter::at(out, offset_of(SEC_COL_VARINT))?
+        let mut col = section(if opts.compress {
+            SEC_COL_VARINT
         } else {
-            SecWriter::at(out, offset_of(SEC_COL))?
-        };
-        let mut wts = SecWriter::at(out, offset_of(SEC_WEIGHTS))?;
-        let mut elb = if stats.any_rel {
-            Some(SecWriter::at(out, offset_of(SEC_ELABELS))?)
-        } else {
-            None
-        };
-        let mut pfx = if with_prefix {
-            Some(SecWriter::at(out, offset_of(SEC_PREFIX_ALL))?)
-        } else {
-            None
-        };
-        let mut rel_pfx: Vec<(usize, u64, SecWriter)> = Vec::new();
+            SEC_COL
+        })?;
+        let mut wts = section(SEC_WEIGHTS)?;
+        let mut elb = any_rel.then(|| section(SEC_ELABELS)).transpose()?;
+        let mut pfx = with_prefix.then(|| section(SEC_PREFIX_ALL)).transpose()?;
+        let mut rel_pfx: Vec<(usize, u64, BufWriter<File>)> = Vec::new();
         for &r in &rel_prefix_labels {
-            rel_pfx.push((
-                r,
-                0,
-                SecWriter::at(out, offset_of(SEC_REL_PREFIX_BASE + r as u64))?,
-            ));
+            let w = section(SEC_REL_PREFIX_BASE + r as u64)?;
+            rel_pfx.push((r, 0, w));
         }
 
         let mut cur_u: Option<u32> = None;
         let mut acc = 0u64;
         let mut prev_v = 0u32;
-        let mut reader = BufReader::new(File::open(&edge_source)?);
-        while let Some(rec) = Rec::read_from(&mut reader)? {
-            let new_row = cur_u != Some(rec.u);
+        let mut merge = runs.merge()?;
+        while let Some(rec) = merge.next()? {
+            let (u, v) = (rec.u(), rec.v());
+            let new_row = cur_u != Some(u);
             if new_row {
-                cur_u = Some(rec.u);
+                cur_u = Some(u);
                 acc = 0;
                 for entry in rel_pfx.iter_mut() {
                     entry.1 = 0;
                 }
             }
             if opts.compress {
-                let val = if new_row { rec.v } else { rec.v - prev_v - 1 };
-                write_varint(&mut col.out, val)?;
+                let val = if new_row { v } else { v - prev_v - 1 };
+                write_varint(&mut col, val)?;
             } else {
-                col.put_u32(rec.v)?;
+                col.write_all(&v.to_le_bytes())?;
             }
-            prev_v = rec.v;
-            wts.put_u32(rec.w)?;
+            prev_v = v;
+            wts.write_all(&rec.w.to_le_bytes())?;
             if let Some(e) = elb.as_mut() {
-                e.put_u8(rec.rel as u8)?;
+                e.write_all(&[rec.rel as u8])?;
             }
             if let Some(p) = pfx.as_mut() {
                 acc += rec.w as u64;
-                p.put_u64(acc)?;
+                p.write_all(&acc.to_le_bytes())?;
             }
             for (r, racc, w) in rel_pfx.iter_mut() {
                 if rec.rel as usize == *r {
                     *racc += rec.w as u64;
                 }
-                w.put_u64(*racc)?;
+                w.write_all(&racc.to_le_bytes())?;
             }
         }
-        col.finish()?;
-        wts.finish()?;
-        if let Some(e) = elb {
-            e.finish()?;
-        }
-        if let Some(p) = pfx {
-            p.finish()?;
-        }
-        for (_, _, w) in rel_pfx {
-            w.finish()?;
+        col.flush()?;
+        wts.flush()?;
+        let rel_writers = rel_pfx.iter_mut().map(|entry| &mut entry.2);
+        for w in elb.iter_mut().chain(&mut pfx).chain(rel_writers) {
+            w.flush()?;
         }
     }
 
+    std::fs::rename(&partial, out)?;
     Ok(PackStats {
         vertices: n,
         edges: m,
-        duplicates: stats.duplicates,
+        duplicates,
         runs: n_runs,
         file_bytes: total,
     })
@@ -845,16 +831,34 @@ mod tests {
         dir.join(name)
     }
 
+    /// Every temp file of a pack is named `<out>.partial…`.
     fn no_temps_left(out: &Path) {
-        let dir = out.parent().unwrap();
-        let stem = out.file_stem().unwrap().to_str().unwrap().to_string();
-        for entry in std::fs::read_dir(dir).unwrap() {
+        let own = out.file_name().unwrap().to_str().unwrap();
+        for entry in std::fs::read_dir(out.parent().unwrap()).unwrap() {
             let name = entry.unwrap().file_name().into_string().unwrap();
             assert!(
-                !(name.starts_with(&stem) && name.ends_with(".tmp")),
+                name == own || !name.starts_with(own),
                 "leftover temp file {name}"
             );
         }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn builder_graph(edges: &[(u32, u32, u32, u8)], directed: bool, n: usize) -> Graph {
+        let mut b = if directed {
+            GraphBuilder::directed()
+        } else {
+            GraphBuilder::undirected()
+        };
+        for &(u, v, w, rel) in edges {
+            b.push_edge(u, v, w, rel);
+        }
+        b.num_vertices(n).build()
     }
 
     #[test]
@@ -868,45 +872,14 @@ mod tests {
             })
             .collect();
         for directed in [true, false] {
-            let mut b = if directed {
-                GraphBuilder::directed()
-            } else {
-                GraphBuilder::undirected()
-            };
-            b = b.num_vertices(60);
-            // Dedup differs only when duplicate attrs differ; feed the
-            // builder the same first-wins survivors by deduping here.
-            let mut seen = std::collections::HashSet::new();
-            for &(u, v, w, rel) in &edges {
-                if seen.insert((u, v)) {
-                    b.push_edge(u, v, w, rel);
-                    if !directed {
-                        seen.insert((v, u));
-                    }
-                }
-            }
-            let expected = b.build();
+            let expected = builder_graph(&edges, directed, 60);
 
             let out = tmp(&format!("builder_eq_{directed}.lrwpak"));
             let opts = PackOptions {
                 chunk_records: 16,
                 ..PackOptions::default()
             };
-            let dedup_in: Vec<_> = {
-                let mut seen = std::collections::HashSet::new();
-                edges
-                    .iter()
-                    .copied()
-                    .filter(|&(u, v, _, _)| {
-                        let fresh = seen.insert((u, v));
-                        if fresh && !directed {
-                            seen.insert((v, u));
-                        }
-                        fresh
-                    })
-                    .collect()
-            };
-            let st = pack_edge_stream(dedup_in, directed, 60, None, &out, &opts).unwrap();
+            let st = pack_edge_stream(edges.clone(), directed, 60, None, &out, &opts).unwrap();
             assert!(st.runs > 1, "expected spilled runs, got {}", st.runs);
             let loaded = load_packed(&out, LoadMode::Heap).unwrap();
             assert_eq!(loaded.graph, expected, "directed={directed}");
@@ -923,6 +896,120 @@ mod tests {
             no_temps_left(&out);
             std::fs::remove_file(&out).ok();
         }
+    }
+
+    /// The sort/merge contract: whatever the chunk size, and wherever the
+    /// duplicates of a `(u, v)` fall — inside one chunk, in adjacent runs,
+    /// in runs far apart — the first occurrence survives, as in the
+    /// builder, and the file's bytes are the same.
+    #[test]
+    fn duplicates_with_differing_attributes_resolve_alike_at_every_chunk_size() {
+        for (seed, len) in [(1u64, 960usize), (2, 1000), (3, 1013)] {
+            let mut rng = SplitMix64::new(seed);
+            // Weights are the input position, so a survivor names itself.
+            let mut edges: Vec<(u32, u32, u32, u8)> = (0..len)
+                .map(|i| {
+                    let (u, v) = (rng.gen_range(40) as u32, rng.gen_range(40) as u32);
+                    (u, v, i as u32 + 1, (i % 3) as u8)
+                })
+                .collect();
+            for i in (0..len - 200).step_by(37) {
+                let (u, v, _, _) = edges[i];
+                for gap in [1, 16, 200] {
+                    let (_, _, w, rel) = edges[i + gap];
+                    edges[i + gap] = (u, v, w, rel);
+                }
+            }
+            for directed in [true, false] {
+                let expected = builder_graph(&edges, directed, 40);
+                let records = if directed { len } else { 2 * len };
+                let mut files = Vec::new();
+                for chunk in [16, 500, PackOptions::default().chunk_records] {
+                    let out = tmp(&format!("contract_{seed}_{directed}_{chunk}.lrwpak"));
+                    let opts = PackOptions {
+                        chunk_records: chunk,
+                        ..PackOptions::default()
+                    };
+                    let st =
+                        pack_edge_stream(edges.clone(), directed, 40, None, &out, &opts).unwrap();
+                    assert_eq!(st.runs, records.div_ceil(chunk) - 1, "chunk {chunk}");
+                    assert_eq!(st.edges + st.duplicates, records);
+                    let graph = load_packed(&out, LoadMode::Heap).unwrap().graph;
+                    assert_eq!(graph, expected, "seed {seed} chunk {chunk}");
+                    files.push(std::fs::read(&out).unwrap());
+                    no_temps_left(&out);
+                    std::fs::remove_file(&out).ok();
+                }
+                assert!(files.windows(2).all(|w| w[0] == w[1]), "seed {seed}");
+            }
+        }
+    }
+
+    /// File checksums of `pack_rmat_dataset(10, 7, ..)` taken at the commit
+    /// before the 16-byte-record pipeline: the rewrite changed no byte, at
+    /// any chunk size. 5000 records make a run longer than one I/O buffer.
+    #[test]
+    fn rmat10_pack_bytes_are_pinned() {
+        let pinned = [
+            (false, 0, false, 0xa98d_0119_e554_8eb8u64),
+            (true, 0, false, 0x2bb0_a1a5_9e4b_2ede),
+            (false, 4, false, 0x2480_db5a_d2bd_5f63),
+            (false, 0, true, 0xe808_cc8b_bc17_e2f2),
+            (true, 4, true, 0x1ad9_34c6_4a2c_f3c5),
+        ];
+        for (relabel, shards, compress, want) in pinned {
+            for chunk in [16, 500, 5000, PackOptions::default().chunk_records] {
+                let out = tmp(&format!("pin_{relabel}_{shards}_{compress}_{chunk}.lrwpak"));
+                let opts = PackOptions {
+                    relabel,
+                    chunk_records: chunk,
+                    shards,
+                    compress,
+                    ..PackOptions::default()
+                };
+                let st = pack_rmat_dataset(10, 7, &out, &opts).unwrap();
+                assert_eq!((st.vertices, st.edges, st.duplicates), (1024, 6676, 1516));
+                let bytes = std::fs::read(&out).unwrap();
+                assert_eq!(st.file_bytes, bytes.len() as u64);
+                assert_eq!(
+                    fnv1a(&bytes),
+                    want,
+                    "relabel={relabel} shards={shards} compress={compress} chunk={chunk}"
+                );
+                no_temps_left(&out);
+                std::fs::remove_file(&out).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn failing_pack_leaves_no_file_behind() {
+        let edges: Vec<(u32, u32, u32, u8)> = (0..300u32).map(|i| (i % 17, i % 23, 1, 0)).collect();
+        let short_labels = || -> Option<Box<dyn FnOnce(usize) -> Vec<u8>>> {
+            Some(Box::new(|n| vec![0u8; n - 1]))
+        };
+        let opts = PackOptions {
+            chunk_records: 64,
+            relabel: true,
+            ..PackOptions::default()
+        };
+        // The labels are asked for once the partial file and its header
+        // exist, with runs of both sorts on disk.
+        let out = tmp("failing.lrwpak");
+        std::fs::remove_file(&out).ok();
+        let err = pack_edge_stream(edges.clone(), true, 0, short_labels(), &out, &opts);
+        assert!(matches!(err, Err(IoError::Io(_))), "{err:?}");
+        assert!(!out.exists());
+        no_temps_left(&out);
+
+        // A failing re-pack leaves an earlier good file as it was.
+        pack_edge_stream(edges.clone(), true, 0, None, &out, &opts).unwrap();
+        let good = std::fs::read(&out).unwrap();
+        let err = pack_edge_stream(edges, true, 0, short_labels(), &out, &opts);
+        assert!(err.is_err());
+        assert_eq!(std::fs::read(&out).unwrap(), good);
+        no_temps_left(&out);
+        std::fs::remove_file(&out).ok();
     }
 
     #[test]
