@@ -16,7 +16,6 @@
 
 pub mod datasets;
 pub mod experiments;
-pub mod rss;
 pub mod table;
 
 /// Common experiment options parsed from `std::env::args`.
@@ -50,39 +49,39 @@ impl Opts {
         }
     }
 
-    /// Parse `--scale N`, `--seed N`, `--quick`, `--full` from CLI args.
+    /// Parse `--scale N`, `--seed N`, `--quick`, `--full` from the process
+    /// arguments; a bad option prints `error: …` and exits 2.
     pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("options: --scale N (default 12) --seed N --quick --full");
+            std::process::exit(0);
+        }
+        Self::parse(&args).unwrap_or_else(|msg| die(&msg))
+    }
+
+    /// [`Opts::from_args`] without the process: `args` excludes the
+    /// program name.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(flag: &str, arg: Option<&String>) -> Result<T, String> {
+            arg.and_then(|s| s.parse().ok())
+                .ok_or_else(|| format!("{flag} needs an integer"))
+        }
         let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    opts.scale = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--scale needs an integer"));
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--seed needs an integer"));
-                }
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--scale" => opts.scale = value(arg, args.next())?,
+                "--seed" => opts.seed = value(arg, args.next())?,
                 "--quick" => opts.quick = true,
                 "--full" => opts.scale = opts.scale.max(16),
-                "--help" | "-h" => {
-                    eprintln!("options: --scale N (default 12) --seed N --quick --full");
-                    std::process::exit(0);
-                }
-                other => die::<()>(&format!("unknown option {other}")),
+                other => return Err(format!("unknown option {other}")),
             }
-            i += 1;
         }
-        assert!(opts.scale >= 6 && opts.scale <= 22, "scale out of range");
-        opts
+        if !(6..=22).contains(&opts.scale) {
+            return Err(format!("--scale {} is outside 6..=22", opts.scale));
+        }
+        Ok(opts)
     }
 }
 
@@ -127,6 +126,42 @@ mod tests {
         let q = Opts::quick();
         assert!(q.quick);
         assert!(q.scale < o.scale);
+    }
+
+    fn parse(line: &str) -> Result<Opts, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Opts::parse(&args)
+    }
+
+    #[test]
+    fn parse_accepts_every_option() {
+        assert_eq!(parse(""), Ok(Opts::default()));
+        let want = Opts {
+            scale: 9,
+            seed: 7,
+            quick: true,
+        };
+        assert_eq!(parse("--quick --seed 7 --scale 9"), Ok(want));
+        assert_eq!(parse("--full").unwrap().scale, 16);
+        assert_eq!(parse("--scale 20 --full").unwrap().scale, 20);
+        assert_eq!(parse("--scale 6").unwrap().scale, 6);
+        assert_eq!(parse("--scale 22").unwrap().scale, 22);
+    }
+
+    #[test]
+    fn parse_rejects_bad_input_without_panicking() {
+        for (line, want) in [
+            ("--scale 5", "outside 6..=22"),
+            ("--scale 23", "outside 6..=22"),
+            ("--bogus", "unknown option --bogus"),
+            ("--scale", "--scale needs an integer"),
+            ("--seed", "--seed needs an integer"),
+            ("--scale twelve", "--scale needs an integer"),
+            ("--seed -1", "--seed needs an integer"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(want), "{line:?} gave {err:?}");
+        }
     }
 
     #[test]

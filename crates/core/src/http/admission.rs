@@ -8,15 +8,13 @@
 //! then still waits behind the pending-steps quota like any other job.
 //! Shedding early — an explicit `429` with `Retry-After` instead of an
 //! ever-growing queue — is what keeps admitted-job p99 bounded past
-//! saturation (the `serve_latency` bench demonstrates exactly this).
+//! saturation.
 //!
 //! Tokens are denominated in **steps** (`queries × length`, the same
 //! unit as the pending-steps quota), so one bucket simultaneously
 //! limits many small jobs and few large ones. Time is passed in
 //! explicitly (`now: Instant`) — the controller never reads the clock,
-//! which makes shedding decisions reproducible in tests and lets the
-//! in-process bench drive it with the same loop that drives the
-//! scheduler.
+//! which makes shedding decisions reproducible in tests.
 
 use std::collections::HashMap;
 use std::time::Instant;

@@ -19,8 +19,7 @@
 //! steps) and a global waiting-queue high-water mark. Over-limit
 //! submissions are shed explicitly — `429 Too Many Requests` with a
 //! `Retry-After` header — instead of queueing without bound, which is
-//! what keeps admitted-job p99 flat past saturation (the
-//! `serve_latency` bench scenario measures exactly this curve).
+//! what keeps admitted-job p99 flat past saturation.
 //!
 //! Module layout:
 //!

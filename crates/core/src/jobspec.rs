@@ -44,7 +44,7 @@
 //! so parsing is a small recursive-descent reader over exactly the JSON
 //! subset above — objects, arrays, numbers, strings, booleans and null —
 //! with line-precise errors. [`synthetic_trace`] generates the homogeneous
-//! traces the CI soak and the saturation bench replay.
+//! traces the CI soak replays.
 
 use std::fmt::Write as _;
 
@@ -115,8 +115,7 @@ pub struct TraceJob {
 
 /// A homogeneous trace: `jobs_per_tenant` jobs for each of `tenants`
 /// tenants, every job `queries` × `length` steps, with per-job derived
-/// seeds — the workload shape the `service-soak` CI step and the
-/// `service_saturation` bench sweep replay.
+/// seeds — the workload shape the `service-soak` CI step replays.
 pub fn synthetic_trace(
     tenants: u32,
     jobs_per_tenant: usize,

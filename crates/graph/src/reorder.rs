@@ -6,9 +6,9 @@
 //! reindex the whole graph so that high-degree vertices share a small,
 //! cacheable id range; Zhao et al. build hash tables during partitioning.
 //! LightRW's point is that the DAC achieves the effect at runtime with
-//! zero preprocessing. To make that an executable comparison (see the
-//! `cache_policies` bench), this module implements the preprocessing
-//! approach: [`by_degree_descending`] relabels vertices so id order is
+//! zero preprocessing. To make that an executable comparison, this
+//! module implements the preprocessing approach (`graph pack --relabel`
+//! applies it): [`by_degree_descending`] relabels vertices so id order is
 //! degree order, after which even a plain direct-mapped cache keeps hubs
 //! resident (they occupy the low index range).
 

@@ -11,7 +11,7 @@
 //! with reordering/partitioning approaches.
 //!
 //! Three policies are modelled for Fig. 11, plus a set-associative LRU
-//! variant used by the extension ablation benches:
+//! variant beyond the paper (no experiment uses it yet):
 //! [`CachePolicy::DegreeAware`], [`CachePolicy::AlwaysReplace`] (a plain
 //! direct-mapped cache, "DMC"), and [`CachePolicy::None`] (uncached).
 

@@ -225,9 +225,9 @@ pub trait WalkEngineExt: WalkEngine {
 impl<E: WalkEngine + ?Sized> WalkEngineExt for E {}
 
 /// Drive a set of sessions as interleaved bounded batches — the
-/// multi-tenant multiplexing loop shared by the cluster layer, the CLI
-/// driver and the mixed-engine bench. Each turn gives every unfinished
-/// session one `advance(max_steps)` into its paired sink;
+/// multi-tenant multiplexing loop shared by the cluster layer and the
+/// CLI driver. Each turn gives every unfinished session one
+/// `advance(max_steps)` into its paired sink;
 /// `observe(index, elapsed_seconds, progress)` runs after each advance
 /// so callers can account per-session wall clock and batch counts.
 /// Returns once every session is finished.

@@ -341,6 +341,36 @@ fn sessions_emit_each_path_exactly_once_across_backends() {
         // Progress counters agree with the emission record.
         assert_eq!(session.paths_completed(), qs.len());
     }
+
+    // The same three sessions interleaved through `multiplex_sessions`
+    // (the cluster layer's and the CLI's driver): still dense ascending
+    // ids per session, and a finished session is never advanced again.
+    let mut emitted = vec![0u32; engines.len()];
+    let mut checks: Vec<_> = emitted
+        .iter_mut()
+        .map(|next| {
+            move |id: u32, path: &[u32]| {
+                assert_eq!(id, *next, "out-of-order emission under multiplexing");
+                assert!(!path.is_empty());
+                *next += 1;
+            }
+        })
+        .collect();
+    let mut sinks: Vec<&mut dyn WalkSink> =
+        checks.iter_mut().map(|c| c as &mut dyn WalkSink).collect();
+    let mut sessions: Vec<_> = engines.iter().map(|e| e.start_session(&qs)).collect();
+    // `observe` reported each session's last batch, and none after it.
+    let mut done = vec![false; engines.len()];
+    lightrw::walker::multiplex_sessions(&mut sessions, &mut sinks, 37, |idx, _, progress| {
+        assert!(!done[idx], "session {idx} advanced after it finished");
+        done[idx] = progress.finished;
+    });
+    for (idx, session) in sessions.iter().enumerate() {
+        let label = engines[idx].label();
+        assert!(done[idx] && session.finished(), "{label}");
+        assert_eq!(session.paths_completed(), qs.len(), "{label}");
+        assert_eq!(emitted[idx] as usize, qs.len(), "{label}");
+    }
 }
 
 #[test]
