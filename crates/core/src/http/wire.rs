@@ -19,7 +19,11 @@
 //!
 //! Responses stream through [`write_response`] (fixed `Content-Length`)
 //! or [`ChunkedWriter`] (chunked transfer encoding, used by `POST /jobs`
-//! to stream paths as the job's sink fills). [`read_response`] is the
+//! to stream paths as the job's sink fills). Both hand the socket every
+//! frame — a whole response, a response head, a chunk with its size line
+//! and terminator — in **one** write: the sockets run with `TCP_NODELAY`,
+//! so each write is a segment, and a frame dribbled out in pieces would
+//! cost a syscall and a packet per piece. [`read_response`] is the
 //! matching client-side decoder — the CLI `client` subcommand and the
 //! integration tests audit exactly-once emission through it.
 
@@ -334,8 +338,17 @@ pub fn read_request(r: &mut impl BufRead) -> Result<ReadOutcome, WireError> {
     }))
 }
 
-/// Write a complete response with a fixed `Content-Length`. `extra`
-/// headers (e.g. `Retry-After`) come before the body.
+/// `Connection:` header value for a response.
+fn connection(keep_alive: bool) -> &'static str {
+    if keep_alive {
+        "keep-alive"
+    } else {
+        "close"
+    }
+}
+
+/// Write a complete response with a fixed `Content-Length`, as one write.
+/// `extra` headers (e.g. `Retry-After`) come before the body.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -345,24 +358,38 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(w, "HTTP/1.1 {status} {reason}\r\n")?;
+    let mut frame = Vec::with_capacity(160 + body.len());
+    write!(frame, "HTTP/1.1 {status} {reason}\r\n")?;
     for (name, value) in extra {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(frame, "{name}: {value}\r\n")?;
     }
-    write!(w, "Content-Type: {content_type}\r\n")?;
-    write!(w, "Content-Length: {}\r\n", body.len())?;
-    let conn = if keep_alive { "keep-alive" } else { "close" };
-    write!(w, "Connection: {conn}\r\n\r\n")?;
-    w.write_all(body)?;
+    write!(frame, "Content-Type: {content_type}\r\n")?;
+    write!(frame, "Content-Length: {}\r\n", body.len())?;
+    write!(frame, "Connection: {}\r\n\r\n", connection(keep_alive))?;
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
+/// Room for a chunk's size line — the hex digits of a `usize`, then CRLF
+/// — kept free at the front of [`ChunkedWriter`]'s frame buffer.
+const SIZE_SLOT: usize = 2 * std::mem::size_of::<usize>() + 2;
+
 /// Incremental chunked-transfer response: head first, then any number
-/// of [`ChunkedWriter::chunk`]s, then [`ChunkedWriter::finish`]. Each
-/// chunk is flushed immediately — the point is that the client sees
-/// paths as the job's sink fills, not after the job ends.
+/// of chunks, then [`ChunkedWriter::finish`]. A chunk is either handed
+/// over whole ([`ChunkedWriter::chunk`]) or built in place with
+/// [`ChunkedWriter::push`] and sent with [`ChunkedWriter::send`]; either
+/// way the head, every chunk and the terminator are one write each,
+/// flushed immediately — the point is that the client sees paths as the
+/// job's sink fills, not after the job ends.
 pub struct ChunkedWriter<'w, W: Write> {
     w: &'w mut W,
+    /// The chunk being built: [`SIZE_SLOT`] bytes for its size line, then
+    /// its payload so far. The size line is written right-aligned into
+    /// the slot once the length is known, so a frame goes out as one
+    /// slice of this buffer, uncopied; the buffer is kept from chunk to
+    /// chunk.
+    frame: Vec<u8>,
 }
 
 impl<'w, W: Write> ChunkedWriter<'w, W> {
@@ -374,30 +401,73 @@ impl<'w, W: Write> ChunkedWriter<'w, W> {
         content_type: &str,
         keep_alive: bool,
     ) -> std::io::Result<Self> {
-        write!(w, "HTTP/1.1 {status} {reason}\r\n")?;
-        write!(w, "Content-Type: {content_type}\r\n")?;
-        write!(w, "Transfer-Encoding: chunked\r\n")?;
-        let conn = if keep_alive { "keep-alive" } else { "close" };
-        write!(w, "Connection: {conn}\r\n\r\n")?;
+        let mut frame = Vec::new();
+        write!(frame, "HTTP/1.1 {status} {reason}\r\n")?;
+        write!(frame, "Content-Type: {content_type}\r\n")?;
+        write!(frame, "Transfer-Encoding: chunked\r\n")?;
+        write!(frame, "Connection: {}\r\n\r\n", connection(keep_alive))?;
+        w.write_all(&frame)?;
         w.flush()?;
-        Ok(Self { w })
+        frame.clear();
+        frame.resize(SIZE_SLOT, 0);
+        Ok(Self { w, frame })
     }
 
-    /// Write one chunk (empty input is skipped: a zero-length chunk
-    /// would terminate the stream).
-    pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
+    /// Append `bytes` to the payload of the chunk being built.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.frame.extend_from_slice(bytes);
+    }
+
+    /// Payload bytes pushed since the last chunk went out.
+    pub fn pending(&self) -> usize {
+        self.frame.len() - SIZE_SLOT
+    }
+
+    /// Frame the pending payload — size line in front, CRLF behind — and
+    /// return where the frame starts in the buffer. `None` when nothing
+    /// is pending: a zero-length chunk would terminate the stream.
+    fn frame_pending(&mut self) -> Option<usize> {
+        let len = self.pending();
+        if len == 0 {
+            return None;
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut at = SIZE_SLOT - 2;
+        self.frame[at..SIZE_SLOT].copy_from_slice(b"\r\n");
+        let mut rest = len;
+        while rest > 0 {
+            at -= 1;
+            self.frame[at] = b"0123456789abcdef"[rest % 16];
+            rest /= 16;
+        }
+        self.frame.extend_from_slice(b"\r\n");
+        Some(at)
+    }
+
+    /// Write the pending payload as one chunk (nothing, when none is
+    /// pending).
+    pub fn send(&mut self) -> std::io::Result<()> {
+        let Some(start) = self.frame_pending() else {
+            return Ok(());
+        };
+        let written = self.w.write_all(&self.frame[start..]);
+        self.frame.truncate(SIZE_SLOT);
+        written?;
         self.w.flush()
     }
 
-    /// Write the terminating zero-length chunk.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.w.write_all(b"0\r\n\r\n")?;
+    /// Write `data`, behind anything already pushed, as one chunk (empty
+    /// input with nothing pushed is skipped).
+    pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
+        self.push(data);
+        self.send()
+    }
+
+    /// Write the terminating zero-length chunk — behind the last chunk
+    /// and in the same write, if one is still pending.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        let start = self.frame_pending().unwrap_or(self.frame.len());
+        self.frame.extend_from_slice(b"0\r\n\r\n");
+        self.w.write_all(&self.frame[start..])?;
         self.w.flush()
     }
 }
@@ -504,6 +574,29 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, String> {
         headers,
         body,
     })
+}
+
+/// A writer that counts the `write` calls it sees: one per frame is
+/// the whole point of the response path (the socket has
+/// `TCP_NODELAY`, so every call is a syscall and a segment).
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -740,6 +833,121 @@ mod tests {
         assert_eq!(resp.body, b"line one\nline two\n");
     }
 
+    /// The chunked framing as the response path wrote it before frames
+    /// were assembled: the reference the single-write path must match
+    /// byte for byte.
+    fn reference_chunked(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                        Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
+            .to_vec();
+        for p in payloads.iter().filter(|p| !p.is_empty()) {
+            out.extend_from_slice(format!("{:x}\r\n", p.len()).as_bytes());
+            out.extend_from_slice(p);
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"0\r\n\r\n");
+        out
+    }
+
+    #[test]
+    fn every_response_frame_is_exactly_one_write() {
+        let mut w = CountingWriter::default();
+        {
+            let mut cw =
+                ChunkedWriter::start(&mut w, 200, "OK", "application/x-ndjson", true).unwrap();
+            assert_eq!(cw.w.writes, 1, "head");
+            cw.chunk(b"{\"event\": \"admitted\", \"job\": 0}\n")
+                .unwrap();
+            assert_eq!(cw.w.writes, 2, "first chunk");
+            cw.chunk(b"").unwrap();
+            assert_eq!(cw.w.writes, 2, "an empty chunk is skipped, not written");
+            cw.chunk(&[b'x'; 70_000]).unwrap();
+            assert_eq!(cw.w.writes, 3, "a large chunk is still one write");
+            // Built in place, piece by piece: still one write when sent.
+            for piece in [&b"{\"event\": "[..], b"\"path\"", b"}\n"] {
+                cw.push(piece);
+            }
+            assert_eq!((cw.pending(), cw.w.writes), (18, 3));
+            cw.send().unwrap();
+            assert_eq!((cw.pending(), cw.w.writes), (0, 4));
+            cw.finish().unwrap();
+        }
+        assert_eq!(w.writes, 5, "terminator");
+        let resp = read_response(&mut &w.bytes[..]).unwrap();
+        assert_eq!(resp.body.len(), 32 + 70_000 + 18);
+
+        // A chunk still pending at `finish` shares the terminator's write.
+        let mut w = CountingWriter::default();
+        let mut cw = ChunkedWriter::start(&mut w, 200, "OK", "text/plain", false).unwrap();
+        cw.push(b"last words\n");
+        cw.finish().unwrap();
+        assert_eq!(w.writes, 2);
+        assert!(w.bytes.ends_with(b"\r\n\r\nb\r\nlast words\n\r\n0\r\n\r\n"));
+
+        for (status, reason, extra, body) in [
+            (200, "OK", vec![], "{\"ticks\": 3}\n".to_string()),
+            (
+                429,
+                "Too Many Requests",
+                vec![("Retry-After", "2".to_string())],
+                "{\"error\": \"shed\", \"reason\": \"tenant_rate\"}\n".to_string(),
+            ),
+            (
+                400,
+                "Bad Request",
+                vec![],
+                WireError::new(400, "Bad Request", "bad \"thing\"").body(),
+            ),
+        ] {
+            let mut w = CountingWriter::default();
+            let json = "application/json";
+            write_response(&mut w, status, reason, &extra, json, body.as_bytes(), true).unwrap();
+            assert_eq!(w.writes, 1, "{status} response");
+            let resp = read_response(&mut &w.bytes[..]).unwrap();
+            assert_eq!(
+                (resp.status, resp.body.as_slice()),
+                (status, body.as_bytes())
+            );
+        }
+    }
+
+    #[test]
+    fn wire_bytes_are_what_they_were_before_frames_were_assembled() {
+        let mut buf = Vec::new();
+        let mut cw =
+            ChunkedWriter::start(&mut buf, 200, "OK", "application/x-ndjson", true).unwrap();
+        cw.chunk(b"{\"event\": \"admitted\", \"job\": 7}\n")
+            .unwrap();
+        cw.chunk(b"").unwrap();
+        cw.chunk(b"{\"event\": \"path\", \"query\": 0, \"path\": [3,1,2]}\n")
+            .unwrap();
+        cw.finish().unwrap();
+        let expect = "HTTP/1.1 200 OK\r\n\
+                      Content-Type: application/x-ndjson\r\n\
+                      Transfer-Encoding: chunked\r\n\
+                      Connection: keep-alive\r\n\r\n\
+                      20\r\n{\"event\": \"admitted\", \"job\": 7}\n\r\n\
+                      2f\r\n{\"event\": \"path\", \"query\": 0, \"path\": [3,1,2]}\n\r\n\
+                      0\r\n\r\n";
+        assert_eq!(String::from_utf8(buf).unwrap(), expect);
+
+        let mut buf = Vec::new();
+        write_response(
+            &mut buf,
+            503,
+            "Service Unavailable",
+            &[("Retry-After", "1".to_string())],
+            "application/json",
+            b"{\"error\": \"draining\"}\n",
+            false,
+        )
+        .unwrap();
+        let expect = "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n\
+                      Content-Type: application/json\r\nContent-Length: 22\r\n\
+                      Connection: close\r\n\r\n{\"error\": \"draining\"}\n";
+        assert_eq!(String::from_utf8(buf).unwrap(), expect);
+    }
+
     #[test]
     fn json_escape_covers_controls_and_quotes() {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
@@ -791,6 +999,33 @@ mod tests {
                 bytes[flip] = val;
             }
             check_total(&bytes);
+        }
+
+        #[test]
+        fn chunked_framing_matches_the_reference_for_any_payloads(
+            lens in proptest::collection::vec(0usize..600, 0..12),
+            big in 0usize..70_000,
+            fill in 0u8..=255,
+        ) {
+            // Arbitrary payload sequences, empty ones and one large one
+            // included: the bytes are the reference framing's, and the
+            // existing decoder gives the payloads back, concatenated.
+            let mut payloads: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (0..n).map(|j| fill.wrapping_add((i * 31 + j) as u8)).collect())
+                .collect();
+            payloads.insert(payloads.len() / 2, vec![fill; big]);
+            let mut buf = Vec::new();
+            let mut cw =
+                ChunkedWriter::start(&mut buf, 200, "OK", "application/x-ndjson", true).unwrap();
+            for p in &payloads {
+                cw.chunk(p).unwrap();
+            }
+            cw.finish().unwrap();
+            proptest::prop_assert_eq!(&buf, &reference_chunked(&payloads));
+            let resp = read_response(&mut &buf[..]).unwrap();
+            proptest::prop_assert_eq!(resp.body, payloads.concat());
         }
 
         #[test]

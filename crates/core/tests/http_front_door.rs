@@ -2,17 +2,20 @@
 //! DESIGN.md §13) over real TCP sockets: job submission with streamed
 //! NDJSON paths, exactly-once auditing, pipelined and keep-alive
 //! connections, 429 shedding with `Retry-After`, malformed-request
-//! rejection, live `/stats`, and graceful shutdown drains.
+//! rejection, live `/stats`, and graceful shutdown drains — plus the
+//! shape of the write path: a frame per scheduler turn, no delayed-ACK
+//! stall between keep-alive jobs, a blocking `accept` that shutdown still
+//! breaks, and a scheduler that outlives a `Cancel` for a retired job.
 //!
 //! The shutdown latch (`lightrw_baseline::signal`) is process-global,
 //! so every test that starts a server takes the [`SERIAL`] lock —
 //! otherwise one test's `request_shutdown` would stop another's server.
 
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lightrw::baseline::signal;
 use lightrw::graph::generators;
@@ -135,6 +138,94 @@ fn shutdown_and_join(handle: std::thread::JoinHandle<ServeSummary>) -> ServeSumm
     let summary = handle.join().unwrap();
     signal::clear_shutdown();
     summary
+}
+
+/// [`shutdown_and_join`] that fails instead of hanging when the server
+/// does not come down within `limit` — what a listener still blocked in
+/// `accept` would look like.
+fn shutdown_within(
+    handle: std::thread::JoinHandle<ServeSummary>,
+    limit: Duration,
+) -> (ServeSummary, Duration) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let t0 = Instant::now();
+    signal::request_shutdown();
+    std::thread::spawn(move || done_tx.send(handle.join().unwrap()));
+    let summary = done_rx.recv_timeout(limit);
+    signal::clear_shutdown();
+    (
+        summary.expect("the server did not shut down in time"),
+        t0.elapsed(),
+    )
+}
+
+/// One `GET /stats` on a fresh connection; the JSON document.
+fn get_stats(addr: SocketAddr) -> String {
+    let mut stream = connect(addr);
+    stream
+        .write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let resp = read_response(&mut BufReader::new(stream)).unwrap();
+    assert_eq!(resp.status, 200);
+    String::from_utf8(resp.body).unwrap()
+}
+
+/// The unsigned value of a top-level `"key": N` in a `/stats` document.
+fn stat(stats: &str, key: &str) -> u64 {
+    let tag = format!("  \"{key}\": ");
+    let at = stats
+        .find(&tag)
+        .unwrap_or_else(|| panic!("no {key} in {stats}"))
+        + tag.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+/// Read one chunked response off the raw socket, keeping what the
+/// decoder in `wire` throws away: how many chunk frames it came in (the
+/// terminating zero-length one included).
+fn read_chunk_frames(reader: &mut impl BufRead) -> (Response, usize) {
+    let mut line = String::new();
+    let mut read_line = |reader: &mut dyn BufRead| {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.ends_with("\r\n"), "truncated response: {line:?}");
+        line.trim_end().to_string()
+    };
+    let status_line = read_line(reader);
+    let status = status_line.split(' ').nth(1).unwrap().parse().unwrap();
+    let mut headers = Vec::new();
+    loop {
+        let header = read_line(reader);
+        let Some((name, value)) = header.split_once(':') else {
+            break;
+        };
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+    let (mut body, mut frames) = (Vec::new(), 0);
+    loop {
+        let size = usize::from_str_radix(&read_line(reader), 16).unwrap();
+        frames += 1;
+        let at = body.len();
+        body.resize(at + size + 2, 0);
+        reader.read_exact(&mut body[at..]).unwrap();
+        assert_eq!(&body[at + size..], b"\r\n");
+        body.truncate(at + size);
+        if size == 0 {
+            break;
+        }
+    }
+    (
+        Response {
+            status,
+            headers,
+            body,
+        },
+        frames,
+    )
 }
 
 #[test]
@@ -376,4 +467,171 @@ fn idle_keepalive_connections_do_not_block_shutdown() {
     assert!(summary.drained_clean);
     drop(idle);
     drop(half);
+}
+
+#[test]
+fn a_job_arrives_in_a_frame_per_scheduler_turn() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let (addr, handle) = spawn_server(open_config());
+    let body = "{\"tenant\": 0, \"queries\": 512, \"length\": 16, \"seed\": 5}";
+    let path_lines = |resp: &Response| -> Vec<String> {
+        let text = std::str::from_utf8(&resp.body).unwrap();
+        let paths = text
+            .lines()
+            .filter(|l| l.starts_with("{\"event\": \"path\""));
+        paths.map(str::to_string).collect()
+    };
+
+    // Once through the decoder every other test trusts...
+    let mut stream = connect(addr);
+    post_job(&mut stream, body, true);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let decoded = read_response(&mut reader).unwrap();
+    assert_eq!(audit_stream(&decoded), ("completed".into(), 512));
+
+    // ...and once off the raw socket, counting frames. Per-path chunks
+    // made this 514 frames plus the terminator.
+    let ticks_before = stat(&get_stats(addr), "ticks");
+    post_job(&mut stream, body, true);
+    let (raw, frames) = read_chunk_frames(&mut reader);
+    let ticks = (stat(&get_stats(addr), "ticks") - ticks_before) as usize;
+    assert_eq!(audit_stream(&raw), ("completed".into(), 512));
+    assert!(
+        ticks >= 2,
+        "the job should span several turns, took {ticks}"
+    );
+    assert!(
+        frames <= ticks + 3,
+        "{frames} chunk frames for a job of {ticks} scheduler turns"
+    );
+    // Same job, same idle pool: the same lines in the same order,
+    // however they were framed.
+    assert_eq!(path_lines(&raw), path_lines(&decoded));
+    assert_eq!(path_lines(&raw).len(), 512);
+
+    let summary = shutdown_and_join(handle);
+    assert_eq!(summary.completed, 2);
+}
+
+#[test]
+fn sequential_keepalive_jobs_do_not_stall_on_delayed_acks() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let (addr, handle) = spawn_server(open_config());
+
+    // Twenty jobs, one after the other, on one connection. A response
+    // dribbled out in small writes without TCP_NODELAY parks its last
+    // segment behind the client's delayed ACK — 40 ms or more, every
+    // job — so the median tells the two write paths apart whatever the
+    // machine's speed.
+    let mut stream = connect(addr);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut latencies = Vec::new();
+    for seed in 0..20 {
+        let t0 = Instant::now();
+        post_job(
+            &mut stream,
+            &format!("{{\"tenant\": 0, \"queries\": 256, \"length\": 8, \"seed\": {seed}}}"),
+            true,
+        );
+        let resp = read_response(&mut reader).unwrap();
+        latencies.push(t0.elapsed());
+        assert_eq!(audit_stream(&resp), ("completed".into(), 256));
+    }
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median job latency {median:?}: {latencies:?}"
+    );
+
+    let stats = get_stats(addr);
+    assert_eq!(stat(&stats, "completed_jobs"), 20);
+    assert_eq!(stat(&stats, "tracked_jobs"), 0, "ended jobs are retired");
+    let summary = shutdown_and_join(handle);
+    assert_eq!(summary.completed, 20);
+}
+
+#[test]
+fn a_cancel_arriving_after_its_job_was_retired_is_harmless() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let mut cfg = open_config();
+    cfg.service.quantum = 1 << 16;
+    let (addr, handle) = spawn_server(cfg);
+
+    // A job whose output (~3 MB) is more than the socket buffers take
+    // from a client that reads the status line and then nothing. The
+    // scheduler does not wait for the handler: it finishes the job and
+    // retires it while the handler is still blocked mid-stream.
+    let mut stalled = connect(addr);
+    post_job(
+        &mut stalled,
+        "{\"tenant\": 3, \"queries\": 4096, \"length\": 192}",
+        true,
+    );
+    let mut status_line = [0u8; 15];
+    stalled.read_exact(&mut status_line).unwrap();
+    assert_eq!(&status_line, b"HTTP/1.1 200 OK");
+    let mut retired = false;
+    for _ in 0..2000 {
+        let stats = get_stats(addr);
+        if stat(&stats, "completed_jobs") == 1 && stat(&stats, "tracked_jobs") == 0 {
+            retired = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(retired, "the job never completed");
+
+    // Now the client goes away. The handler's write fails and its
+    // `Cancel` names a job the service no longer has a record of.
+    drop(stalled);
+    for seed in 0..3 {
+        let mut stream = connect(addr);
+        post_job(
+            &mut stream,
+            &format!("{{\"tenant\": 4, \"queries\": 8, \"length\": 4, \"seed\": {seed}}}"),
+            false,
+        );
+        let resp = read_response(&mut BufReader::new(stream)).unwrap();
+        assert_eq!(audit_stream(&resp), ("completed".into(), 8));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let summary = shutdown_and_join(handle);
+    assert_eq!((summary.completed, summary.cancelled), (4, 0));
+}
+
+#[test]
+fn shutdown_breaks_a_blocking_accept_with_or_without_connections() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let limit = Duration::from_secs(10);
+
+    // No connection ever made: nothing but the scheduler's own wake-up
+    // connection can end the accept thread's wait.
+    let (_addr, handle) = spawn_server(open_config());
+    let (summary, took) = shutdown_within(handle, limit);
+    assert_eq!(summary.submitted, 0);
+    assert!(summary.drained_clean);
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+
+    // Only idle keep-alive connections, one of which has served a job:
+    // their handlers notice the latch at the next read timeout.
+    let (addr, handle) = spawn_server(open_config());
+    let idle = connect(addr);
+    let mut used = connect(addr);
+    post_job(
+        &mut used,
+        "{\"tenant\": 0, \"queries\": 4, \"length\": 3}",
+        true,
+    );
+    let mut reader = BufReader::new(used.try_clone().unwrap());
+    assert_eq!(
+        audit_stream(&read_response(&mut reader).unwrap()),
+        ("completed".into(), 4)
+    );
+    let (summary, took) = shutdown_within(handle, limit);
+    assert_eq!((summary.submitted, summary.completed), (1, 1));
+    assert!(summary.drained_clean);
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    drop((idle, used));
 }

@@ -101,5 +101,6 @@ pub use program::{Control, DeadEndPolicy, StepOutcome, WalkProgram, WalkState};
 pub use query::{Query, QuerySet};
 pub use reference::{AnySampler, ReferenceEngine, SamplerKind, SamplerStream};
 pub use service::{
-    JobId, JobSpec, JobStatus, ServiceConfig, ServiceStats, TenantId, TenantStats, WalkService,
+    JobId, JobReport, JobSpec, JobStatus, ServiceConfig, ServiceStats, TenantId, TenantStats,
+    WalkService,
 };

@@ -52,7 +52,11 @@
 //!   steps/s, queue depths, the queue-wait vs execution-time split, and
 //!   p50/p99 completed-job latency ([`ServiceStats`]) — the payload the
 //!   network front door's `GET /stats` serves (`lightrw::http`,
-//!   DESIGN.md §13).
+//!   DESIGN.md §13). Every job is folded into running counters and
+//!   fixed-size histograms as it terminates, so a snapshot costs
+//!   O(live jobs), not O(jobs ever submitted), and
+//!   [`WalkService::retire`] can free a terminal job's record without
+//!   changing any total (see *Job retention* on [`WalkService`]).
 //!
 //! ```
 //! use lightrw_graph::GraphBuilder;
@@ -76,7 +80,7 @@
 //! assert_eq!(service.stats().completed_jobs, 2);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use crate::engine::{BatchProgress, WalkEngine, WalkSession, WalkSink};
@@ -169,12 +173,13 @@ impl JobSpec {
 }
 
 /// Handle to a submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(u32);
 
 impl JobId {
-    /// The id's dense submission-order index, stable for the service's
-    /// lifetime. The network front door serializes it to clients.
+    /// The id's dense submission-order index: ids count up from 0 and are
+    /// never reused, retired or not. The network front door serializes
+    /// it to clients.
     pub fn as_u32(&self) -> u32 {
         self.0
     }
@@ -193,13 +198,38 @@ pub enum JobStatus {
     Cancelled,
     /// Deadline exceeded; partial paths were flushed.
     Expired,
+    /// The service holds no record under this id: the job terminated and
+    /// was freed by [`WalkService::retire`], whose [`JobReport`] carried
+    /// its real terminal status.
+    Retired,
 }
 
 impl JobStatus {
     /// True once the job will never emit again.
     pub fn is_terminal(&self) -> bool {
-        matches!(self, Self::Completed | Self::Cancelled | Self::Expired)
+        !matches!(self, Self::Waiting | Self::Running)
     }
+}
+
+/// A terminal job's final accounting — what [`WalkService::retire`]
+/// hands back as it frees the record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JobReport {
+    /// [`JobStatus::Completed`], [`JobStatus::Cancelled`] or
+    /// [`JobStatus::Expired`].
+    pub status: JobStatus,
+    /// Paths emitted (one per query, partial ones included).
+    pub paths: usize,
+    /// Steps executed.
+    pub steps: u64,
+    /// Submit→terminate wall seconds.
+    pub latency_s: f64,
+    /// Wall seconds queued before admission (the whole latency for a job
+    /// that was never admitted).
+    pub queue_wait_s: f64,
+    /// Wall seconds from admission to termination;
+    /// `queue_wait_s + exec_s == latency_s`.
+    pub exec_s: f64,
 }
 
 /// Where a job's paths go.
@@ -209,6 +239,10 @@ enum JobSink<'s> {
     Collect(WalkResults),
     /// Caller-provided streaming sink.
     External(Box<dyn WalkSink + 's>),
+    /// Nothing left to hold: a streaming sink is dropped when its job
+    /// terminates (whatever it captured — a channel, a buffer — goes
+    /// with it), collected results once they are taken.
+    Released,
 }
 
 impl JobSink<'_> {
@@ -216,6 +250,7 @@ impl JobSink<'_> {
         match self {
             Self::Collect(results) => results,
             Self::External(sink) => &mut **sink,
+            Self::Released => unreachable!("a terminal job never emits"),
         }
     }
 }
@@ -263,7 +298,6 @@ struct JobEntry<'s> {
     latency_s: Option<f64>,
     steps: u64,
     paths: usize,
-    results_taken: bool,
 }
 
 impl JobEntry<'_> {
@@ -299,7 +333,7 @@ pub struct TickOutcome {
 }
 
 /// Per-tenant service counters (one [`ServiceStats`] row).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantStats {
     /// The tenant.
     pub tenant: TenantId,
@@ -357,8 +391,13 @@ pub struct ServiceStats {
     pub waiting_jobs: usize,
     /// Jobs that reached [`JobStatus::Completed`].
     pub completed_jobs: usize,
+    /// Job records currently held: every job submitted and not yet
+    /// [`WalkService::retire`]d, live or terminal.
+    pub tracked_jobs: usize,
     /// Median submit→terminate latency over terminated jobs, wall
-    /// seconds (0 when none terminated yet).
+    /// seconds (0 when none terminated yet). This and the five
+    /// percentiles below are read off fixed-size histograms and sit
+    /// within [`PERCENTILE_RESOLUTION`] of the exact nearest-rank sample.
     pub p50_latency_s: f64,
     /// 99th-percentile submit→terminate latency, wall seconds.
     pub p99_latency_s: f64,
@@ -374,15 +413,98 @@ pub struct ServiceStats {
 }
 
 /// Nearest-rank quantile of an ascending-sorted slice (`q` in `[0, 1]`);
-/// 0 for an empty slice. Backs the [`ServiceStats`] latency percentiles;
-/// public so consumers can derive other quantiles from their own latency
-/// samples with the same convention.
+/// 0 for an empty slice. The [`ServiceStats`] percentiles follow the same
+/// rank convention over their histograms; public so consumers can derive
+/// other quantiles from their own latency samples with it.
 pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    sorted[nearest_rank(q, sorted.len() as u64) as usize - 1]
+}
+
+/// The 1-based nearest rank of quantile `q` among `n >= 1` samples.
+fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q * n as f64).ceil() as u64).clamp(1, n)
+}
+
+/// Sub-buckets per power of two in a [`LogHistogram`], as a bit count.
+const SUB_BITS: u32 = 5;
+
+/// Relative resolution of the [`ServiceStats`] percentiles: a histogram
+/// bucket is at most 1/32 (3.125 %) of its own lower edge wide, and a
+/// percentile reports the midpoint of the bucket holding the exact
+/// nearest-rank sample — so it is off by less than this fraction of that
+/// sample (under ±1.6 % in fact), samples below 64 ns are reported
+/// exactly, and a positive sample never reads as 0.
+pub const PERCENTILE_RESOLUTION: f64 = 1.0 / (1u64 << SUB_BITS) as f64;
+
+/// A fixed-size histogram of durations: whole nanoseconds (rounded up),
+/// bucketed by power of two and `2^SUB_BITS` linear sub-buckets within
+/// each. 1 920 counters cover 0 ns to `u64::MAX` ns, whatever the number
+/// of samples.
+struct LogHistogram {
+    counts: Vec<u64>,
+    samples: u64,
+}
+
+impl LogHistogram {
+    const BUCKETS: usize = ((u64::BITS - SUB_BITS + 1) << SUB_BITS) as usize;
+
+    fn new() -> Self {
+        Self {
+            counts: vec![0; Self::BUCKETS],
+            samples: 0,
+        }
+    }
+
+    /// Values below `2^(SUB_BITS + 1)` get a bucket each; above, the
+    /// bucket is the exponent and the top `SUB_BITS` mantissa bits.
+    fn bucket(ns: u64) -> usize {
+        let Some(shift) = (u64::BITS - 1 - SUB_BITS).checked_sub(ns.leading_zeros()) else {
+            return ns as usize;
+        };
+        // The leading one of `ns >> shift` (bit SUB_BITS) adds the
+        // `+ 1` that keeps the numbering continuous across octaves.
+        (((shift as u64) << SUB_BITS) + (ns >> shift)) as usize
+    }
+
+    /// The integer midpoint of a bucket, in nanoseconds.
+    fn midpoint(bucket: usize) -> u64 {
+        let sub = 1u64 << SUB_BITS;
+        let bucket = bucket as u64;
+        if bucket < 2 * sub {
+            return bucket;
+        }
+        let shift = (bucket >> SUB_BITS) - 1;
+        let low = (sub + (bucket & (sub - 1))) << shift;
+        low + ((1u64 << shift) - 1) / 2
+    }
+
+    fn record(&mut self, seconds: f64) {
+        // Rounded up so a positive duration never lands in bucket 0; the
+        // cast saturates (and maps a NaN to 0) instead of wrapping.
+        self.counts[Self::bucket((seconds * 1e9).ceil() as u64)] += 1;
+        self.samples += 1;
+    }
+
+    /// Nearest-rank quantile in seconds; 0 with no samples.
+    fn quantile(&self, q: f64) -> f64 {
+        if self.samples == 0 {
+            return 0.0;
+        }
+        let rank = nearest_rank(q, self.samples);
+        let mut seen = 0;
+        let bucket = self
+            .counts
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .expect("the counts sum to the sample count");
+        Self::midpoint(bucket) as f64 * 1e-9
+    }
 }
 
 /// The multi-tenant scheduler over a pool of engines. See the module docs
@@ -390,28 +512,58 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
 ///
 /// # Job retention
 ///
-/// Job records are kept for the service's lifetime so [`JobId`]s stay
-/// valid, but heavy state is released as jobs retire: the per-session
-/// engine state (SoA buffers, DRAM models) drops at termination and a
-/// collecting job's paths are freed by [`WalkService::take_results`].
-/// What remains per terminal job is a small constant-size accounting
-/// record; a service that must bound even that should be recreated per
-/// epoch (ids are not meaningful across instances anyway).
+/// Memory follows the jobs the caller still holds, not the jobs ever
+/// submitted. When a job terminates, `finish` folds everything
+/// [`WalkService::stats`] reports about it — its tenant's
+/// completed/cancelled/expired count, steps, service, queue-wait and
+/// execution seconds, and one sample in each of the latency, queue-wait
+/// and execution histograms ([`PERCENTILE_RESOLUTION`]) — into running
+/// totals, and drops the heavy state: the engine session (SoA buffers,
+/// DRAM models) and a streaming job's sink. What stays is a small
+/// constant-size record, plus a collecting job's paths until
+/// [`WalkService::take_results`], so the per-id accessors keep
+/// answering.
+///
+/// [`WalkService::retire`] frees that record and returns its
+/// [`JobReport`]; [`WalkService::next_terminal`] names the terminal jobs
+/// still held, so a long-lived caller retires each job as it ends (the
+/// network front door does, DESIGN.md §13) and holds records for live
+/// jobs only. No total, count or percentile changes when a job is
+/// retired. Ids are never reused; a retired id reads as
+/// [`JobStatus::Retired`] with zero steps and paths and no latency, and
+/// cancelling it is a no-op. A caller that never retires keeps one
+/// record per job, as before.
 pub struct WalkService<'s> {
     workers: Vec<&'s dyn WalkEngine>,
     /// Jobs assigned per worker (running or waiting), for placement.
     worker_load: Vec<usize>,
     cfg: ServiceConfig,
-    jobs: Vec<JobEntry<'s>>,
+    /// Every job not yet retired, by id.
+    jobs: BTreeMap<JobId, JobEntry<'s>>,
+    next_id: u32,
     /// Deficit round-robin ring of running jobs.
     ring: VecDeque<JobId>,
     /// Admission queue, submission order.
     waiting: VecDeque<JobId>,
-    /// Requested steps currently admitted per tenant (the quota in use),
-    /// maintained incrementally so admission never rescans the job list.
-    pending: HashMap<TenantId, u64>,
+    /// The terminal jobs among `jobs`.
+    terminal: BTreeSet<JobId>,
+    /// One row per tenant ever seen, holding what its *terminated* jobs
+    /// add up to, its submission count and `pending_steps` — the quota in
+    /// use, maintained incrementally so admission never rescans the job
+    /// list. `stats` adds the live jobs on top.
+    tenants: BTreeMap<TenantId, TenantStats>,
+    /// Terminated jobs' submit→terminate, submit→admit and
+    /// admit→terminate wall seconds.
+    latency: LogHistogram,
+    queue_wait: LogHistogram,
+    exec: LogHistogram,
     ticks: u64,
 }
+
+/// Why a lookup of a ring, queue or terminal-set id cannot miss.
+const TRACKED: &str = "scheduler structures only hold tracked jobs";
+/// Why a lookup of a tracked job's tenant cannot miss.
+const TENANT_ROW: &str = "submit made the tenant's row";
 
 impl<'s> WalkService<'s> {
     /// Create a service over `workers`. The pool is any mix of backends —
@@ -428,10 +580,15 @@ impl<'s> WalkService<'s> {
             workers,
             worker_load,
             cfg,
-            jobs: Vec::new(),
+            jobs: BTreeMap::new(),
+            next_id: 0,
             ring: VecDeque::new(),
             waiting: VecDeque::new(),
-            pending: HashMap::new(),
+            terminal: BTreeSet::new(),
+            tenants: BTreeMap::new(),
+            latency: LogHistogram::new(),
+            queue_wait: LogHistogram::new(),
+            exec: LogHistogram::new(),
             ticks: 0,
         }
     }
@@ -471,8 +628,19 @@ impl<'s> WalkService<'s> {
             .min_by_key(|&w| self.worker_load[w])
             .expect("non-empty pool");
         self.worker_load[worker] += 1;
-        let id = JobId(self.jobs.len() as u32);
-        self.jobs.push(JobEntry {
+        let id = JobId(self.next_id);
+        self.next_id = self
+            .next_id
+            .checked_add(1)
+            .expect("all 2^32 job ids are spent");
+        self.tenants
+            .entry(spec.tenant)
+            .or_insert(TenantStats {
+                tenant: spec.tenant,
+                ..TenantStats::default()
+            })
+            .submitted += 1;
+        let entry = JobEntry {
             tenant: spec.tenant,
             weight: spec.weight.max(1) as u64,
             deadline: spec.deadline,
@@ -493,8 +661,8 @@ impl<'s> WalkService<'s> {
             latency_s: None,
             steps: 0,
             paths: 0,
-            results_taken: false,
-        });
+        };
+        self.jobs.insert(id, entry);
         self.waiting.push_back(id);
         self.admit();
         id
@@ -511,9 +679,9 @@ impl<'s> WalkService<'s> {
         let mut i = 0;
         while i < self.waiting.len() {
             let id = self.waiting[i];
-            if self.jobs[id.0 as usize].wall_expired(now) {
+            let job = self.jobs.get_mut(&id).expect(TRACKED);
+            if job.wall_expired(now) {
                 self.waiting.remove(i);
-                let job = &mut self.jobs[id.0 as usize];
                 let queries = job.queries.take().expect("waiting job keeps its queries");
                 job.session = Some(self.workers[job.worker].start_session(&queries));
                 self.terminate(id, JobStatus::Expired);
@@ -526,7 +694,7 @@ impl<'s> WalkService<'s> {
         let join_round = self
             .ring
             .iter()
-            .map(|&r| self.jobs[r.0 as usize].round)
+            .map(|r| self.jobs[r].round)
             .min()
             .unwrap_or(0);
         let mut still_waiting = VecDeque::new();
@@ -534,13 +702,14 @@ impl<'s> WalkService<'s> {
         // (a tenant's later job must not overtake its blocked earlier one).
         let mut blocked_tenants = Vec::new();
         while let Some(id) = self.waiting.pop_front() {
-            let tenant = self.jobs[id.0 as usize].tenant;
+            let job = self.jobs.get_mut(&id).expect(TRACKED);
+            let tenant = job.tenant;
             if blocked_tenants.contains(&tenant) {
                 still_waiting.push_back(id);
                 continue;
             }
-            let pending = self.pending.get(&tenant).copied().unwrap_or(0);
-            let job = &mut self.jobs[id.0 as usize];
+            let row = self.tenants.get_mut(&tenant).expect(TENANT_ROW);
+            let pending = row.pending_steps;
             let fits = pending.saturating_add(job.requested_steps) <= self.cfg.tenant_pending_steps
                 || pending == 0; // an oversized lone job must not deadlock
             if !fits {
@@ -553,7 +722,7 @@ impl<'s> WalkService<'s> {
             job.status = JobStatus::Running;
             job.round = join_round;
             job.queue_wait_s = Some(job.submitted_at.elapsed().as_secs_f64());
-            *self.pending.entry(tenant).or_insert(0) += job.requested_steps;
+            row.pending_steps += job.requested_steps;
             self.ring.push_back(id);
         }
         self.waiting = still_waiting;
@@ -570,7 +739,7 @@ impl<'s> WalkService<'s> {
     fn next_turn(&self) -> Option<usize> {
         let mut best: Option<(usize, u64, Option<Instant>)> = None;
         for (i, &id) in self.ring.iter().enumerate() {
-            let job = &self.jobs[id.0 as usize];
+            let job = &self.jobs[&id];
             let due = job.wall_due();
             let better = match best {
                 None => true,
@@ -605,7 +774,7 @@ impl<'s> WalkService<'s> {
         };
         let id = self.ring.remove(turn).expect("turn index is in the ring");
         self.ticks += 1;
-        let job = &mut self.jobs[id.0 as usize];
+        let job = self.jobs.get_mut(&id).expect(TRACKED);
         // The turn is consumed even when the credit check below skips
         // execution: rounds count turns, not executed batches.
         job.round += 1;
@@ -685,11 +854,12 @@ impl<'s> WalkService<'s> {
     /// released, and nothing else is touched. Cancelling a waiting job
     /// starts-and-cancels its session, so it still emits one start-vertex
     /// path per query — the cancel-before-first-`advance` contract every
-    /// engine shares (DESIGN.md §6). Terminal jobs are left unchanged.
+    /// engine shares (DESIGN.md §6). Terminal and retired jobs are left
+    /// unchanged.
     pub fn cancel(&mut self, id: JobId) {
-        match self.jobs[id.0 as usize].status {
+        match self.status(id) {
             JobStatus::Waiting => {
-                let job = &mut self.jobs[id.0 as usize];
+                let job = self.jobs.get_mut(&id).expect(TRACKED);
                 let queries = job.queries.take().expect("waiting job keeps its queries");
                 job.session = Some(self.workers[job.worker].start_session(&queries));
                 self.waiting.retain(|&w| w != id);
@@ -709,7 +879,7 @@ impl<'s> WalkService<'s> {
     /// Flush a job's session via `cancel` and record it terminal with
     /// `status`. The caller has already detached `id` from ring/queue.
     fn terminate(&mut self, id: JobId, status: JobStatus) {
-        let job = &mut self.jobs[id.0 as usize];
+        let job = self.jobs.get_mut(&id).expect(TRACKED);
         let session = job.session.as_mut().expect("terminating job has a session");
         let t = Instant::now();
         let progress = session.cancel(job.sink.as_sink());
@@ -719,171 +889,179 @@ impl<'s> WalkService<'s> {
     }
 
     /// Record a job terminal: latency (and its queue-wait/exec split),
-    /// final clock, load release. Freed quota is picked up by the next
-    /// `admit` — at the next tick, submit, or cancel — not here:
-    /// `finish` runs *from inside* `admit` for wall-expired waiting
-    /// jobs, so it must not re-enter it.
+    /// final clock, load release, and its fold into the tenant row and
+    /// the histograms — everything `stats` will ever say about it, so
+    /// the record itself can go (see *Job retention*). Freed quota is
+    /// picked up by the next `admit` — at the next tick, submit, or
+    /// cancel — not here: `finish` runs *from inside* `admit` for
+    /// wall-expired waiting jobs, so it must not re-enter it.
     fn finish(&mut self, id: JobId, status: JobStatus) {
-        let job = &mut self.jobs[id.0 as usize];
+        let job = self.jobs.get_mut(&id).expect(TRACKED);
+        let row = self.tenants.get_mut(&job.tenant).expect(TENANT_ROW);
         // Only admitted jobs hold quota; a cancelled-while-waiting job
         // reaches here straight from `Waiting` and never charged any.
         if job.status == JobStatus::Running {
-            let pending = self
-                .pending
-                .get_mut(&job.tenant)
-                .expect("running job holds tenant quota");
-            *pending = pending.saturating_sub(job.requested_steps);
+            row.pending_steps = row.pending_steps.saturating_sub(job.requested_steps);
         }
         job.status = status;
         let latency = job.submitted_at.elapsed().as_secs_f64();
         job.latency_s = Some(latency);
         // A never-admitted job spent its whole life queued.
         let queue_wait = *job.queue_wait_s.get_or_insert(latency);
-        job.exec_s = Some((latency - queue_wait).max(0.0));
-        job.final_clock = Some(
-            job.session
-                .as_ref()
-                .and_then(|s| s.model_seconds())
-                .unwrap_or(job.service_secs),
-        );
+        let exec = (latency - queue_wait).max(0.0);
+        job.exec_s = Some(exec);
+        let clock = job.clock();
+        job.final_clock = Some(clock);
+
+        match status {
+            JobStatus::Completed => row.completed += 1,
+            JobStatus::Cancelled => row.cancelled += 1,
+            JobStatus::Expired => row.expired += 1,
+            _ => unreachable!("jobs finish in one of the three terminal states"),
+        }
+        row.steps += job.steps;
+        row.service_secs += clock;
+        row.queue_wait_secs += queue_wait;
+        row.exec_secs += exec;
+        self.latency.record(latency);
+        self.queue_wait.record(queue_wait);
+        self.exec.record(exec);
+
         // The session borrows the engine, not the service, so it could
         // stay; dropping it eagerly releases per-session state (SoA
-        // buffers, DRAM models) as jobs retire.
+        // buffers, DRAM models) as jobs terminate. A streaming sink has
+        // seen its last path.
         job.session = None;
+        if let JobSink::External(_) = job.sink {
+            job.sink = JobSink::Released;
+        }
         self.worker_load[job.worker] -= 1;
+        self.terminal.insert(id);
     }
 
-    /// A job's current status.
+    /// Free a terminal job's record and return its final accounting.
+    /// `None` — and nothing happens — for a job still waiting or running
+    /// and for an id already retired. Take a collecting job's results
+    /// first: they go with the record.
+    pub fn retire(&mut self, id: JobId) -> Option<JobReport> {
+        if !self.terminal.remove(&id) {
+            return None;
+        }
+        let job = self.jobs.remove(&id).expect(TRACKED);
+        const FINISHED: &str = "finish() timed every terminal job";
+        Some(JobReport {
+            status: job.status,
+            paths: job.paths,
+            steps: job.steps,
+            latency_s: job.latency_s.expect(FINISHED),
+            queue_wait_s: job.queue_wait_s.expect(FINISHED),
+            exec_s: job.exec_s.expect(FINISHED),
+        })
+    }
+
+    /// The lowest-id terminal job not yet retired. A caller that retires
+    /// what this names after every `tick`/`submit`/`cancel` sees each job
+    /// exactly once, as it ends, without polling the ones still running.
+    pub fn next_terminal(&self) -> Option<JobId> {
+        self.terminal.first().copied()
+    }
+
+    /// Job records currently held: live jobs plus terminal ones not yet
+    /// retired. O(1).
+    pub fn tracked_len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// A job's current status; [`JobStatus::Retired`] once its record is
+    /// gone.
     pub fn status(&self, id: JobId) -> JobStatus {
-        self.jobs[id.0 as usize].status
+        self.jobs.get(&id).map_or(JobStatus::Retired, |j| j.status)
     }
 
-    /// Steps a job has executed so far.
+    /// Steps a job has executed so far (0 for a retired id).
     pub fn job_steps(&self, id: JobId) -> u64 {
-        self.jobs[id.0 as usize].steps
+        self.jobs.get(&id).map_or(0, |j| j.steps)
     }
 
-    /// Paths a job has emitted so far.
+    /// Paths a job has emitted so far (0 for a retired id).
     pub fn job_paths(&self, id: JobId) -> usize {
-        self.jobs[id.0 as usize].paths
+        self.jobs.get(&id).map_or(0, |j| j.paths)
     }
 
-    /// Submit→terminate wall latency of a terminal job.
+    /// Submit→terminate wall latency of a terminal, unretired job.
     pub fn job_latency_s(&self, id: JobId) -> Option<f64> {
-        self.jobs[id.0 as usize].latency_s
+        self.jobs.get(&id)?.latency_s
     }
 
-    /// A terminal job's `(queue_wait, exec)` wall-second split: time
-    /// queued before admission vs time admitted. The two sum to
-    /// [`Self::job_latency_s`]; a never-admitted job (cancelled or
+    /// A terminal, unretired job's `(queue_wait, exec)` wall-second
+    /// split: time queued before admission vs time admitted. The two sum
+    /// to [`Self::job_latency_s`]; a never-admitted job (cancelled or
     /// wall-expired while waiting) reports `(latency, 0)`.
     pub fn job_split_s(&self, id: JobId) -> Option<(f64, f64)> {
-        let job = &self.jobs[id.0 as usize];
+        let job = self.jobs.get(&id)?;
         Some((job.queue_wait_s?, job.exec_s?))
     }
 
-    /// Model-or-wall seconds the job consumed (see [`JobSpec::deadline`]).
+    /// Model-or-wall seconds the job consumed (see [`JobSpec::deadline`];
+    /// 0 for a retired id).
     pub fn job_clock_s(&self, id: JobId) -> f64 {
-        self.jobs[id.0 as usize].clock()
+        self.jobs.get(&id).map_or(0.0, |j| j.clock())
     }
 
     /// Take a collecting job's results once it is terminal. `None` for
-    /// streaming jobs, non-terminal jobs, or results already taken.
+    /// streaming jobs, non-terminal or retired jobs, or results already
+    /// taken.
     pub fn take_results(&mut self, id: JobId) -> Option<WalkResults> {
-        let job = &mut self.jobs[id.0 as usize];
-        if !job.status.is_terminal() || job.results_taken {
+        let job = self.jobs.get_mut(&id)?;
+        if !job.status.is_terminal() {
             return None;
         }
-        match &mut job.sink {
-            // (`mem::replace` with a fresh empty set, not `mem::take`:
-            // the derived `Default` has no leading offset sentinel.)
-            JobSink::Collect(results) => {
-                job.results_taken = true;
-                Some(std::mem::replace(results, WalkResults::new()))
-            }
-            JobSink::External(_) => None,
+        match std::mem::replace(&mut job.sink, JobSink::Released) {
+            JobSink::Collect(results) => Some(results),
+            _ => None,
         }
     }
 
     /// Snapshot the service: per-tenant rates and depths, global latency
-    /// percentiles.
+    /// percentiles. Costs O(tenants + live jobs + histogram buckets):
+    /// terminated jobs were folded in as they ended, so neither the jobs
+    /// ever submitted nor the records still held are walked.
     pub fn stats(&self) -> ServiceStats {
-        let mut tenants: Vec<TenantStats> = Vec::new();
-        let mut index: HashMap<TenantId, usize> = HashMap::new();
-        for job in &self.jobs {
-            let slot = *index.entry(job.tenant).or_insert_with(|| {
-                tenants.push(TenantStats {
-                    tenant: job.tenant,
-                    submitted: 0,
-                    completed: 0,
-                    cancelled: 0,
-                    expired: 0,
-                    running: 0,
-                    waiting: 0,
-                    pending_steps: 0,
-                    steps: 0,
-                    service_secs: 0.0,
-                    queue_wait_secs: 0.0,
-                    exec_secs: 0.0,
-                });
-                tenants.len() - 1
-            });
-            let row = &mut tenants[slot];
-            row.submitted += 1;
+        let mut tenants = self.tenants.clone();
+        for id in self.ring.iter().chain(&self.waiting) {
+            let job = &self.jobs[id];
+            let row = tenants.get_mut(&job.tenant).expect(TENANT_ROW);
             row.steps += job.steps;
             row.service_secs += job.clock();
-            // The queue/exec split: recorded values for terminal jobs,
-            // elapsed-so-far attribution for in-flight ones.
-            match (job.queue_wait_s, job.exec_s) {
-                (Some(q), Some(e)) => {
-                    row.queue_wait_secs += q;
-                    row.exec_secs += e;
-                }
-                (Some(q), None) => {
-                    row.queue_wait_secs += q;
-                    row.exec_secs += (job.submitted_at.elapsed().as_secs_f64() - q).max(0.0);
-                }
-                _ => row.queue_wait_secs += job.submitted_at.elapsed().as_secs_f64(),
-            }
-            match job.status {
-                JobStatus::Waiting => row.waiting += 1,
-                JobStatus::Running => {
+            // The queue/exec split of an in-flight job is attributed
+            // elapsed-so-far.
+            let elapsed = job.submitted_at.elapsed().as_secs_f64();
+            match job.queue_wait_s {
+                Some(queued) => {
                     row.running += 1;
-                    row.pending_steps += job.requested_steps;
+                    row.queue_wait_secs += queued;
+                    row.exec_secs += (elapsed - queued).max(0.0);
                 }
-                JobStatus::Completed => row.completed += 1,
-                JobStatus::Cancelled => row.cancelled += 1,
-                JobStatus::Expired => row.expired += 1,
+                None => {
+                    row.waiting += 1;
+                    row.queue_wait_secs += elapsed;
+                }
             }
         }
-        tenants.sort_by_key(|t| t.tenant);
-        let mut latencies: Vec<f64> = self.jobs.iter().filter_map(|j| j.latency_s).collect();
-        latencies.sort_by(f64::total_cmp);
-        let mut waits: Vec<f64> = self
-            .jobs
-            .iter()
-            .filter(|j| j.status.is_terminal())
-            .filter_map(|j| j.queue_wait_s)
-            .collect();
-        waits.sort_by(f64::total_cmp);
-        let mut execs: Vec<f64> = self.jobs.iter().filter_map(|j| j.exec_s).collect();
-        execs.sort_by(f64::total_cmp);
+        let tenants: Vec<TenantStats> = tenants.into_values().collect();
         ServiceStats {
             ticks: self.ticks,
-            total_steps: self.jobs.iter().map(|j| j.steps).sum(),
+            total_steps: tenants.iter().map(|t| t.steps).sum(),
             running_jobs: self.ring.len(),
             waiting_jobs: self.waiting.len(),
-            completed_jobs: self
-                .jobs
-                .iter()
-                .filter(|j| j.status == JobStatus::Completed)
-                .count(),
-            p50_latency_s: quantile(&latencies, 0.50),
-            p99_latency_s: quantile(&latencies, 0.99),
-            p50_queue_wait_s: quantile(&waits, 0.50),
-            p99_queue_wait_s: quantile(&waits, 0.99),
-            p50_exec_s: quantile(&execs, 0.50),
-            p99_exec_s: quantile(&execs, 0.99),
+            completed_jobs: tenants.iter().map(|t| t.completed).sum(),
+            tracked_jobs: self.jobs.len(),
+            p50_latency_s: self.latency.quantile(0.50),
+            p99_latency_s: self.latency.quantile(0.99),
+            p50_queue_wait_s: self.queue_wait.quantile(0.50),
+            p99_queue_wait_s: self.queue_wait.quantile(0.99),
+            p50_exec_s: self.exec.quantile(0.50),
+            p99_exec_s: self.exec.quantile(0.99),
             tenants,
         }
     }
@@ -1327,6 +1505,220 @@ mod tests {
         assert_eq!(quantile(&xs, 0.99), 4.0);
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert_eq!(quantile(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn histogram_buckets_are_continuous_and_within_resolution() {
+        // Every value maps to a bucket whose midpoint is within the
+        // stated resolution of it, bucket numbers never decrease with the
+        // value, and the last bucket is the last counter.
+        let mut values: Vec<u64> = (0..200).collect();
+        for shift in 6..64 {
+            for k in [0u64, 1, 31, 32, 33, 63] {
+                values.push((1u64 << shift) + (k << (shift - 6)));
+                values.push((1u64 << shift) - 1);
+            }
+        }
+        values.push(u64::MAX);
+        values.sort_unstable();
+        let mut last = 0;
+        for &v in &values {
+            let b = LogHistogram::bucket(v);
+            assert!(b >= last && b < LogHistogram::BUCKETS, "value {v}");
+            last = b;
+            let mid = LogHistogram::midpoint(b);
+            assert_eq!(LogHistogram::bucket(mid), b, "midpoint leaves bucket");
+            let off = mid.abs_diff(v) as f64;
+            assert!(
+                off <= v as f64 * PERCENTILE_RESOLUTION,
+                "value {v} read {mid}"
+            );
+            if v < 64 {
+                assert_eq!(mid, v, "small values are exact");
+            }
+        }
+        assert_eq!(LogHistogram::bucket(u64::MAX), LogHistogram::BUCKETS - 1);
+
+        let mut h = LogHistogram::new();
+        assert_eq!(h.quantile(0.5), 0.0, "empty histogram");
+        h.record(0.0);
+        assert_eq!(h.quantile(0.99), 0.0, "a zero sample is zero");
+        h.record(1e-12);
+        assert!(h.quantile(0.99) > 0.0, "a positive sample never reads 0");
+        h.record(f64::NAN);
+        h.record(-1.0);
+        h.record(f64::INFINITY);
+        assert_eq!(h.samples, 5, "odd samples are clamped, not dropped");
+    }
+
+    #[test]
+    fn retired_ids_are_answered_not_indexed() {
+        let g = ring_graph();
+        let engine = reference(&g);
+        let mut service = WalkService::new(
+            vec![&engine],
+            ServiceConfig {
+                quantum: 4,
+                ..Default::default()
+            },
+        );
+        let short = service.submit(JobSpec::tenant(0), QuerySet::from_starts(vec![0; 2], 3));
+        let long = service.submit(JobSpec::tenant(1), QuerySet::from_starts(vec![1; 2], 400));
+        while !service.status(short).is_terminal() {
+            service.tick();
+        }
+        assert_eq!(service.status(long), JobStatus::Running);
+        assert_eq!(service.retire(long), None, "a live job is not retired");
+        assert_eq!(service.status(long), JobStatus::Running);
+        assert_eq!(service.next_terminal(), Some(short));
+        assert_eq!(service.tracked_len(), 2);
+
+        let before = service.stats();
+        let report = service.retire(short).expect("terminal job retires");
+        assert_eq!(report.status, JobStatus::Completed);
+        assert_eq!((report.paths, report.steps), (2, 6));
+        assert!(report.latency_s > 0.0);
+        assert!((report.queue_wait_s + report.exec_s - report.latency_s).abs() < 1e-9);
+        assert_eq!(service.tracked_len(), 1);
+        assert_eq!(service.next_terminal(), None);
+
+        // The record is gone; every per-id call still answers.
+        assert_eq!(service.retire(short), None, "retired exactly once");
+        assert_eq!(service.status(short), JobStatus::Retired);
+        assert!(service.status(short).is_terminal());
+        assert_eq!(service.job_steps(short), 0);
+        assert_eq!(service.job_paths(short), 0);
+        assert_eq!(service.job_latency_s(short), None);
+        assert_eq!(service.job_split_s(short), None);
+        assert_eq!(service.job_clock_s(short), 0.0);
+        assert_eq!(service.take_results(short), None);
+        service.cancel(short);
+        assert_eq!(
+            service.status(long),
+            JobStatus::Running,
+            "cancel hit nobody"
+        );
+
+        // Retiring changed nothing `stats` reports about the job.
+        let after = service.stats();
+        assert_eq!(after.tenants[0], before.tenants[0]);
+        assert_eq!(after.completed_jobs, 1);
+        assert_eq!(after.total_steps, before.total_steps);
+        assert_eq!(after.p50_latency_s, before.p50_latency_s);
+        assert_eq!((before.tracked_jobs, after.tracked_jobs), (2, 1));
+
+        // Ids keep counting up; they are never handed out twice.
+        let next = service.submit(JobSpec::tenant(0), QuerySet::from_starts(vec![0], 1));
+        assert_eq!(next.as_u32(), long.as_u32() + 1);
+        service.run_until_idle();
+        assert_eq!(service.stats().completed_jobs, 3);
+    }
+
+    #[test]
+    fn soak_of_retired_jobs_holds_live_records_only_and_exact_totals() {
+        // A long-lived server in miniature: 20 000 one-query streaming
+        // jobs over four tenants, a tight quota so some queue, one in
+        // fifty cancelled, each retired as it goes terminal. Records held
+        // must follow the live jobs, and `stats` must add up to what the
+        // test counted itself from the reports.
+        const JOBS: usize = 20_000;
+        let g = ring_graph();
+        let engine = reference(&g);
+        let mut service = WalkService::new(
+            vec![&engine],
+            ServiceConfig {
+                quantum: 4,
+                tenant_pending_steps: 12,
+            },
+        );
+        let emitted = std::rc::Rc::new(std::cell::Cell::new(0usize));
+        let mut submitted = [0usize; 4];
+        let mut completed = [0usize; 4];
+        let mut cancelled = [0usize; 4];
+        let mut steps = [0u64; 4];
+        let (mut latencies, mut waits, mut execs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut paths = 0;
+        let mut ticks = 0u64;
+        // After every call that can end a job (at most one each here).
+        let mut settle = |service: &mut WalkService<'_>| {
+            let live = service.running_len() + service.waiting_len();
+            assert!(service.tracked_len() <= live + 1, "records outlive jobs");
+            while let Some(id) = service.next_terminal() {
+                let report = service.retire(id).expect("named as terminal");
+                // Ids count submissions, and job `i` is tenant `i % 4`'s.
+                let tenant = id.as_u32() as usize % 4;
+                match report.status {
+                    JobStatus::Completed => completed[tenant] += 1,
+                    JobStatus::Cancelled => cancelled[tenant] += 1,
+                    other => panic!("unexpected terminal status {other:?}"),
+                }
+                steps[tenant] += report.steps;
+                paths += report.paths;
+                latencies.push(report.latency_s);
+                waits.push(report.queue_wait_s);
+                execs.push(report.exec_s);
+            }
+            assert_eq!(service.tracked_len(), live, "records follow live jobs");
+        };
+        for i in 0..JOBS {
+            let tenant = i % 4;
+            let counter = std::rc::Rc::clone(&emitted);
+            let sink = Box::new(move |_: u32, _: &[VertexId]| counter.set(counter.get() + 1));
+            let queries = QuerySet::from_starts(vec![tenant as u32], 1 + (i % 9) as u32);
+            let id = service.submit_streaming(JobSpec::tenant(tenant as u32), queries, sink);
+            submitted[tenant] += 1;
+            assert_eq!(id.as_u32() as usize, i);
+            if i % 50 == 7 {
+                service.cancel(id);
+                settle(&mut service);
+            }
+            // Closed loop: at most six jobs in flight, so some always
+            // queue behind the quota and the backlog never grows.
+            while service.running_len() + service.waiting_len() > 5 {
+                ticks += service.tick().job.is_some() as u64;
+                settle(&mut service);
+            }
+        }
+        while service.tick().job.is_some() {
+            ticks += 1;
+            settle(&mut service);
+        }
+        assert_eq!(latencies.len(), JOBS, "every job retired exactly once");
+        assert_eq!(emitted.get(), JOBS, "one path per one-query job");
+        assert_eq!(paths, JOBS);
+
+        let stats = service.stats();
+        assert_eq!(stats.tracked_jobs, 0);
+        assert_eq!(stats.ticks, ticks);
+        assert_eq!(stats.completed_jobs, completed.iter().sum::<usize>());
+        assert_eq!(stats.total_steps, steps.iter().sum::<u64>());
+        assert_eq!((stats.running_jobs, stats.waiting_jobs), (0, 0));
+        assert_eq!(cancelled.iter().sum::<usize>(), JOBS / 50);
+        for (t, row) in stats.tenants.iter().enumerate() {
+            assert_eq!(row.tenant as usize, t);
+            assert_eq!(row.submitted, submitted[t]);
+            assert_eq!(row.completed, completed[t]);
+            assert_eq!(row.cancelled, cancelled[t]);
+            assert_eq!(row.steps, steps[t]);
+            assert_eq!((row.running, row.waiting, row.pending_steps), (0, 0, 0));
+        }
+        for (samples, p50, p99) in [
+            (&mut latencies, stats.p50_latency_s, stats.p99_latency_s),
+            (&mut waits, stats.p50_queue_wait_s, stats.p99_queue_wait_s),
+            (&mut execs, stats.p50_exec_s, stats.p99_exec_s),
+        ] {
+            samples.sort_by(f64::total_cmp);
+            for (q, got) in [(0.50, p50), (0.99, p99)] {
+                let exact = quantile(samples, q);
+                // One nanosecond on top: durations are bucketed as whole
+                // nanoseconds, rounded up.
+                assert!(
+                    (got - exact).abs() <= exact * PERCENTILE_RESOLUTION + 1e-9,
+                    "p{}: histogram {got} vs exact {exact}",
+                    q * 100.0
+                );
+            }
+        }
     }
 
     #[test]

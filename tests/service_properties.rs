@@ -14,6 +14,10 @@
 //!    job to a terminal state in bounded turns (no admission deadlock).
 //! 4. **Paths stay valid**: cancelled jobs flush walk *prefixes* — every
 //!    flushed path still validates against the app's weight rules.
+//! 5. **Retirement is bookkeeping only**: retiring a terminal job at any
+//!    point frees its record and reports its real status, retiring a
+//!    live or already-retired one does nothing, and no emission, status
+//!    or step total depends on which jobs were retired when.
 //!
 //! The vendored proptest stand-in is deterministic (fixed entropy, no
 //! shrinking), so failures reproduce exactly by case index.
@@ -49,6 +53,7 @@ proptest! {
     fn random_job_mixes_preserve_service_invariants(
         jobs in vec(job_strategy(), 1..8),
         cancels in vec((0usize..8, 0usize..25), 0..4),
+        retires in vec((0usize..8, 0usize..25), 0..6),
         quantum in 1u64..40,
         budget_scale in 1u64..30,
         workers in 1usize..3,
@@ -105,7 +110,24 @@ proptest! {
         cancels.sort_by_key(|&(_, at_tick)| at_tick);
         let mut cancelled_jobs = Vec::new();
         let mut next_cancel = 0;
+        // Retirements hit any phase too; a retired job's terminal status
+        // is only known from its report.
+        let mut retired: Vec<(lightrw::service::JobId, JobStatus)> = Vec::new();
         for tick_no in 0..25usize {
+            for &(raw, _) in retires.iter().filter(|&&(_, at_tick)| at_tick == tick_no) {
+                let (id, ..) = handles[raw % handles.len()];
+                let status = service.status(id);
+                let report = service.retire(id);
+                if status.is_terminal() && status != JobStatus::Retired {
+                    let report = report.expect("a terminal job retires");
+                    prop_assert_eq!(report.status, status);
+                    prop_assert_eq!(report.paths, handles[raw % handles.len()].1);
+                    retired.push((id, status));
+                } else {
+                    prop_assert!(report.is_none(), "retired a live or retired job");
+                    prop_assert_eq!(service.status(id), status);
+                }
+            }
             while next_cancel < cancels.len() && cancels[next_cancel].1 <= tick_no {
                 let (raw, _) = cancels[next_cancel];
                 let (id, _, tenant, _) = handles[raw % handles.len()];
@@ -126,8 +148,15 @@ proptest! {
             prop_assert!(guard < 1_000_000, "scheduler failed to drain");
         }
 
+        prop_assert_eq!(service.stats().tracked_jobs, handles.len() - retired.len());
         for (id, queries, _tenant, log) in &handles {
-            let status = service.status(*id);
+            let status = match retired.iter().find(|(r, _)| r == id) {
+                Some(&(_, status)) => {
+                    prop_assert_eq!(service.status(*id), JobStatus::Retired);
+                    status
+                }
+                None => service.status(*id),
+            };
             prop_assert!(status.is_terminal(), "job not terminal at idle");
             let log = log.borrow();
             // Invariant 1: exactly-once, query-id-ordered emission.
