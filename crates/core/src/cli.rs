@@ -130,6 +130,12 @@ impl Args {
         }
     }
 
+    fn get_usize(&self, key: &str) -> Result<Option<usize>, String> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| format!("--{key} must be an integer")))
+            .transpose()
+    }
+
     fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
             None => Ok(default),
@@ -612,37 +618,12 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
     // Engine-agnostic dispatch: any backend behind `&dyn WalkEngine`,
     // driven as a batched session (DESIGN.md §6). `--shards K` selects
     // the sharded engine without requiring an explicit `--engine`.
-    let shards = args.get_u64("shards", 0)? as usize;
-    let engine_name = match args.get("engine") {
-        Some(name) => name,
-        None if shards > 0 => "sharded",
+    let default_engine = match args.get("shards") {
+        Some(_) => "sharded",
         None => "sim",
     };
-    let mut backend = Backend::parse(engine_name)?;
-    if let Some(t) = args.get("threads") {
-        let t: usize = t.parse().map_err(|_| "--threads must be an integer")?;
-        backend = backend.with_threads(t)?;
-    }
-    if shards > 0 {
-        backend = backend.with_shards(
-            shards,
-            parse_strategy(args)?,
-            args.get_u64(
-                "flush-budget",
-                crate::sharded::ShardedEngine::DEFAULT_FLUSH_BUDGET as u64,
-            )?
-            .max(1) as usize,
-        )?;
-    }
-    if let Some(t) = args.get("shard-threads") {
-        let t: usize = t
-            .parse()
-            .map_err(|_| "--shard-threads must be an integer (0 = one thread per shard)")?;
-        backend = backend.with_shard_threads(t)?;
-    }
-    if let Some(name) = args.get("sampler") {
-        backend = backend.with_sampler(Backend::parse_sampler(name)?);
-    }
+    let engine_name = args.get("engine").unwrap_or(default_engine);
+    let backend = configure_backend(args, None, default_engine)?;
     let batch = args.get_u64("batch", 1 << 16)?;
     // A sharded backend over a file that was packed with a matching
     // partition runs straight off the file's shard sections (mmap-cheap:
@@ -802,41 +783,28 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
     Ok(format!("{summary}{out_line}"))
 }
 
-/// Build the worker backend from the CLI flags, falling back to the
-/// trace's own sizing fields (`threads`, `shards`, `shard_threads`)
-/// when replaying one. The listen mode passes no trace — flags only.
+/// Build the backend from the CLI flags (`default_engine` when there is
+/// no `--engine`), falling back to the trace's own sizing fields
+/// (`threads`, `shards`, `shard_threads`) when replaying one. `walk` and
+/// the listen mode pass no trace — flags only.
 fn configure_backend(
     args: &Args,
     trace: Option<&crate::jobspec::Trace>,
+    default_engine: &str,
 ) -> Result<Backend, String> {
-    let mut backend = Backend::parse(args.get("engine").unwrap_or("cpu"))?;
-    // Worker sizing flows through one knob: an explicit --threads wins,
-    // else the trace's own `threads` field — both land in
-    // Backend::with_threads, so every pool engine's LanePlan agrees with
-    // what the spec asked for.
-    let threads = match args.get("threads") {
-        Some(t) => Some(
-            t.parse::<usize>()
-                .map_err(|_| "--threads must be an integer".to_string())?,
-        ),
-        None => trace.and_then(|t| t.threads),
-    };
-    if let Some(t) = threads {
+    let mut backend = Backend::parse(args.get("engine").unwrap_or(default_engine))?;
+    // Sizing flows through one rule per knob: an explicit flag wins, else
+    // the trace's own field — which for `shards` and `shard_threads`,
+    // like `threads` for non-CPU backends, is ignored unless the engine
+    // is sharded. Both land in the same Backend::with_* call, so every
+    // pool engine agrees with what the spec asked for.
+    let sharded = matches!(backend, Backend::Sharded { .. });
+    let threads = args.get_usize("threads")?;
+    if let Some(t) = threads.or(trace.and_then(|t| t.threads)) {
         backend = backend.with_threads(t)?;
     }
-    // Shard sizing mirrors thread sizing: an explicit --shards wins,
-    // else the trace's `shards` field — which, like `threads` for
-    // non-CPU backends, is ignored unless the engine is sharded.
-    let shards = match args.get("shards") {
-        Some(s) => Some(
-            s.parse::<usize>()
-                .map_err(|_| "--shards must be an integer".to_string())?,
-        ),
-        None => trace
-            .and_then(|t| t.shards)
-            .filter(|_| matches!(backend, Backend::Sharded { .. })),
-    };
-    if let Some(k) = shards {
+    let shards = args.get_usize("shards")?;
+    if let Some(k) = shards.or(trace.and_then(|t| t.shards).filter(|_| sharded)) {
         backend = backend.with_shards(
             k,
             parse_strategy(args)?,
@@ -847,18 +815,10 @@ fn configure_backend(
             .max(1) as usize,
         )?;
     }
-    // Executor-thread sizing for sharded backends follows the same
-    // precedence: an explicit --shard-threads wins, else the trace's
-    // `shard_threads` field.
-    let shard_threads = match args.get("shard-threads") {
-        Some(t) => Some(t.parse::<usize>().map_err(|_| {
-            "--shard-threads must be an integer (0 = one thread per shard)".to_string()
-        })?),
-        None => trace
-            .and_then(|t| t.shard_threads)
-            .filter(|_| matches!(backend, Backend::Sharded { .. })),
-    };
-    if let Some(t) = shard_threads {
+    let shard_threads = args
+        .get_usize("shard-threads")
+        .map_err(|e| format!("{e} (0 = one thread per shard)"))?;
+    if let Some(t) = shard_threads.or(trace.and_then(|t| t.shard_threads).filter(|_| sharded)) {
         backend = backend.with_shard_threads(t)?;
     }
     if let Some(name) = args.get("sampler") {
@@ -867,21 +827,12 @@ fn configure_backend(
     Ok(backend)
 }
 
-fn cmd_serve(args: &Args) -> Result<String, String> {
+/// The trace `serve` replays and `client` submits: an explicit `--jobs`
+/// spec file, or a synthetic homogeneous one (`--synthetic-tenants`).
+fn load_trace(args: &Args, subcommand: &str) -> Result<crate::jobspec::Trace, String> {
     use crate::jobspec;
-    use lightrw_walker::service::{JobSpec, ServiceConfig, WalkService};
 
-    if let Some(addr) = args.get("listen") {
-        return cmd_serve_listen(args, addr);
-    }
-
-    let positional = args
-        .positional
-        .first()
-        .ok_or("serve requires a graph file argument (or - to use the trace's \"graph\" field)")?;
-
-    // The trace: an explicit spec file, or a synthetic homogeneous one.
-    let trace: jobspec::Trace = match args.get("jobs") {
+    let trace = match args.get("jobs") {
         Some(spec_path) => {
             let text = std::fs::read_to_string(spec_path)
                 .map_err(|e| format!("read --jobs {spec_path}: {e}"))?;
@@ -890,7 +841,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         None => {
             let tenants = args.get_u64("synthetic-tenants", 0)? as u32;
             if tenants == 0 {
-                return Err("serve needs --jobs SPEC.json or --synthetic-tenants N".into());
+                return Err(format!(
+                    "{subcommand} needs --jobs SPEC.json or --synthetic-tenants N"
+                ));
             }
             jobspec::Trace::from_jobs(jobspec::synthetic_trace(
                 tenants,
@@ -903,6 +856,22 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     if trace.jobs.is_empty() {
         return Err("the job trace is empty".into());
     }
+    Ok(trace)
+}
+
+fn cmd_serve(args: &Args) -> Result<String, String> {
+    use lightrw_walker::service::{ServiceConfig, WalkService};
+
+    if let Some(addr) = args.get("listen") {
+        return cmd_serve_listen(args, addr);
+    }
+
+    let positional = args
+        .positional
+        .first()
+        .ok_or("serve requires a graph file argument (or - to use the trace's \"graph\" field)")?;
+
+    let trace = load_trace(args, "serve")?;
 
     // Graph resolution: the CLI positional wins; `-` explicitly defers
     // to the trace's own "graph" field.
@@ -918,7 +887,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let g = loaded.graph;
     let app = parse_app(args, &g)?;
 
-    let backend = configure_backend(args, Some(&trace))?;
+    let backend = configure_backend(args, Some(&trace), "cpu")?;
     let workers = args.get_u64("workers", 2)? as usize;
     let seed = args.get_u64("seed", 42)?;
     let cfg = ServiceConfig {
@@ -934,18 +903,8 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let t_wall = Instant::now();
     let mut handles = Vec::with_capacity(trace.jobs.len());
     for job in &trace.jobs {
-        let mut queries = QuerySet::n_queries(&g, job.queries, job.length, job.seed);
-        if let Some(program) = &job.program {
-            queries = queries.with_program(program.clone());
-        }
+        let (spec, queries) = job.clone().submission(&g);
         let starts: Vec<u32> = queries.queries().iter().map(|q| q.start).collect();
-        let mut spec = JobSpec::tenant(job.tenant).weight(job.weight);
-        if let Some(d) = job.deadline {
-            spec = spec.deadline(d);
-        }
-        if let Some(ms) = job.deadline_ms {
-            spec = spec.wall_deadline_ms(ms);
-        }
         handles.push((service.submit(spec, queries), starts));
     }
 
@@ -1099,7 +1058,7 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<String, String> {
     let loaded = load_graph_spec(positional, args.flag("in-memory"))?;
     let g = loaded.graph;
     let app = parse_app(args, &g)?;
-    let backend = configure_backend(args, None)?;
+    let backend = configure_backend(args, None, "cpu")?;
     let workers = args.get_u64("workers", 2)? as usize;
     let seed = args.get_u64("seed", 42)?;
     let rate = args.get_f64("rate", 1e6)?;
@@ -1133,9 +1092,17 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<String, String> {
     // Announce before blocking — the CLI shim prints run()'s return
     // value only after the server exits, far too late for a client
     // waiting to learn which port `:0` picked.
-    println!("listening on {local}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    {
+        use std::io::Write as _;
+        let mut stdout = std::io::stdout().lock();
+        match writeln!(stdout, "listening on {local}").and_then(|()| stdout.flush()) {
+            Ok(()) => {}
+            // Nobody is left to learn the address (`… | head -c 0`): stop
+            // quietly, as the shim does when its reader has gone.
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(String::new()),
+            Err(e) => return Err(format!("cannot write to stdout: {e}")),
+        }
+    }
 
     let pool = backend.build_pool(&g, app.as_ref(), seed, workers.max(1));
     let summary = crate::http::serve(
@@ -1274,28 +1241,7 @@ fn cmd_client(args: &Args) -> Result<String, String> {
     let addr = args
         .get("addr")
         .ok_or("client needs --addr HOST:PORT (from the server's \"listening on\" line)")?;
-    let trace: jobspec::Trace = match args.get("jobs") {
-        Some(spec_path) => {
-            let text = std::fs::read_to_string(spec_path)
-                .map_err(|e| format!("read --jobs {spec_path}: {e}"))?;
-            jobspec::parse_trace(&text)?
-        }
-        None => {
-            let tenants = args.get_u64("synthetic-tenants", 0)? as u32;
-            if tenants == 0 {
-                return Err("client needs --jobs SPEC.json or --synthetic-tenants N".into());
-            }
-            jobspec::Trace::from_jobs(jobspec::synthetic_trace(
-                tenants,
-                args.get_u64("jobs-per-tenant", 2)? as usize,
-                args.get_u64("queries", 64)? as usize,
-                args.get_u64("length", 10)? as u32,
-            ))
-        }
-    };
-    if trace.jobs.is_empty() {
-        return Err("the job trace is empty".into());
-    }
+    let trace = load_trace(args, "client")?;
 
     let outcomes: Vec<Result<ClientOutcome, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = trace

@@ -47,8 +47,8 @@ pub enum Backend {
         sampler: SamplerKind,
         /// Hand-off records coalesced per shard pair before a flush.
         flush_budget: usize,
-        /// Executor threads: 1 = the sequential interleave, 0 = one
-        /// pinned executor per shard, n = min(n, shards) executors.
+        /// Executor threads: 1 = the calling thread, 0 = one pinned
+        /// executor per shard, n = min(n, shards) executors.
         shard_threads: usize,
     },
 }
@@ -143,7 +143,7 @@ impl Backend {
     }
 
     /// Set the executor thread count of a sharded backend (1 = the
-    /// deterministic sequential interleave, 0 = one pinned executor per
+    /// executor loop on the calling thread, 0 = one pinned executor per
     /// shard). Errors for every other backend so `--shard-threads` on
     /// the wrong engine is loud.
     pub fn with_shard_threads(self, shard_threads: usize) -> Result<Self, String> {

@@ -41,9 +41,7 @@ use std::time::{Duration, Instant};
 use lightrw_baseline::signal;
 use lightrw_graph::{Graph, VertexId};
 use lightrw_walker::service::ServiceStats;
-use lightrw_walker::{
-    JobId, JobReport, JobSpec, JobStatus, QuerySet, ServiceConfig, WalkEngine, WalkService,
-};
+use lightrw_walker::{JobId, JobReport, JobStatus, ServiceConfig, WalkEngine, WalkService};
 
 use super::admission::{Admission, AdmissionConfig, ShedReason, Verdict};
 use super::wire::{json_escape, read_request, ChunkedWriter, ReadOutcome, Request, WireError};
@@ -387,17 +385,7 @@ impl Scheduler<'_> {
             });
             return;
         }
-        let mut queries = QuerySet::n_queries(self.graph, job.queries, job.length, job.seed);
-        if let Some(program) = job.program {
-            queries = queries.with_program(program);
-        }
-        let mut spec = JobSpec::tenant(job.tenant).weight(job.weight);
-        if let Some(d) = job.deadline {
-            spec = spec.deadline(d);
-        }
-        if let Some(ms) = job.deadline_ms {
-            spec = spec.wall_deadline_ms(ms);
-        }
+        let (spec, queries) = job.submission(self.graph);
         let batch = Rc::new(RefCell::new(Vec::new()));
         let (sink_batch, sink_events) = (Rc::clone(&batch), events.clone());
         let sink = Box::new(move |query: u32, path: &[VertexId]| {
@@ -787,7 +775,7 @@ mod tests {
     use super::*;
     use crate::http::wire::{read_response, CountingWriter};
     use lightrw_graph::generators;
-    use lightrw_walker::{ReferenceEngine, SamplerKind, Uniform};
+    use lightrw_walker::{JobSpec, QuerySet, ReferenceEngine, SamplerKind, Uniform};
 
     fn job(queries: usize, length: u32) -> TraceJob {
         TraceJob {

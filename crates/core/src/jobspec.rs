@@ -48,7 +48,8 @@
 
 use std::fmt::Write as _;
 
-use lightrw_walker::WalkProgram;
+use lightrw_graph::Graph;
+use lightrw_walker::{JobSpec, QuerySet, WalkProgram};
 
 /// A parsed trace: the jobs plus the trace-wide engine settings.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +63,8 @@ pub struct Trace {
     /// how `threads` only shapes the CPU engine.
     pub shards: Option<usize>,
     /// Executor threads per sharded pool engine (`0` = one per shard,
-    /// `1` = the sequential interleave); `None` leaves the backend's
-    /// default. Only meaningful with `--engine sharded`.
+    /// `1` = the calling thread); `None` leaves the backend's default.
+    /// Only meaningful with `--engine sharded`.
     pub shard_threads: Option<usize>,
     /// Graph the trace should run on (any path `lightrw-cli` accepts,
     /// including `packed:` files); the CLI positional overrides it, and
@@ -111,6 +112,26 @@ pub struct TraceJob {
     /// Optional walk program (restarts, variable length, dead-end
     /// policy); `None` runs the fixed-length `length` walk.
     pub program: Option<WalkProgram>,
+}
+
+impl TraceJob {
+    /// What the scheduler is handed for this job on graph `g`: the
+    /// tenant, weight and deadlines as a [`JobSpec`], the walks as a
+    /// [`QuerySet`].
+    pub(crate) fn submission(self, g: &Graph) -> (JobSpec, QuerySet) {
+        let mut queries = QuerySet::n_queries(g, self.queries, self.length, self.seed);
+        if let Some(program) = self.program {
+            queries = queries.with_program(program);
+        }
+        let mut spec = JobSpec::tenant(self.tenant).weight(self.weight);
+        if let Some(d) = self.deadline {
+            spec = spec.deadline(d);
+        }
+        if let Some(ms) = self.deadline_ms {
+            spec = spec.wall_deadline_ms(ms);
+        }
+        (spec, queries)
+    }
 }
 
 /// A homogeneous trace: `jobs_per_tenant` jobs for each of `tenants`

@@ -1,33 +1,38 @@
 //! Sharded walk execution: one engine lane per graph partition, walkers
 //! migrating at shard boundaries through bounded hand-off queues
-//! (DESIGN.md §11), with optional **parallel shard executors** — pinned
-//! worker threads that overlap hand-off delivery with compute
-//! (DESIGN.md §12).
+//! (DESIGN.md §11), all on **one schedule** — the shard-executor loop of
+//! DESIGN.md §12 — whatever the thread count.
 //!
 //! [`ShardedEngine`] runs a [`lightrw_graph::ShardedGraph`] — built by
 //! [`lightrw_graph::partition_graph`] (see `lightrw_graph::partition`
 //! for the placement strategies, including the walk-aware
 //! `ShardStrategy::Walk`) or loaded from a packed sharded file
 //! ([`lightrw_graph::load_packed_sharded`]) — behind the ordinary
-//! [`WalkSession`] contract. Each shard owns a sequential step lane with
-//! its own [`HotStepper`]; a walker whose step lands on a **ghost**
-//! vertex (owned by another shard) is serialized into a hand-off record
-//! and parked in a per-destination outbox until the outbox reaches the
-//! flush budget or the local lane runs out of work.
+//! [`WalkSession`] contract. Each shard owns a step lane with its own
+//! [`HotStepper`] and a run queue of the walkers standing on it; a walker
+//! whose step lands on a **ghost** vertex (owned by another shard) is
+//! serialized into a hand-off record and held in a per-destination outbox
+//! until the outbox reaches the flush budget or the executor runs out of
+//! local work.
 //!
-//! Two execution modes share that data model:
+//! Every `advance` is one round of that loop over `shard_threads`
+//! executors, each owning the lanes `s` with `s % threads == executor`:
 //!
-//! - `shard_threads == 1` (default): the deterministic single-thread
-//!   interleave of PR 8 — lanes sweep round-robin, outboxes flush at a
-//!   round barrier.
-//! - `shard_threads >= 2`: each executor thread owns `k / threads` shard
-//!   lanes, pins itself via `lightrw_baseline::affinity`, and delivers
-//!   hand-off batches over channels so a crossing overlaps with the
-//!   other executors' compute. A quiescence protocol (an atomic count of
-//!   live walkers; the executor that retires or parks the last one
-//!   broadcasts `Quiesce`) replaces the sequential round-barrier exit.
-//!   Paths are emitted on the session thread as completions stream in,
-//!   so the non-`Send` [`WalkSink`] never crosses a thread.
+//! - What **persists** in the session: the per-shard run queues of live
+//!   walkers, lent to the executors for the round. A lane whose per-round
+//!   budget is spent leaves its walkers where they are.
+//! - What **travels**: hand-off batches between lanes (over a channel when
+//!   another executor owns the destination, so a crossing overlaps with
+//!   the other executors' compute) and *finished paths* back to the
+//!   session thread, which emits them as they stream in — the non-`Send`
+//!   [`WalkSink`] never crosses a thread.
+//! - How a round **ends**: an atomic count of walkers that can still move
+//!   this round; the executor that counts out the last one broadcasts
+//!   `Quiesce` (the invariant is stated at [`run_executor`]).
+//! - `shard_threads == 1` (default) is that loop with one executor run on
+//!   the calling thread: no spawn, no pin, every destination local.
+//!   `shard_threads >= 2` spawns scoped threads that pin themselves via
+//!   `lightrw_baseline::affinity`.
 //!
 //! The three contracts that make all of this safe:
 //!
@@ -52,12 +57,11 @@
 //! model of [`crate::pcie`]): each flush costs one link latency plus
 //! `bytes / bandwidth`, with a record costing a fixed header plus four
 //! bytes per shipped prev-row entry. [`WalkSession::model_seconds`]
-//! reports the accumulated transfer seconds **plus** the measured lane
-//! compute seconds, so cluster straggler accounting never treats a
-//! sharded board as free compute. Hand-off and byte totals are
-//! schedule-independent (walks are deterministic); flush counts and
-//! transfer seconds depend on batch coalescing and may differ between
-//! the sequential and parallel schedules.
+//! reports the accumulated transfer seconds **plus** the lane compute
+//! clock, so cluster straggler accounting never treats a sharded board as
+//! free compute. Hand-off and byte totals are schedule-independent (walks
+//! are deterministic); flush counts and transfer seconds depend on batch
+//! coalescing and may differ with the thread count and the round budget.
 //!
 //! `k = 1` has nothing to hand off: it runs the ordinary
 //! [`LaneSession`], one lane on shard 0's graph.
@@ -94,7 +98,7 @@ pub struct ShardedEngine<'a> {
     sampler: SamplerKind,
     seed: u64,
     flush_budget: usize,
-    /// Requested executor thread count: 1 = sequential interleave,
+    /// Requested executor thread count: 1 = the calling thread,
     /// 0 = one executor per shard, n = min(n, k) executors.
     shard_threads: usize,
     /// Provenance note surfaced through session diagnostics (e.g. "the
@@ -147,10 +151,10 @@ impl<'a> ShardedEngine<'a> {
         self
     }
 
-    /// Set the executor thread count: `1` keeps the deterministic
-    /// single-thread interleave, `0` spawns one pinned executor per
-    /// shard, and any other value is capped at the shard count. Sampled
-    /// walks are bit-identical across every setting.
+    /// Set the executor thread count: `1` runs the executor loop on the
+    /// calling thread (no spawn, no pin), `0` spawns one pinned executor
+    /// per shard, and any other value is capped at the shard count.
+    /// Sampled walks are bit-identical across every setting.
     pub fn with_shard_threads(mut self, shard_threads: usize) -> Self {
         self.shard_threads = shard_threads;
         self
@@ -229,9 +233,12 @@ impl FlushTally {
     /// Charge one coalesced flush of `batch`: a record per walker plus
     /// four bytes per shipped prev-row entry, as one modelled link
     /// transfer (latency + bytes / bandwidth).
-    fn charge<'a>(&mut self, batch: impl Iterator<Item = &'a ShardWalker>) {
+    fn charge(&mut self, batch: &[Record]) {
         let bytes: u64 = batch
-            .map(|wk| HANDOFF_RECORD_BYTES + 4 * wk.prev_row.as_ref().map_or(0, Vec::len) as u64)
+            .iter()
+            .map(|(_, wk)| {
+                HANDOFF_RECORD_BYTES + 4 * wk.prev_row.as_ref().map_or(0, Vec::len) as u64
+            })
             .sum();
         self.seconds += PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0).upload_s;
         self.bytes += bytes;
@@ -258,11 +265,12 @@ impl ShardWalker {
     }
 }
 
-/// Multi-shard session. With `shard_threads == 1`: a deterministic
-/// round-robin over shard lanes with per-(source, destination) outboxes
-/// flushed at the budget or at round end. With `shard_threads >= 2`:
-/// pinned parallel executors with channel hand-off (DESIGN.md §12).
-/// Both schedules sample bit-identical walks.
+/// A live walker as run queues, outboxes and hand-off batches hold it:
+/// its query index and its state.
+type Record = (usize, ShardWalker);
+
+/// Multi-shard session: every `advance` is one round of the executor
+/// loop ([`run_executor`], DESIGN.md §12) over `threads` executors.
 struct MultiShardSession<'s> {
     sharded: &'s ShardedGraph,
     app: &'s dyn WalkApp,
@@ -270,26 +278,23 @@ struct MultiShardSession<'s> {
     /// One stepper per shard lane; each visit positions it on the
     /// walker's stream.
     steppers: Vec<HotStepper>,
-    /// Runnable walkers parked on each shard (owner of their `cur`).
-    runq: Vec<VecDeque<usize>>,
-    /// Sequential-mode hand-off records awaiting a flush, indexed
-    /// `src * k + dst` (unused by the parallel schedule, which keeps
-    /// per-executor outboxes).
-    outbox: Vec<Vec<usize>>,
+    /// Live walkers queued on the shard that owns their `cur`. They stay
+    /// here between rounds; a round lends each queue to its executor.
+    runq: Vec<VecDeque<Record>>,
     flush_budget: usize,
-    /// Resolved executor count (1 = sequential interleave, else <= k).
+    /// Resolved executor count, `1..=k`; one executor runs on the calling
+    /// thread.
     threads: usize,
-    /// Walker slots; `None` only while a walker is out on an executor
-    /// during a parallel `advance`.
-    walkers: Vec<Option<ShardWalker>>,
+    /// Finished paths by query index, waiting for the emitter's watermark.
+    done: Vec<Option<Vec<VertexId>>>,
     emitter: InOrderEmitter,
     steps_done: u64,
     hand_offs: u64,
     transfers: FlushTally,
-    /// Measured wall seconds spent inside `advance` — the lane compute
-    /// component of `model_seconds`.
+    /// The lane compute component of `model_seconds`: per round, the
+    /// straggler executor's busy time.
     compute_s: f64,
-    /// Executors that successfully pinned in the last parallel round.
+    /// Executors that successfully pinned in the last round.
     pinned: usize,
     note: Option<&'s str>,
 }
@@ -315,29 +320,25 @@ impl<'s> MultiShardSession<'s> {
                 st
             })
             .collect();
-        let mut runq: Vec<VecDeque<usize>> = vec![VecDeque::new(); k];
-        let walkers = queries
-            .queries()
-            .iter()
-            .enumerate()
-            .map(|(wi, &q)| {
-                runq[sharded.owner_of(q.start)].push_back(wi);
-                Some(ShardWalker {
+        let mut runq: Vec<VecDeque<Record>> = (0..k).map(|_| VecDeque::new()).collect();
+        for (wi, &q) in queries.queries().iter().enumerate() {
+            runq[sharded.owner_of(q.start)].push_back((
+                wi,
+                ShardWalker {
                     w: Walker::start(q, engine.sampler, engine.seed),
                     prev_row: None,
-                })
-            })
-            .collect();
+                },
+            ));
+        }
         Self {
             sharded,
             app: engine.app,
             program: queries.program().clone(),
             steppers,
             runq,
-            outbox: vec![Vec::new(); k * k],
             flush_budget: engine.flush_budget,
             threads,
-            walkers,
+            done: vec![None; queries.len()],
             emitter: InOrderEmitter::new(queries.len()),
             steps_done: 0,
             hand_offs: 0,
@@ -347,203 +348,98 @@ impl<'s> MultiShardSession<'s> {
             note: engine.partition_note.as_deref(),
         }
     }
+}
 
-    /// Deliver outbox `(s, t)` to shard `t`'s run queue, charging one
-    /// modelled link transfer (latency + bytes / bandwidth) for the
-    /// coalesced batch. Sequential schedule only.
-    fn flush_pair(&mut self, s: usize, t: usize) {
-        let k = self.sharded.k();
-        let batch = std::mem::take(&mut self.outbox[s * k + t]);
-        if batch.is_empty() {
-            return;
-        }
-        let walkers = &self.walkers;
-        self.transfers.charge(
-            batch
-                .iter()
-                .map(|&w| walkers[w].as_ref().expect("outbox walker in slot")),
-        );
-        self.runq[t].extend(batch);
-    }
-
-    /// Flush every non-empty outbox (round end / cancellation barrier).
-    /// Returns how many walkers were delivered.
-    fn flush_all(&mut self) -> usize {
-        let k = self.sharded.k();
-        let mut delivered = 0;
-        for s in 0..k {
-            for t in 0..k {
-                delivered += self.outbox[s * k + t].len();
-                self.flush_pair(s, t);
-            }
-        }
-        delivered
-    }
-
-    /// The deterministic single-thread interleave (PR 8 schedule).
-    fn advance_sequential(&mut self, budget: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let k = self.sharded.k();
+impl WalkSession for MultiShardSession<'_> {
+    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
         let mut progress = BatchProgress::default();
-        let mut attempts = vec![0u64; k];
-        loop {
-            let mut worked = false;
-            // One deterministic sweep: each lane steps its queue head
-            // until the lane budget, a retirement, or a hand-off.
-            for (s, lane_attempts) in attempts.iter_mut().enumerate() {
-                while *lane_attempts < budget {
-                    let Some(&w) = self.runq[s].front() else {
-                        break;
-                    };
-                    worked = true;
-                    *lane_attempts += 1;
-                    let g = &self.sharded.shards[s].graph;
-                    let env = VisitEnv {
-                        graph: g,
+        let live: usize = self.runq.iter().map(VecDeque::len).sum();
+        // Every finished path was collected by the round that finished
+        // it, so with no live walker there is nothing left to emit.
+        if live > 0 {
+            let threads = self.threads;
+            let active = AtomicUsize::new(live);
+            let (txs, rxs): (Vec<Sender<ExecMsg>>, Vec<Receiver<ExecMsg>>) =
+                (0..threads).map(|_| channel()).unzip();
+            let (done_tx, done_rx) = channel::<Vec<(usize, Vec<VertexId>)>>();
+
+            let mut execs: Vec<(ExecCtx<'_>, Vec<ExecLane<'_>>, Receiver<ExecMsg>)> = rxs
+                .into_iter()
+                .enumerate()
+                .map(|(exec, rx)| {
+                    let ctx = ExecCtx {
+                        exec,
+                        threads,
+                        budget: max_steps.max(1),
+                        flush_budget: self.flush_budget,
                         app: self.app,
                         program: &self.program,
+                        sharded: self.sharded,
+                        txs: txs.clone(),
+                        done_tx: done_tx.clone(),
+                        done_buf: RefCell::new(Vec::new()),
+                        active: &active,
                     };
-                    let wk = self.walkers[w].as_mut().expect("runnable walker in slot");
-                    let stepped = wk.visit(env, &mut self.steppers[s]);
-                    self.steps_done += stepped as u64;
-                    progress.steps += stepped as u64;
-                    if wk.w.done {
-                        self.runq[s].pop_front();
-                        continue;
-                    }
-                    let t = self.sharded.owner_of(wk.w.st.cur);
-                    if t != s {
-                        // Hand-off: serialize the walker into the (s, t)
-                        // outbox. Second-order apps ship the previous
-                        // vertex's row — it lives on this shard, not the
-                        // destination.
-                        if self.app.second_order() {
-                            if let Some(prev) = wk.w.st.prev {
-                                wk.prev_row = Some(g.neighbors(prev).to_vec());
-                            }
-                        }
-                        self.runq[s].pop_front();
-                        self.hand_offs += 1;
-                        self.outbox[s * k + t].push(w);
-                        if self.outbox[s * k + t].len() >= self.flush_budget {
-                            self.flush_pair(s, t);
-                        }
-                    }
-                }
-            }
-            // Round barrier: deliver stragglers below the flush budget so
-            // migrated walkers never starve, then emit at the watermark.
-            let delivered = self.flush_all();
-            progress.paths_completed += drain_ready(&mut self.emitter, &mut self.walkers, sink);
-            if self.emitter.finished() || (!worked && delivered == 0) {
-                break;
-            }
-        }
-        progress
-    }
-
-    /// The parallel schedule: pinned executors, channel hand-off,
-    /// quiescence termination. Walks are bit-identical to
-    /// [`Self::advance_sequential`] because every walker carries its own
-    /// RNG stream.
-    fn advance_parallel(&mut self, budget: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let k = self.sharded.k();
-        let threads = self.threads;
-        let mut progress = BatchProgress::default();
-
-        // Schedule: move every runnable walker out of its slot, grouped
-        // by owning shard.
-        let mut scheduled = 0usize;
-        let mut shard_queues: Vec<VecDeque<(usize, ShardWalker)>> = Vec::with_capacity(k);
-        for q in &mut self.runq {
-            let mut local = VecDeque::with_capacity(q.len());
-            for wi in q.drain(..) {
-                local.push_back((
-                    wi,
-                    self.walkers[wi].take().expect("runnable walker in slot"),
-                ));
-            }
-            scheduled += local.len();
-            shard_queues.push(local);
-        }
-
-        if scheduled > 0 {
+                    (ctx, Vec::new(), rx)
+                })
+                .collect();
             // Shard s runs on executor s % threads; executor-local lane
             // index is s / threads.
-            let mut lanes_by_exec: Vec<Vec<ExecLane<'_>>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for ((s, stepper), queue) in self.steppers.iter_mut().enumerate().zip(shard_queues) {
-                lanes_by_exec[s % threads].push(ExecLane {
+            for (s, (stepper, runq)) in self.steppers.iter_mut().zip(&mut self.runq).enumerate() {
+                execs[s % threads].1.push(ExecLane {
                     shard: s,
                     graph: &self.sharded.shards[s].graph,
                     stepper,
-                    runq: queue,
+                    runq,
                     attempts: 0,
                 });
             }
+            // The executors hold the only senders now, so the completion
+            // channel disconnects when the last of them returns (or dies).
+            drop(done_tx);
+            drop(txs);
 
-            let active = AtomicUsize::new(scheduled);
-            let (txs, rxs): (Vec<Sender<ExecMsg>>, Vec<Receiver<ExecMsg>>) =
-                (0..threads).map(|_| channel()).unzip();
-            let (done_tx, done_rx) = channel::<Vec<Completion>>();
-
-            let app = self.app;
-            let program = &self.program;
-            let sharded = self.sharded;
-            let flush_budget = self.flush_budget;
-            let walkers = &mut self.walkers;
-            let runq = &mut self.runq;
-            let emitter = &mut self.emitter;
-
-            let mut round_stats: Vec<ExecStats> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = lanes_by_exec
-                    .into_iter()
-                    .zip(rxs)
-                    .enumerate()
-                    .map(|(e, (lanes, rx))| {
-                        let ctx = ExecCtx {
-                            exec: e,
-                            threads,
-                            k,
-                            budget,
-                            flush_budget,
-                            app,
-                            program,
-                            sharded,
-                            txs: txs.clone(),
-                            done_tx: done_tx.clone(),
-                            done_buf: RefCell::new(Vec::new()),
-                            active: &active,
-                        };
-                        scope.spawn(move || run_executor(ctx, lanes, rx))
-                    })
-                    .collect();
-                // The executors hold their own clones; dropping ours lets
-                // channel disconnection double as a crash signal.
-                drop(done_tx);
-                drop(txs);
-                // Collect completions on the session thread, emitting at
-                // the watermark as they stream in — emission overlaps
-                // with the executors' remaining compute, and the
-                // non-Send sink never leaves this thread.
-                let mut returned = 0usize;
-                while returned < scheduled {
-                    let batch = done_rx
-                        .recv()
-                        .expect("shard executor terminated without returning its walkers");
-                    for c in batch {
-                        walkers[c.wi] = Some(c.walker);
-                        if let Some(shard) = c.parked_at {
-                            runq[shard].push_back(c.wi);
-                        }
-                        returned += 1;
+            // Collect finished paths on the session thread, emitting at
+            // the watermark as they stream in — emission overlaps with
+            // the executors' remaining compute, and the non-Send sink
+            // never leaves this thread.
+            let (done, emitter) = (&mut self.done, &mut self.emitter);
+            let mut emitted = 0;
+            let mut collect = || {
+                for batch in &done_rx {
+                    for (wi, path) in batch {
+                        done[wi] = Some(path);
                     }
-                    progress.paths_completed += drain_ready(emitter, walkers, sink);
+                    emitted += emitter.drain(sink, |id| done[id].take());
                 }
-                for h in handles {
-                    round_stats.push(h.join().expect("shard executor panicked"));
-                }
-            });
+            };
+            let round_stats: Vec<ExecStats> = if threads == 1 {
+                let (ctx, lanes, rx) = execs.pop().expect("one executor");
+                let stats = run_executor(ctx, lanes, rx);
+                collect();
+                vec![stats]
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = execs
+                        .into_iter()
+                        .map(|(ctx, lanes, rx)| {
+                            scope.spawn(move || {
+                                let pinned = affinity::pin_current_thread(ctx.exec);
+                                ExecStats {
+                                    pinned,
+                                    ..run_executor(ctx, lanes, rx)
+                                }
+                            })
+                        })
+                        .collect();
+                    collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("shard executor panicked"))
+                        .collect()
+                })
+            };
+            progress.paths_completed = emitted;
 
             self.pinned = round_stats.iter().filter(|s| s.pinned).count();
             // The round's compute clock is the straggler executor's busy
@@ -554,62 +450,27 @@ impl<'s> MultiShardSession<'s> {
             self.compute_s += round_stats.iter().map(|s| s.busy_s).fold(0.0f64, f64::max);
             for st in round_stats {
                 progress.steps += st.steps;
-                self.steps_done += st.steps;
                 self.hand_offs += st.hand_offs;
                 self.transfers.flushes += st.transfers.flushes;
                 self.transfers.bytes += st.transfers.bytes;
                 self.transfers.seconds += st.transfers.seconds;
             }
+            self.steps_done += progress.steps;
         }
-
-        // Covers the nothing-scheduled case (every walker already done
-        // but not yet emitted — e.g. a zero-progress advance call).
-        progress.paths_completed += drain_ready(&mut self.emitter, &mut self.walkers, sink);
-        progress
-    }
-}
-
-/// Emit every ready path at the watermark (walker slots are `None` only
-/// while out on an executor, and those are never `done`).
-fn drain_ready(
-    emitter: &mut InOrderEmitter,
-    walkers: &mut [Option<ShardWalker>],
-    sink: &mut dyn WalkSink,
-) -> usize {
-    emitter.drain(sink, |id| walkers[id].as_mut()?.w.take_path())
-}
-
-impl WalkSession for MultiShardSession<'_> {
-    fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let budget = max_steps.max(1);
-        let mut progress = if self.threads >= 2 {
-            // The parallel path accounts its own compute clock: the
-            // straggler executor's busy time (modelled overlap).
-            self.advance_parallel(budget, sink)
-        } else {
-            let t0 = Instant::now();
-            let p = self.advance_sequential(budget, sink);
-            self.compute_s += t0.elapsed().as_secs_f64();
-            p
-        };
         progress.finished = self.finished();
         progress
     }
 
     fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
-        let mut progress = BatchProgress::default();
-        for q in &mut self.runq {
-            q.clear();
-        }
-        for b in &mut self.outbox {
-            b.clear();
-        }
-        for wk in self.walkers.iter_mut().flatten() {
+        for (wi, mut wk) in self.runq.iter_mut().flat_map(|q| q.drain(..)) {
             wk.w.done = true;
+            self.done[wi] = wk.w.take_path();
         }
-        progress.paths_completed += drain_ready(&mut self.emitter, &mut self.walkers, sink);
-        progress.finished = true;
-        progress
+        BatchProgress {
+            paths_completed: self.emitter.drain(sink, |id| self.done[id].take()),
+            finished: true,
+            ..BatchProgress::default()
+        }
     }
 
     fn finished(&self) -> bool {
@@ -626,10 +487,10 @@ impl WalkSession for MultiShardSession<'_> {
 
     /// Modelled interconnect seconds spent on hand-off flushes plus the
     /// compute clock — the board is never free compute in cluster
-    /// straggler accounting. Sequential compute is the measured wall time
-    /// inside `advance`; parallel compute is the straggler executor's
-    /// busy time per round (the overlapped duration, independent of how
-    /// many physical cores the host could actually grant).
+    /// straggler accounting. Compute is the straggler executor's busy
+    /// time per round (the overlapped duration, independent of how many
+    /// physical cores the host could actually grant); with one executor,
+    /// its own.
     fn model_seconds(&self) -> Option<f64> {
         Some(self.transfers.seconds + self.compute_s)
     }
@@ -655,28 +516,16 @@ impl WalkSession for MultiShardSession<'_> {
     }
 }
 
-// --- Parallel shard executors (DESIGN.md §12) -----------------------------
+// --- The shard-executor loop (DESIGN.md §12) ------------------------------
 
 /// Channel message between executors: a coalesced hand-off batch bound
 /// for one shard, or the quiescence broadcast that ends the round.
 enum ExecMsg {
-    Batch {
-        shard: usize,
-        walkers: Vec<(usize, ShardWalker)>,
-    },
+    Batch { shard: usize, walkers: Vec<Record> },
     Quiesce,
 }
 
-/// A walker returning to the session thread: retired (`parked_at` is
-/// `None`, the walk is complete) or parked (its lane's per-advance
-/// budget ran out; it re-enters `runq[parked_at]` for the next advance).
-struct Completion {
-    wi: usize,
-    walker: ShardWalker,
-    parked_at: Option<usize>,
-}
-
-/// Per-executor tallies folded into the session after the scoped join.
+/// Per-executor tallies folded into the session after the round.
 #[derive(Default)]
 struct ExecStats {
     steps: u64,
@@ -684,7 +533,7 @@ struct ExecStats {
     transfers: FlushTally,
     /// Seconds this executor spent with work in hand: its own thread CPU
     /// time (wall minus inbox-blocked time where the per-thread clock is
-    /// unsupported). The session's parallel compute clock is the straggler
+    /// unsupported). The session's compute clock is the straggler
     /// executor's busy time — the overlapped duration a host with one core
     /// per executor would observe, which keeps the model clock meaningful
     /// on CI hosts with fewer cores than executors.
@@ -692,12 +541,14 @@ struct ExecStats {
     pinned: bool,
 }
 
-/// One shard lane scheduled on an executor for a single advance round.
+/// One shard lane lent to an executor for a single advance round.
 struct ExecLane<'a> {
     shard: usize,
     graph: &'a Graph,
     stepper: &'a mut HotStepper,
-    runq: VecDeque<(usize, ShardWalker)>,
+    runq: &'a mut VecDeque<Record>,
+    /// Visits this round; at `budget` the lane is spent and everything in
+    /// its queue has been counted out of `active`.
     attempts: u64,
 }
 
@@ -705,52 +556,51 @@ struct ExecLane<'a> {
 struct ExecCtx<'a> {
     exec: usize,
     threads: usize,
-    k: usize,
     budget: u64,
     flush_budget: usize,
     app: &'a dyn WalkApp,
     program: &'a WalkProgram,
     sharded: &'a ShardedGraph,
     txs: Vec<Sender<ExecMsg>>,
-    done_tx: Sender<Vec<Completion>>,
-    done_buf: RefCell<Vec<Completion>>,
+    done_tx: Sender<Vec<(usize, Vec<VertexId>)>>,
+    done_buf: RefCell<Vec<(usize, Vec<VertexId>)>>,
     active: &'a AtomicUsize,
 }
 
-/// Completions per message on the done channel. Retires and parks come
-/// in floods (every advance-end parks whole run queues), so sending them
+/// Finished paths per message on the completion channel. Sending them
 /// one channel message at a time costs more than the walking; batches
 /// keep the session thread's wake-ups rare.
 const COMPLETION_BATCH: usize = 256;
 
 impl ExecCtx<'_> {
-    /// Queue a walker for return to the session thread and decrement the
-    /// live count; whoever retires or parks the last walker broadcasts
-    /// `Quiesce` so every blocked executor unblocks and returns. The
-    /// completion itself travels in a batch — flushed at
-    /// [`COMPLETION_BATCH`], before this executor blocks, and at exit —
-    /// so the walker is *counted* out immediately but *shipped* lazily.
-    fn finish(&self, wi: usize, walker: ShardWalker, parked_at: Option<usize>) {
-        let mut buf = self.done_buf.borrow_mut();
-        buf.push(Completion {
-            wi,
-            walker,
-            parked_at,
-        });
-        if buf.len() >= COMPLETION_BATCH {
-            let _ = self.done_tx.send(std::mem::take(&mut *buf));
-        }
-        drop(buf);
-        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
+    /// Count `n` walkers out of the round; whoever counts out the last
+    /// one broadcasts `Quiesce` so every blocked executor unblocks and
+    /// returns.
+    fn count_out(&self, n: usize) {
+        if n > 0 && self.active.fetch_sub(n, Ordering::AcqRel) == n {
             for tx in &self.txs {
                 let _ = tx.send(ExecMsg::Quiesce);
             }
         }
     }
 
-    /// Ship any buffered completions now. Must run before blocking on the
-    /// inbox (the session thread may be waiting on exactly these walkers)
-    /// and before the executor returns.
+    /// Queue a finished path for the session thread and count its walker
+    /// out. The path travels in a batch — flushed at [`COMPLETION_BATCH`],
+    /// before this executor blocks, and at exit — so the walker is
+    /// *counted* out immediately but *shipped* lazily.
+    fn retire(&self, wi: usize, path: Vec<VertexId>) {
+        let mut buf = self.done_buf.borrow_mut();
+        buf.push((wi, path));
+        if buf.len() >= COMPLETION_BATCH {
+            let _ = self.done_tx.send(std::mem::take(&mut *buf));
+        }
+        drop(buf);
+        self.count_out(1);
+    }
+
+    /// Ship any buffered paths now. Must run before blocking on the
+    /// inbox (the session thread may be waiting on exactly these paths
+    /// to move its watermark) and before the executor returns.
     fn flush_completions(&self) {
         let mut buf = self.done_buf.borrow_mut();
         if !buf.is_empty() {
@@ -759,150 +609,139 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Deliver an arrived batch into the destination lane, or park its
-/// walkers immediately when that lane's budget is already spent (the
-/// parked walkers keep the quiescence count honest — an exhausted lane
-/// can never strand a live walker).
-fn deliver(
-    ctx: &ExecCtx<'_>,
-    lanes: &mut [ExecLane<'_>],
-    shard: usize,
-    batch: Vec<(usize, ShardWalker)>,
-) {
+/// Deliver a batch into the destination lane's queue, draining `batch`.
+/// A spent lane will not step them this round, so they are counted out
+/// on arrival — an exhausted lane can never strand a counted-in walker.
+fn deliver(ctx: &ExecCtx<'_>, lanes: &mut [ExecLane<'_>], shard: usize, batch: &mut Vec<Record>) {
     let lane = &mut lanes[shard / ctx.threads];
     debug_assert_eq!(lane.shard, shard);
     if lane.attempts >= ctx.budget {
-        for (wi, walker) in batch {
-            ctx.finish(wi, walker, Some(shard));
-        }
-    } else {
-        lane.runq.extend(batch);
+        ctx.count_out(batch.len());
     }
+    lane.runq.extend(batch.drain(..));
 }
 
-/// Flush outbox entries: charge the transfer model, then either hand the
-/// batch to a remote executor's inbox or deliver it locally. With
-/// `force`, every non-empty destination flushes; otherwise only those at
-/// the flush budget.
+/// Flush the outbox bound for shard `t` as one coalesced batch: charge
+/// the transfer model, then queue it on `t`'s lane — directly when this
+/// executor owns it, through the owner's inbox (so the crossing overlaps
+/// with this executor's remaining compute) otherwise. Returns whether
+/// the walkers landed on one of this executor's own lanes.
+fn flush_to(
+    ctx: &ExecCtx<'_>,
+    lanes: &mut [ExecLane<'_>],
+    t: usize,
+    slot: &mut Vec<Record>,
+    stats: &mut ExecStats,
+) -> bool {
+    stats.transfers.charge(slot);
+    let owner = t % ctx.threads;
+    if owner == ctx.exec {
+        deliver(ctx, lanes, t, slot);
+        return true;
+    }
+    // A send only fails after the peer saw Quiesce, which can only happen
+    // once no walker can move — and this batch holds walkers still
+    // counted in, so the peer is still running.
+    let _ = ctx.txs[owner].send(ExecMsg::Batch {
+        shard: t,
+        walkers: std::mem::take(slot),
+    });
+    false
+}
+
+/// Flush every non-empty outbox, whatever its fill (the executor is out
+/// of local work). Returns whether any walker landed on its own lanes.
 fn flush_outbox(
     ctx: &ExecCtx<'_>,
     lanes: &mut [ExecLane<'_>],
-    outbox: &mut [Vec<(usize, ShardWalker)>],
-    stats: &mut ExecStats,
-    force: bool,
-) -> usize {
-    let mut delivered_local = 0usize;
-    for (t, slot) in outbox.iter_mut().enumerate() {
-        if slot.is_empty() || (!force && slot.len() < ctx.flush_budget) {
-            continue;
-        }
-        let batch = std::mem::take(slot);
-        stats.transfers.charge(batch.iter().map(|(_, wk)| wk));
-        if t % ctx.threads == ctx.exec {
-            delivered_local += batch.len();
-            deliver(ctx, lanes, t, batch);
-        } else {
-            // A send only fails after the peer saw Quiesce, which can
-            // only happen once no live walkers remain — and this batch
-            // holds live walkers, so the peer is still running.
-            let _ = ctx.txs[t % ctx.threads].send(ExecMsg::Batch {
-                shard: t,
-                walkers: batch,
-            });
-        }
-    }
-    delivered_local
-}
-
-/// Sweep one lane: step the queue head until retirement, hand-off, or
-/// the lane's per-advance budget. Crossings land in `outbox`; batches to
-/// *remote* executors flush inline at the budget so they overlap with
-/// this executor's remaining compute.
-fn sweep_lane(
-    ctx: &ExecCtx<'_>,
-    lane: &mut ExecLane<'_>,
-    outbox: &mut [Vec<(usize, ShardWalker)>],
+    outbox: &mut [Vec<Record>],
     stats: &mut ExecStats,
 ) -> bool {
+    let mut landed_here = false;
+    for (t, slot) in outbox.iter_mut().enumerate() {
+        if !slot.is_empty() {
+            landed_here |= flush_to(ctx, lanes, t, slot, stats);
+        }
+    }
+    landed_here
+}
+
+/// Sweep lane `i`: step the queue head until retirement, hand-off, or
+/// the lane's per-round budget. Crossings land in `outbox`, which
+/// flushes as soon as a destination reaches the flush budget. The
+/// engine's only step site.
+fn sweep_lane(
+    ctx: &ExecCtx<'_>,
+    lanes: &mut [ExecLane<'_>],
+    i: usize,
+    outbox: &mut [Vec<Record>],
+    stats: &mut ExecStats,
+) -> bool {
+    if lanes[i].attempts >= ctx.budget {
+        return false;
+    }
+    let (shard, graph) = (lanes[i].shard, lanes[i].graph);
     let env = VisitEnv {
-        graph: lane.graph,
+        graph,
         app: ctx.app,
         program: ctx.program,
     };
     let mut worked = false;
-    while lane.attempts < ctx.budget {
-        let Some((wi, wk)) = lane.runq.pop_front() else {
+    while lanes[i].attempts < ctx.budget {
+        let lane = &mut lanes[i];
+        let Some((_, wk)) = lane.runq.front_mut() else {
             break;
         };
         worked = true;
-        // The walker sits in `slot` while it steps; retirement and
-        // hand-off take it out, and anything left at the budget goes
-        // back to the queue head.
-        let mut slot = Some(wk);
-        while lane.attempts < ctx.budget {
-            let wk = slot.as_mut().expect("live walker");
-            lane.attempts += 1;
-            stats.steps += wk.visit(env, lane.stepper) as u64;
-            if wk.w.done {
-                ctx.finish(wi, slot.take().expect("live walker"), None);
-                break;
-            }
-            let t = ctx.sharded.owner_of(wk.w.st.cur);
-            if t != lane.shard {
-                if ctx.app.second_order() {
-                    if let Some(prev) = wk.w.st.prev {
-                        wk.prev_row = Some(lane.graph.neighbors(prev).to_vec());
-                    }
-                }
-                stats.hand_offs += 1;
-                let dst_exec = t % ctx.threads;
-                let wk = slot.take().expect("live walker");
-                outbox[t].push((wi, wk));
-                if dst_exec != ctx.exec && outbox[t].len() >= ctx.flush_budget {
-                    // Inline remote flush (no lane access needed): charge
-                    // and send so the destination can start immediately.
-                    let batch = std::mem::take(&mut outbox[t]);
-                    stats.transfers.charge(batch.iter().map(|(_, wk)| wk));
-                    let _ = ctx.txs[dst_exec].send(ExecMsg::Batch {
-                        shard: t,
-                        walkers: batch,
-                    });
-                }
-                break;
-            }
+        lane.attempts += 1;
+        stats.steps += wk.visit(env, lane.stepper) as u64;
+        if let Some(path) = wk.w.take_path() {
+            let (wi, _) = lane.runq.pop_front().expect("stepped the queue head");
+            ctx.retire(wi, path);
+            continue;
         }
-        if let Some(wk) = slot {
-            // Budget ran out mid-walk: the walker is still live.
-            lane.runq.push_front((wi, wk));
-            break;
+        let t = ctx.sharded.owner_of(wk.w.st.cur);
+        if t != shard {
+            // Hand-off. Second-order apps ship the previous vertex's row:
+            // it lives on this shard, not the destination.
+            if ctx.app.second_order() {
+                if let Some(prev) = wk.w.st.prev {
+                    wk.prev_row = Some(graph.neighbors(prev).to_vec());
+                }
+            }
+            stats.hand_offs += 1;
+            outbox[t].push(lane.runq.pop_front().expect("stepped the queue head"));
+            if outbox[t].len() >= ctx.flush_budget {
+                flush_to(ctx, lanes, t, &mut outbox[t], stats);
+            }
         }
     }
+    let lane = &lanes[i];
     if lane.attempts >= ctx.budget {
-        // Park everything left; later arrivals park in `deliver`.
-        while let Some((wi, wk)) = lane.runq.pop_front() {
-            ctx.finish(wi, wk, Some(lane.shard));
-        }
+        // Spent: what is still queued stays queued for the next round and
+        // leaves this round's count; later arrivals do so in `deliver`.
+        ctx.count_out(lane.runq.len());
     }
     worked
 }
 
-/// Executor body: pin, then loop { absorb arrivals, sweep local lanes,
-/// flush ready outboxes }; block on the inbox only when out of local
-/// work with everything flushed, and return on `Quiesce`.
+/// Executor body: loop { absorb arrivals, sweep local lanes }; block on
+/// the inbox only when out of local work with every outbox flushed, and
+/// return on `Quiesce`.
 ///
-/// Termination invariant: `active` counts walkers in run queues,
-/// outboxes and channels. Every retire/park decrements it exactly once,
-/// and `Quiesce` is broadcast only at zero — at which point no batch can
-/// be in flight anywhere, so returning immediately is safe.
+/// Termination invariant: `active` counts the walkers that can still
+/// move this round — those in run queues not yet counted out, in
+/// outboxes and in channels. A walker is counted out exactly once:
+/// when it retires, or when the lane holding it (or receiving it) has
+/// spent its budget. `Quiesce` is broadcast only at zero — at which point
+/// no batch can be in flight anywhere, so returning immediately is safe,
+/// and every walker still alive sits in a run queue for the next round.
 fn run_executor(
     ctx: ExecCtx<'_>,
     mut lanes: Vec<ExecLane<'_>>,
     rx: Receiver<ExecMsg>,
 ) -> ExecStats {
-    let mut stats = ExecStats {
-        pinned: affinity::pin_current_thread(ctx.exec),
-        ..ExecStats::default()
-    };
+    let mut stats = ExecStats::default();
     // Busy time: prefer the per-thread CPU clock — on a host with fewer
     // cores than executors a descheduled thread's *wall* clock keeps
     // running while a sibling executes, so wall-minus-blocked would
@@ -912,31 +751,28 @@ fn run_executor(
     let cpu_enter = thread_clock::now();
     let t_enter = Instant::now();
     let mut blocked_s = 0.0f64;
-    let mut outbox: Vec<Vec<(usize, ShardWalker)>> = (0..ctx.k).map(|_| Vec::new()).collect();
+    let mut outbox: Vec<Vec<Record>> = (0..ctx.sharded.k()).map(|_| Vec::new()).collect();
     'round: loop {
         // Absorb queued arrivals without blocking.
         loop {
             match rx.try_recv() {
-                Ok(ExecMsg::Batch { shard, walkers }) => deliver(&ctx, &mut lanes, shard, walkers),
+                Ok(ExecMsg::Batch { shard, mut walkers }) => {
+                    deliver(&ctx, &mut lanes, shard, &mut walkers)
+                }
                 Ok(ExecMsg::Quiesce) => break 'round,
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
         }
         let mut worked = false;
-        for lane in lanes.iter_mut() {
-            worked |= sweep_lane(&ctx, lane, &mut outbox, &mut stats);
-        }
-        // Budget-ready local batches deliver between sweeps; remote ones
-        // already flushed inline.
-        if flush_outbox(&ctx, &mut lanes, &mut outbox, &mut stats, false) > 0 {
-            worked = true;
+        for i in 0..lanes.len() {
+            worked |= sweep_lane(&ctx, &mut lanes, i, &mut outbox, &mut stats);
         }
         if !worked {
-            // Out of local work: force-flush stragglers, then block for
-            // arrivals (or the quiescence broadcast). Buffered completions
-            // ship first — the session thread may be waiting on exactly
-            // these walkers.
-            if flush_outbox(&ctx, &mut lanes, &mut outbox, &mut stats, true) > 0 {
+            // Out of local work: flush stragglers below the budget, then
+            // block for arrivals (or the quiescence broadcast). Buffered
+            // paths ship first — the session thread may be waiting on
+            // exactly these.
+            if flush_outbox(&ctx, &mut lanes, &mut outbox, &mut stats) {
                 continue;
             }
             ctx.flush_completions();
@@ -944,7 +780,9 @@ fn run_executor(
             let msg = rx.recv();
             blocked_s += t_block.elapsed().as_secs_f64();
             match msg {
-                Ok(ExecMsg::Batch { shard, walkers }) => deliver(&ctx, &mut lanes, shard, walkers),
+                Ok(ExecMsg::Batch { shard, mut walkers }) => {
+                    deliver(&ctx, &mut lanes, shard, &mut walkers)
+                }
                 Ok(ExecMsg::Quiesce) | Err(_) => break 'round,
             }
         }
@@ -957,10 +795,6 @@ fn run_executor(
     debug_assert!(
         outbox.iter().all(|b| b.is_empty()),
         "quiesce with live outbox"
-    );
-    debug_assert!(
-        lanes.iter().all(|l| l.runq.is_empty()),
-        "quiesce with live lane"
     );
     stats
 }
@@ -1025,15 +859,7 @@ mod tests {
         g.build_prefix_cache();
         let qs = QuerySet::n_queries(&g, 32, 10, 21);
         let nv = Node2Vec::paper_params();
-        let baseline = ShardedEngine::partition(
-            &g,
-            2,
-            ShardStrategy::Range,
-            &nv,
-            SamplerKind::InverseTransform,
-            11,
-        )
-        .run_collected(&qs);
+        let baseline = ReferenceEngine::new(&g, &nv, SamplerKind::InverseTransform, 11).run(&qs);
         for (k, flush) in [(2, 1), (3, 7), (4, 64)] {
             let engine = ShardedEngine::partition(
                 &g,
@@ -1055,15 +881,7 @@ mod tests {
         g.build_prefix_cache();
         let qs = QuerySet::n_queries(&g, 48, 10, 21);
         let nv = Node2Vec::paper_params();
-        let baseline = ShardedEngine::partition(
-            &g,
-            3,
-            ShardStrategy::Range,
-            &nv,
-            SamplerKind::InverseTransform,
-            11,
-        )
-        .run_collected(&qs);
+        let baseline = ReferenceEngine::new(&g, &nv, SamplerKind::InverseTransform, 11).run(&qs);
         for (threads, flush) in [(2, 1), (3, 7), (0, 64)] {
             let engine = ShardedEngine::partition(
                 &g,
@@ -1085,30 +903,40 @@ mod tests {
         let mut g = generators::rmat_dataset(8, 17);
         g.build_prefix_cache();
         let qs = QuerySet::n_queries(&g, 64, 16, 3);
-        let engine = ShardedEngine::partition(
-            &g,
-            4,
-            ShardStrategy::Range,
-            &Uniform,
-            SamplerKind::InverseTransform,
-            7,
-        )
-        .with_shard_threads(2)
-        .with_partition_note("partition built in memory");
-        let mut sink = lightrw_walker::CountingSink::default();
-        let mut session = engine.start_session(&qs);
-        while !session.finished() {
-            session.advance(256, &mut sink);
+        // (shard_threads, what the diagnostics must say): one executor
+        // runs on the calling thread and pins nothing.
+        for (threads, expect) in [(2, "threads=2"), (1, "threads=1 pinned=0")] {
+            let engine = ShardedEngine::partition(
+                &g,
+                4,
+                ShardStrategy::Range,
+                &Uniform,
+                SamplerKind::InverseTransform,
+                7,
+            )
+            .with_shard_threads(threads)
+            .with_partition_note("partition built in memory");
+            let cores_before = affinity::allowed_cores();
+            let mut sink = lightrw_walker::CountingSink::default();
+            let mut session = engine.start_session(&qs);
+            while !session.finished() {
+                session.advance(256, &mut sink);
+            }
+            assert_eq!(sink.paths, 64);
+            let diag = session.diagnostics().unwrap();
+            assert!(
+                diag.contains(expect) && diag.contains("compute-s="),
+                "{diag}"
+            );
+            assert!(diag.ends_with("partition built in memory"), "{diag}");
+            let model = session.model_seconds().unwrap();
+            assert!(model > 0.0, "compute time folds into model seconds");
+            assert_eq!(
+                affinity::allowed_cores(),
+                cores_before,
+                "shard_threads={threads} changed the calling thread's affinity"
+            );
         }
-        assert_eq!(sink.paths, 64);
-        let diag = session.diagnostics().unwrap();
-        assert!(
-            diag.contains("threads=2") && diag.contains("compute-s="),
-            "{diag}"
-        );
-        assert!(diag.ends_with("partition built in memory"), "{diag}");
-        let model = session.model_seconds().unwrap();
-        assert!(model > 0.0, "compute time folds into model seconds");
     }
 
     #[test]

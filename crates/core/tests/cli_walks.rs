@@ -2,8 +2,8 @@
 //! one seed, `lightrw_cli walk` writes the same corpus whichever software
 //! engine, lane count or shard count executes it.
 
-use std::path::Path;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn cli(args: &[&str]) {
     let out = Command::new(env!("CARGO_BIN_EXE_lightrw_cli"))
@@ -15,6 +15,24 @@ fn cli(args: &[&str]) {
         "lightrw_cli {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// Create `dir` and write an rmat graph of `scale` into it.
+fn generate_rmat(dir: &Path, scale: &str) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let graph = dir.join("g.bin");
+    cli(&[
+        "generate",
+        "--kind",
+        "rmat",
+        "--scale",
+        scale,
+        "--seed",
+        "3",
+        "-o",
+        graph.to_str().unwrap(),
+    ]);
+    graph
 }
 
 fn walk(graph: &Path, dir: &Path, name: &str, engine_args: &[&str]) -> String {
@@ -43,19 +61,7 @@ fn walk(graph: &Path, dir: &Path, name: &str, engine_args: &[&str]) -> String {
 #[test]
 fn walk_prints_identical_paths_on_every_software_engine() {
     let dir = std::env::temp_dir().join(format!("lightrw_cli_walks_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let graph = dir.join("g.bin");
-    cli(&[
-        "generate",
-        "--kind",
-        "rmat",
-        "--scale",
-        "8",
-        "--seed",
-        "3",
-        "-o",
-        graph.to_str().unwrap(),
-    ]);
+    let graph = generate_rmat(&dir, "8");
 
     let golden = walk(&graph, &dir, "reference.txt", &["--engine", "reference"]);
     assert_eq!(golden.lines().count(), 96);
@@ -68,9 +74,33 @@ fn walk_prints_identical_paths_on_every_software_engine() {
         ("cpu3.txt", &["--engine", "cpu", "--threads", "3"]),
         ("shards1.txt", &["--shards", "1"]),
         ("shards2.txt", &["--shards", "2"]),
+        ("shards2x2.txt", &["--shards", "2", "--shard-threads", "2"]),
+        ("shards3x0.txt", &["--shards", "3", "--shard-threads", "0"]),
     ] {
         let got = walk(&graph, &dir, name, engine_args);
         assert_eq!(got, golden, "{engine_args:?} changed the walks");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_exit_not_a_panic() {
+    // `lightrw_cli … | head -c 0`: the read end is dropped right after
+    // the spawn, long before the child has loaded the graph and walked
+    // it, so its result line meets a closed pipe. `println!` used to
+    // panic on that (exit 101, a backtrace on stderr).
+    let dir = std::env::temp_dir().join(format!("lightrw_cli_pipe_{}", std::process::id()));
+    let graph = generate_rmat(&dir, "10");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lightrw_cli"))
+        .args(["walk", graph.to_str().unwrap(), "--engine", "reference"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lightrw_cli");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for lightrw_cli");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -10,10 +10,10 @@
 //! (highest-degree) vertices with zero preprocessing — the paper's contrast
 //! with reordering/partitioning approaches.
 //!
-//! Three policies are modelled for Fig. 11, plus a set-associative LRU
-//! variant beyond the paper (no experiment uses it yet):
-//! [`CachePolicy::DegreeAware`], [`CachePolicy::AlwaysReplace`] (a plain
-//! direct-mapped cache, "DMC"), and [`CachePolicy::None`] (uncached).
+//! The cache is direct-mapped, as the paper's is (§5.1, Fig. 5), under the
+//! three policies of Fig. 11: [`CachePolicy::DegreeAware`],
+//! [`CachePolicy::AlwaysReplace`] (a plain direct-mapped cache, "DMC"),
+//! and [`CachePolicy::None`] (uncached).
 
 use lightrw_graph::VertexId;
 
@@ -24,9 +24,6 @@ pub enum CachePolicy {
     DegreeAware,
     /// Always replace on miss: classic direct-mapped cache (DMC).
     AlwaysReplace,
-    /// LRU within a set (meaningful for associativity > 1); with
-    /// associativity 1 it degenerates to [`CachePolicy::AlwaysReplace`].
-    Lru,
     /// No cache: every access misses (the "Uncached" series of Fig. 11).
     None,
 }
@@ -37,7 +34,6 @@ impl CachePolicy {
         match self {
             Self::DegreeAware => "DAC",
             Self::AlwaysReplace => "DMC",
-            Self::Lru => "LRU",
             Self::None => "uncached",
         }
     }
@@ -57,8 +53,6 @@ struct Line {
     tag: u32,
     addr: u64,
     degree: u32,
-    /// LRU stamp within the set.
-    stamp: u64,
     valid: bool,
 }
 
@@ -67,7 +61,6 @@ impl Line {
         tag: 0,
         addr: 0,
         degree: 0,
-        stamp: 0,
         valid: false,
     };
 }
@@ -104,35 +97,24 @@ impl CacheStats {
 
 /// The on-chip cache over `{address, degree}` row entries.
 ///
-/// Capacity = `2^index_bits * associativity` entries; the paper's
-/// evaluation uses 2^12 entries in URAM (§6.3.1).
+/// Capacity = `2^index_bits` entries; the paper's evaluation uses 2^12
+/// entries in URAM (§6.3.1).
 #[derive(Debug, Clone)]
 pub struct RowCache {
     policy: CachePolicy,
     index_bits: u32,
-    assoc: usize,
     lines: Vec<Line>,
-    clock: u64,
     stats: CacheStats,
 }
 
 impl RowCache {
     /// Direct-mapped cache with `2^index_bits` entries under `policy`.
     pub fn direct_mapped(policy: CachePolicy, index_bits: u32) -> Self {
-        Self::set_associative(policy, index_bits, 1)
-    }
-
-    /// Set-associative cache: `2^index_bits` sets × `assoc` ways.
-    pub fn set_associative(policy: CachePolicy, index_bits: u32, assoc: usize) -> Self {
-        assert!(assoc >= 1);
         assert!(index_bits < 28, "cache too large to model");
-        let sets = 1usize << index_bits;
         Self {
             policy,
             index_bits,
-            assoc,
-            lines: vec![Line::INVALID; sets * assoc],
-            clock: 0,
+            lines: vec![Line::INVALID; 1usize << index_bits],
             stats: CacheStats::default(),
         }
     }
@@ -160,69 +142,33 @@ impl RowCache {
         v: VertexId,
         fetch: impl FnOnce() -> (u64, u32),
     ) -> (CacheOutcome, u64, u32) {
-        self.clock += 1;
-        if matches!(self.policy, CachePolicy::None) {
-            self.stats.misses += 1;
-            let (addr, degree) = fetch();
-            return (CacheOutcome::Miss, addr, degree);
-        }
-        let sets = 1usize << self.index_bits;
-        let set = (v as usize) & (sets - 1);
         let tag = v >> self.index_bits;
-        let base = set * self.assoc;
-        let ways = &mut self.lines[base..base + self.assoc];
-
-        // Probe all ways (parallel tag compare in hardware, Fig. 5 step b).
-        if let Some(way) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            way.stamp = self.clock;
+        let line = &mut self.lines[(v as usize) & ((1usize << self.index_bits) - 1)];
+        // Tag compare (Fig. 5 step b). An uncached model never installs
+        // a line, so it never passes this.
+        if line.valid && line.tag == tag {
             self.stats.hits += 1;
-            return (CacheOutcome::Hit, way.addr, way.degree);
+            return (CacheOutcome::Hit, line.addr, line.degree);
         }
 
         // Miss: fetch from DRAM, then decide replacement.
         self.stats.misses += 1;
         let (addr, degree) = fetch();
-        let incoming = Line {
-            tag,
-            addr,
-            degree,
-            stamp: self.clock,
-            valid: true,
+        let install = match self.policy {
+            // Replace the resident only if the incoming degree is
+            // strictly higher (Fig. 5 step e); an invalid line always
+            // fills.
+            CachePolicy::DegreeAware => !line.valid || degree > line.degree,
+            CachePolicy::AlwaysReplace => true,
+            CachePolicy::None => false,
         };
-        // Invalid way first, regardless of policy.
-        if let Some(slot) = ways.iter_mut().find(|l| !l.valid) {
-            *slot = incoming;
-            return (CacheOutcome::Miss, addr, degree);
-        }
-        match self.policy {
-            CachePolicy::DegreeAware => {
-                // Replace the lowest-degree resident, and only if the
-                // incoming degree is strictly higher (Fig. 5 step e).
-                let victim = ways
-                    .iter_mut()
-                    .min_by_key(|l| l.degree)
-                    .expect("non-empty set");
-                if degree > victim.degree {
-                    *victim = incoming;
-                }
-            }
-            CachePolicy::AlwaysReplace => {
-                // Direct-mapped semantics: replace the (single) resident;
-                // with assoc > 1, replace the oldest.
-                let victim = ways
-                    .iter_mut()
-                    .min_by_key(|l| l.stamp)
-                    .expect("non-empty set");
-                *victim = incoming;
-            }
-            CachePolicy::Lru => {
-                let victim = ways
-                    .iter_mut()
-                    .min_by_key(|l| l.stamp)
-                    .expect("non-empty set");
-                *victim = incoming;
-            }
-            CachePolicy::None => unreachable!(),
+        if install {
+            *line = Line {
+                tag,
+                addr,
+                degree,
+                valid: true,
+            };
         }
         (CacheOutcome::Miss, addr, degree)
     }
@@ -235,7 +181,6 @@ impl RowCache {
     /// Clear contents and statistics.
     pub fn reset(&mut self) {
         self.lines.fill(Line::INVALID);
-        self.clock = 0;
         self.stats = CacheStats::default();
     }
 }
@@ -316,35 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_set_associative_retains_recent() {
-        let mut c = RowCache::set_associative(CachePolicy::Lru, 0, 2); // 1 set, 2 ways
-        c.lookup(1, || (0, 0));
-        c.lookup(2, || (0, 0));
-        c.lookup(1, || panic!("1 should hit")); // refresh 1
-        c.lookup(3, || (0, 0)); // evicts 2 (oldest)
-        let (o, _, _) = c.lookup(1, || panic!("1 evicted"));
-        assert_eq!(o, CacheOutcome::Hit);
-        let (o, _, _) = c.lookup(2, || (0, 0));
-        assert_eq!(o, CacheOutcome::Miss);
-    }
-
-    #[test]
-    fn degree_aware_set_associative_replaces_min_degree_way() {
-        let mut c = RowCache::set_associative(CachePolicy::DegreeAware, 0, 2);
-        c.lookup(1, || (0, 30));
-        c.lookup(2, || (0, 70));
-        // New entry with degree 50: replaces the degree-30 way, keeps 70.
-        c.lookup(3, || (0, 50));
-        assert_eq!(c.lookup(2, || panic!("70 evicted")).0, CacheOutcome::Hit);
-        assert_eq!(
-            c.lookup(3, || panic!("50 not installed")).0,
-            CacheOutcome::Hit
-        );
-        let (o, _, _) = c.lookup(1, || (0, 30));
-        assert_eq!(o, CacheOutcome::Miss);
-    }
-
-    #[test]
     fn stats_ratios() {
         let mut c = RowCache::direct_mapped(CachePolicy::AlwaysReplace, 4);
         c.lookup(0, || fetch_for(0));
@@ -371,6 +287,5 @@ mod tests {
         assert_eq!(CachePolicy::DegreeAware.name(), "DAC");
         assert_eq!(CachePolicy::AlwaysReplace.name(), "DMC");
         assert_eq!(CachePolicy::None.name(), "uncached");
-        assert_eq!(CachePolicy::Lru.name(), "LRU");
     }
 }

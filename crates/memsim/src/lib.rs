@@ -12,8 +12,7 @@
 //!   `⌊c/S1⌋` long bursts plus `⌈rem/S2⌉` short bursts, with the
 //!   valid-data-ratio accounting of Fig. 6/12.
 //! - [`cache`] — the degree-aware cache (§5.1) together with the
-//!   direct-mapped (DMC) and uncached baselines of Fig. 11, plus a
-//!   set-associative LRU variant for the extension ablations.
+//!   direct-mapped (DMC) and uncached baselines of Fig. 11.
 //! - [`bandwidth`] — the Fig. 6 sweep: measured bandwidth and valid-data
 //!   ratio across burst-length configurations, computed from a real graph's
 //!   degree distribution.

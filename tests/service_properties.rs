@@ -367,7 +367,7 @@ proptest! {
         // same adversarial schedules as the CPU lanes above: a random
         // shard count, a random hand-off flush budget, a random executor
         // thread count (0 = one pinned executor per shard, 1 = the
-        // sequential interleave, 2..4 = shards folded onto fewer
+        // loop on the calling thread, 2..4 = shards folded onto fewer
         // executors with racy channel batch arrival), a random
         // advance-budget sequence and an optional mid-flight cancel must
         // preserve exactly-once id-ordered emission — here the

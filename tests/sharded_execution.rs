@@ -9,9 +9,10 @@
 //! - **Partition independence**: shard count, partition strategy and
 //!   flush budget never change sampled walks, because every walker owns
 //!   a private RNG stream that travels with it across hand-offs.
-//! - **Schedule independence**: parallel pinned executors
-//!   (`with_shard_threads`) reproduce the sequential interleave bit for
-//!   bit for every app × sampler kind, whatever the thread count.
+//! - **Schedule independence**: the executor loop reproduces the
+//!   walker-at-a-time `ReferenceEngine::run` oracle bit for bit for
+//!   every app × sampler kind, whatever the thread count
+//!   (`with_shard_threads`).
 //! - **Packed round-trip**: a partition loaded from an `LRWPAK01` file
 //!   (plain or varint-compressed columns) drives the engine to the same
 //!   walks as an in-memory partition of the same graph.
@@ -66,15 +67,13 @@ fn partition_strategy_shard_count_and_flush_budget_never_change_walks() {
     // *where* each vertex lives and *when* migrants flush — pin it
     // across both partition strategies, several shard counts and flush
     // budgets, for a second-order app (hand-offs carry prev-row
-    // payloads). The baseline is k = 2, the smallest partition with
-    // migrating walkers.
+    // payloads). The baseline is the reference oracle, which shares
+    // nothing with the lanes but the step kernel.
     let mut g = generators::rmat_dataset(8, 14);
     g.build_prefix_cache();
     let nv = Node2Vec::paper_params();
     let qs = QuerySet::n_queries(&g, 48, 12, 5);
-    let baseline =
-        ShardedEngine::partition(&g, 2, ShardStrategy::Range, &nv, SamplerKind::Alias, 13)
-            .run_collected(&qs);
+    let baseline = ReferenceEngine::new(&g, &nv, SamplerKind::Alias, 13).run(&qs);
     for strategy in [
         ShardStrategy::Range,
         ShardStrategy::Fennel,
@@ -95,14 +94,14 @@ fn partition_strategy_shard_count_and_flush_budget_never_change_walks() {
 }
 
 #[test]
-fn parallel_executors_are_bit_identical_to_the_sequential_interleave() {
-    // The tentpole contract: real per-shard executor threads may retire
-    // walkers and deliver hand-off batches in any order, yet the sampled
-    // walks must equal the single-thread interleave exactly — for every
-    // app × sampler kind, because each walker's RNG stream is a pure
-    // function of its query, not of the schedule. threads=2 folds three
-    // shards onto two executors (one runs two lanes); threads=0 pins one
-    // executor per shard.
+fn parallel_executors_are_bit_identical_to_the_reference_engine() {
+    // Executors may retire walkers and deliver hand-off batches in any
+    // order, yet the sampled walks must equal the walker-at-a-time
+    // oracle exactly — for every app × sampler kind, because each
+    // walker's RNG stream is a pure function of its query, not of the
+    // schedule. threads=1 runs all three lanes on the calling thread;
+    // threads=2 folds three shards onto two executors (one runs two
+    // lanes); threads=0 pins one executor per shard.
     let mut g = generators::rmat_dataset(8, 14);
     g.build_prefix_cache();
     let mp = MetaPath::new(vec![0, 1, 0, 1, 0]);
@@ -112,16 +111,15 @@ fn parallel_executors_are_bit_identical_to_the_sequential_interleave() {
 
     for app in apps {
         for kind in ALL_SAMPLERS {
-            let sequential = ShardedEngine::partition(&g, 3, ShardStrategy::Range, app, kind, 21)
-                .run_collected(&qs);
-            for threads in [2, 0] {
+            let reference = ReferenceEngine::new(&g, app, kind, 21).run(&qs);
+            for threads in [1, 2, 0] {
                 let engine = ShardedEngine::partition(&g, 3, ShardStrategy::Range, app, kind, 21)
                     .with_shard_threads(threads);
                 let got = engine.run_collected(&qs);
                 assert_eq!(
                     got,
-                    sequential,
-                    "parallel schedule changed walks: {} / {} threads={threads}",
+                    reference,
+                    "executor schedule changed walks: {} / {} threads={threads}",
                     app.name(),
                     kind.name()
                 );
