@@ -278,11 +278,13 @@ fn cmd_convert(args: &Args) -> Result<String, String> {
 /// A loaded graph plus its provenance: `relabeling` maps a pack-time
 /// degree renumbering back to original vertex ids (so emitted walks can
 /// be translated), `mapped` is true when the CSR sections borrow an
-/// mmap region instead of living on the heap.
+/// mmap region instead of living on the heap, `partitioned` when the
+/// file is a packed one that carries a shard partition.
 struct LoadedGraph {
     graph: Graph,
     relabeling: Option<Relabeling>,
     mapped: bool,
+    partitioned: bool,
 }
 
 /// Load any graph the CLI accepts: a classic CSR image, or a packed
@@ -306,6 +308,7 @@ fn load_graph_spec(spec: &str, in_memory: bool) -> Result<LoadedGraph, String> {
         let p = packed::load_packed(path, mode).map_err(|e| e.to_string())?;
         Ok(LoadedGraph {
             mapped: p.mapped,
+            partitioned: p.shard_meta.is_some(),
             relabeling: p.relabeling,
             graph: p.graph,
         })
@@ -315,6 +318,7 @@ fn load_graph_spec(spec: &str, in_memory: bool) -> Result<LoadedGraph, String> {
             graph,
             relabeling: None,
             mapped: false,
+            partitioned: false,
         })
     }
 }
@@ -628,7 +632,10 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
     // A sharded backend over a file that was packed with a matching
     // partition runs straight off the file's shard sections (mmap-cheap:
     // shard rows are served zero-copy) instead of re-partitioning the
-    // loaded graph in memory.
+    // loaded graph in memory. A file with no partition to load — not a
+    // packed one, or packed without `--shards` — is partitioned in
+    // memory by `Backend::build`; a partition that is there and does not
+    // load is an error, not a reason to build another.
     let mut shard_source = String::new();
     let engine: Box<dyn WalkEngine + '_> = match backend {
         Backend::Sharded {
@@ -637,7 +644,7 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
             sampler,
             flush_budget,
             shard_threads,
-        } => {
+        } if loaded.partitioned => {
             let spec = args.positional.first().unwrap();
             let path = spec.strip_prefix("packed:").unwrap_or(spec);
             let mode = if args.flag("in-memory") {
@@ -650,10 +657,9 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
             // file carries.
             let shards_pinned = args.get("shards").is_some();
             let strategy_pinned = args.get("strategy").is_some();
-            match packed::load_packed_sharded(path, mode) {
-                Ok(p)
-                    if (!shards_pinned || p.sharded.k() == shards)
-                        && (!strategy_pinned || p.sharded.strategy == strategy) =>
+            match packed::load_packed_sharded(path, mode).map_err(|e| e.to_string())? {
+                p if (!shards_pinned || p.sharded.k() == shards)
+                    && (!strategy_pinned || p.sharded.strategy == strategy) =>
                 {
                     shard_source = ", shard partition from file".into();
                     Box::new(
@@ -662,7 +668,7 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
                             .with_shard_threads(shard_threads),
                     )
                 }
-                Ok(p) => {
+                p => {
                     // The file's persisted partition contradicts the
                     // request. Rebuilding in memory silently would walk a
                     // partition the user never asked to pay for, so this
@@ -698,7 +704,6 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
                         )),
                     )
                 }
-                Err(_) => backend.build(&g, app.as_ref(), seed),
             }
         }
         _ => backend.build(&g, app.as_ref(), seed),
@@ -1136,9 +1141,9 @@ enum ClientOutcome {
     Shed { status: u16 },
 }
 
-/// Submit one job over HTTP and audit its NDJSON stream: every `path`
-/// event must carry the next ascending query id, and a `done` event
-/// must close the stream with a matching path count.
+/// Submit one job over HTTP and audit its NDJSON stream
+/// ([`crate::http::wire::audit_stream`]); a completed job must have
+/// streamed a path for every query.
 fn client_submit_one(addr: &str, body: &str, queries: usize) -> Result<ClientOutcome, String> {
     use crate::http::wire;
     use std::io::Write as _;
@@ -1176,60 +1181,11 @@ fn client_submit_one(addr: &str, body: &str, queries: usize) -> Result<ClientOut
             String::from_utf8_lossy(&resp.body).trim()
         ));
     }
-    let text = std::str::from_utf8(&resp.body).map_err(|_| "stream is not UTF-8".to_string())?;
-    let mut next_query = 0usize;
-    let mut done: Option<(String, usize)> = None;
-    for line in text.lines() {
-        if line.starts_with("{\"event\": \"path\"") {
-            if done.is_some() {
-                return Err("path event after the done summary".into());
-            }
-            let want = format!("{{\"event\": \"path\", \"query\": {next_query}, ");
-            if !line.starts_with(&want) {
-                return Err(format!(
-                    "out-of-order or duplicated path (expected query {next_query}): {line}"
-                ));
-            }
-            next_query += 1;
-        } else if line.starts_with("{\"event\": \"done\"") {
-            let status = extract_json_str(line, "status")
-                .ok_or_else(|| format!("done event without a status: {line}"))?;
-            let paths = extract_json_uint(line, "paths")
-                .ok_or_else(|| format!("done event without a path count: {line}"))?;
-            done = Some((status, paths));
-        }
-    }
-    let Some((status, paths)) = done else {
-        return Err("stream ended without a done summary".into());
-    };
-    if paths != next_query {
-        return Err(format!(
-            "done summary claims {paths} paths but {next_query} were streamed"
-        ));
-    }
+    let (status, paths) = wire::audit_stream(&resp.body)?;
     if status == "completed" && paths != queries {
         return Err(format!("completed job streamed {paths} of {queries} paths"));
     }
     Ok(ClientOutcome::Done { status, paths })
-}
-
-/// Pull `"key": "value"` out of a single-line JSON object.
-fn extract_json_str(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": \"");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Pull `"key": 123` out of a single-line JSON object.
-fn extract_json_uint(line: &str, key: &str) -> Option<usize> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 /// `client`: drive a running `serve --listen` front door — submit every
@@ -1894,6 +1850,36 @@ mod tests {
         )
         .unwrap();
         assert!(ok.contains("shard partition from file"), "{ok}");
+    }
+
+    #[test]
+    fn a_damaged_packed_partition_is_an_error_not_a_silent_rebuild() {
+        let packed_path = tmp("damaged_partition.lrwpak");
+        run(
+            "graph",
+            &parse(&["pack", "rmat:10:7", "--shards", "2", "-o", &packed_path]),
+        )
+        .unwrap();
+        let args = parse(&[&packed_path, "--shards", "2", "--queries", "8"]);
+        let walk = || run("walk", &args);
+        let ok = walk().unwrap();
+        assert!(ok.contains("shard partition from file"), "{ok}");
+
+        // Shorten the cut section's table entry by one cut: the flat
+        // loader does not read it, the sharded loader refuses it. Header
+        // words are `magic version flags n m count`, then `count` entries
+        // of `id offset len`.
+        let mut bytes = std::fs::read(&packed_path).unwrap();
+        let word =
+            |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let mut entries = (0..word(&bytes, 40) as usize).map(|i| 48 + 24 * i);
+        let cuts = entries.find(|&at| word(&bytes, at) == 9).unwrap();
+        let len = word(&bytes, cuts + 16) - 4;
+        bytes[cuts + 16..cuts + 24].copy_from_slice(&len.to_le_bytes());
+        std::fs::write(&packed_path, bytes).unwrap();
+        let err = walk().unwrap_err();
+        assert!(err.starts_with("corrupt binary graph at byte "), "{err}");
+        assert!(err.contains("shard cut section has wrong size"), "{err}");
     }
 
     #[test]

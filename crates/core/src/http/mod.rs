@@ -25,7 +25,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`wire`] | HTTP/1.1 request parsing, response/chunked writing, a tiny client-side response reader |
+//! | [`wire`] | HTTP/1.1 request parsing, response/chunked writing, a tiny client-side response reader and the NDJSON stream audit |
 //! | [`admission`] | token buckets, queue high-water mark, shed verdicts |
 //! | [`server`] | the serve loop: scheduler thread + accept/handler threads, graceful drain |
 //!

@@ -44,8 +44,9 @@ use lightrw_walker::service::ServiceStats;
 use lightrw_walker::{JobId, JobReport, JobStatus, ServiceConfig, WalkEngine, WalkService};
 
 use super::admission::{Admission, AdmissionConfig, ShedReason, Verdict};
-use super::wire::{json_escape, read_request, ChunkedWriter, ReadOutcome, Request, WireError};
+use super::wire::{read_request, ChunkedWriter, ReadOutcome, Request};
 use crate::jobspec::{self, TraceJob};
+use crate::json;
 
 /// Everything the serve loop needs to know.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -485,7 +486,7 @@ fn handle_connection(stream: TcpStream, tx: Sender<Msg>, io_timeout: Duration) {
                 // Malformed input: answer with its well-formed 4xx and
                 // close — after a framing error the byte stream cannot
                 // be trusted to resynchronize.
-                let _ = write_error(&mut stream, &err);
+                write_error(&mut stream, err.status, err.reason, &err.body(), false);
                 return;
             }
             Ok(ReadOutcome::Request(req)) => {
@@ -498,16 +499,18 @@ fn handle_connection(stream: TcpStream, tx: Sender<Msg>, io_timeout: Duration) {
     }
 }
 
-fn write_error(stream: &mut TcpStream, err: &WireError) -> std::io::Result<()> {
-    super::wire::write_response(
-        stream,
-        err.status,
-        err.reason,
-        &[],
-        "application/json",
-        err.body().as_bytes(),
-        false,
-    )
+/// Write an error response around a JSON `body`; whether the write went
+/// through.
+fn write_error(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    body: &str,
+    keep_alive: bool,
+) -> bool {
+    let (extra, json) = (&[], "application/json");
+    let body = body.as_bytes();
+    super::wire::write_response(stream, status, reason, extra, json, body, keep_alive).is_ok()
 }
 
 /// Route one request. Returns whether the connection may be kept alive
@@ -517,33 +520,15 @@ fn dispatch(stream: &mut TcpStream, req: &Request, tx: &Sender<Msg>) -> bool {
         ("POST", "/jobs") => post_job(stream, req, tx),
         ("GET", "/stats") => get_stats(stream, tx),
         (_, "/jobs") | (_, "/stats") => {
-            let body = "{\"error\": \"method not allowed\"}\n";
-            super::wire::write_response(
-                stream,
-                405,
-                "Method Not Allowed",
-                &[],
-                "application/json",
-                body.as_bytes(),
-                true,
-            )
-            .is_ok()
+            let body = json::error_body("method not allowed");
+            write_error(stream, 405, "Method Not Allowed", &body, true)
         }
         _ => {
-            let body = format!(
-                "{{\"error\": \"no such endpoint {}; use POST /jobs or GET /stats\"}}\n",
-                json_escape(&req.target)
-            );
-            super::wire::write_response(
-                stream,
-                404,
-                "Not Found",
-                &[],
-                "application/json",
-                body.as_bytes(),
-                true,
-            )
-            .is_ok()
+            let body = json::error_body(&format!(
+                "no such endpoint {}; use POST /jobs or GET /stats",
+                req.target
+            ));
+            write_error(stream, 404, "Not Found", &body, true)
         }
     }
 }
@@ -569,7 +554,7 @@ fn get_stats(stream: &mut TcpStream, tx: &Sender<Msg>) -> bool {
 }
 
 fn service_unavailable(stream: &mut TcpStream, why: &str) -> bool {
-    let body = format!("{{\"error\": \"{}\"}}\n", json_escape(why));
+    let body = json::error_body(why);
     let _ = super::wire::write_response(
         stream,
         503,
@@ -588,19 +573,7 @@ fn post_job(stream: &mut TcpStream, req: &Request, tx: &Sender<Msg>) -> bool {
         .and_then(jobspec::parse_job);
     let job = match job {
         Ok(job) => job,
-        Err(e) => {
-            let body = format!("{{\"error\": \"{}\"}}\n", json_escape(&e));
-            return super::wire::write_response(
-                stream,
-                400,
-                "Bad Request",
-                &[],
-                "application/json",
-                body.as_bytes(),
-                true,
-            )
-            .is_ok();
-        }
+        Err(e) => return write_error(stream, 400, "Bad Request", &json::error_body(&e), true),
     };
     let (reply, events) = std::sync::mpsc::channel();
     if tx.send(Msg::Submit { job, reply }).is_err() {
@@ -865,6 +838,12 @@ mod tests {
         ]);
         assert_eq!(body, expect);
         assert_eq!(writes, 2, "head, then everything queued in one write");
+        // The lines are `format!`ed, not built from a tree: the reader
+        // is what shows they are JSON.
+        let read = body.lines().map(|line| json::parse(line, "the line"));
+        let read: Vec<json::Value> = read.collect::<Result<_, _>>().unwrap();
+        let done = &read[5];
+        assert_eq!(done.get("exec_ms"), Some(&json::Value::Number(1.135)));
     }
 
     #[test]
@@ -938,5 +917,18 @@ mod tests {
         sched.handle(Msg::Stats { reply: tx });
         let stats = rx.try_recv().unwrap();
         assert!(stats.contains("\"completed_jobs\": 1,\n  \"tracked_jobs\": 0,"));
+        // `/stats` is `format!`ed too; the reader shows it is JSON, here
+        // and for a service that has no latency sample to report yet.
+        let doc = json::parse(&stats, "the document").unwrap();
+        let Some(json::Value::Array(tenants)) = doc.get("tenants") else {
+            panic!("no tenants array in {doc:?}");
+        };
+        assert_eq!(tenants[0].get("completed").unwrap().as_uint(9), Ok(1));
+        let idle = scheduler(&engine, &g);
+        let stats = stats_json(&idle.service.stats(), &idle.admission, true);
+        let doc = json::parse(&stats, "the document").unwrap();
+        assert_eq!(doc.get("draining"), Some(&json::Value::Bool(true)));
+        assert_eq!(doc.get("p99_latency_s"), Some(&json::Value::Number(0.0)));
+        assert_eq!(doc.get("tenants"), Some(&json::Value::Array(Vec::new())));
     }
 }

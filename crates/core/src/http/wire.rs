@@ -24,10 +24,13 @@
 //! and terminator — in **one** write: the sockets run with `TCP_NODELAY`,
 //! so each write is a segment, and a frame dribbled out in pieces would
 //! cost a syscall and a packet per piece. [`read_response`] is the
-//! matching client-side decoder — the CLI `client` subcommand and the
-//! integration tests audit exactly-once emission through it.
+//! matching client-side decoder and [`audit_stream`] the check of what it
+//! decoded — the CLI `client` subcommand and the integration tests audit
+//! exactly-once emission through the two.
 
 use std::io::{BufRead, Read, Write};
+
+use crate::json::{self, Value};
 
 /// Longest accepted request line, bytes (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -93,27 +96,8 @@ impl WireError {
 
     /// The JSON error body every rejection carries.
     pub fn body(&self) -> String {
-        format!("{{\"error\": \"{}\"}}\n", json_escape(&self.message))
+        json::error_body(&self.message)
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Read one line (up to `\n`) with a hard byte cap. `Ok(None)` on clean
@@ -576,6 +560,49 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, String> {
     })
 }
 
+/// Audit the NDJSON body of a `200` answer to `POST /jobs` — the
+/// session contract as it must arrive on the wire: every line is a JSON
+/// object, the `path` events carry query ids 0, 1, 2, … with none after
+/// the `done` event, and `done` counts exactly the paths streamed.
+/// Returns `done`'s `(status, paths)`, or the violation.
+pub fn audit_stream(body: &[u8]) -> Result<(String, usize), String> {
+    let text = std::str::from_utf8(body).map_err(|_| "stream is not UTF-8".to_string())?;
+    let uint = |event: &Value, key: &str| event.get(key)?.as_uint(u32::MAX as u64).ok();
+    let mut next_query = 0u64;
+    let mut done = None;
+    for line in text.lines() {
+        let event = json::parse(line, "the event")
+            .map_err(|e| format!("malformed event line {line:?}: {e}"))?;
+        match event.get("event").and_then(Value::as_str) {
+            Some("path") if done.is_some() => {
+                return Err("path event after the done summary".into())
+            }
+            Some("path") if uint(&event, "query") != Some(next_query) => {
+                return Err(format!(
+                    "out-of-order or duplicated path (expected query {next_query}): {line}"
+                ))
+            }
+            Some("path") => next_query += 1,
+            Some("done") => {
+                let status = event.get("status").and_then(Value::as_str);
+                let status =
+                    status.ok_or_else(|| format!("done event without a status: {line}"))?;
+                let paths = uint(&event, "paths")
+                    .ok_or_else(|| format!("done event without a path count: {line}"))?;
+                done = Some((status.to_string(), paths));
+            }
+            _ => {}
+        }
+    }
+    let (status, paths) = done.ok_or("stream ended without a done summary")?;
+    if paths != next_query {
+        return Err(format!(
+            "done summary claims {paths} paths but {next_query} were streamed"
+        ));
+    }
+    Ok((status, paths as usize))
+}
+
 /// A writer that counts the `write` calls it sees: one per frame is
 /// the whole point of the response path (the socket has
 /// `TCP_NODELAY`, so every call is a syscall and a segment).
@@ -949,10 +976,38 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_covers_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny\t\r"), "x\\ny\\t\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn audit_stream_names_each_violation() {
+        let p = |q: u32| format!("{{\"event\": \"path\", \"query\": {q}, \"path\": [1,2]}}\n");
+        let d = |n: u32| {
+            format!("{{\"event\": \"done\", \"status\": \"cancelled\", \"paths\": {n}}}\n")
+        };
+        let admitted = "{\"event\": \"admitted\", \"job\": 3}\n".to_string();
+        let audit = |lines: &[String]| audit_stream(lines.concat().as_bytes());
+        let ok = Ok(("cancelled".to_string(), 2));
+        assert_eq!(audit(&[admitted.clone(), p(0), p(1), d(2)]), ok);
+        for (bad, needle) in [
+            (vec![p(0), p(0), d(2)], "expected query 1"),
+            (vec![p(1), d(1)], "expected query 0"),
+            (vec![p(0), d(2)], "claims 2 paths but 1 were"),
+            (vec![p(0), d(1), p(1)], "after the done summary"),
+            (vec![admitted, p(0)], "without a done summary"),
+            (
+                vec![p(0), d(1).replace("paths", "steps")],
+                "without a path count",
+            ),
+            (
+                vec![p(0), d(1).replace("status", "state")],
+                "without a status",
+            ),
+            (
+                vec![p(0), p(1).replace(']', ""), d(2)],
+                "malformed event line",
+            ),
+        ] {
+            let err = audit(&bad).unwrap_err();
+            assert!(err.contains(needle), "{bad:?}: {err}");
+        }
+        assert!(audit_stream(b"\xff").unwrap_err().contains("UTF-8"));
     }
 
     // --- property tests: the parser never panics and every rejection is
@@ -972,6 +1027,10 @@ mod tests {
                 // The escaper must leave no raw quotes/controls inside.
                 let inner = &body[11..body.len() - 3];
                 assert!(!inner.bytes().any(|b| b == b'\n' || b < 0x20));
+                // And the one reader gives the message back.
+                let doc = json::parse(&body, "the error body").unwrap();
+                let read = doc.get("error").and_then(Value::as_str);
+                assert_eq!(read, Some(err.message.as_str()));
             }
         }
     }

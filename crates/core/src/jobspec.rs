@@ -40,16 +40,17 @@
 //! and malformed programs (unknown kind or key, α outside `(0, 1]`,
 //! `max = 0`) fail with the program parser's actionable messages.
 //!
-//! The vendored `serde_json` stand-in only serializes (see DESIGN.md §4),
-//! so parsing is a small recursive-descent reader over exactly the JSON
-//! subset above — objects, arrays, numbers, strings, booleans and null —
-//! with line-precise errors. [`synthetic_trace`] generates the homogeneous
-//! traces the CI soak replays.
+//! The JSON text itself is [`crate::json`]'s business: this module maps
+//! the value tree it reads onto [`Trace`] and [`TraceJob`], and writes
+//! the two documents it reads back. [`synthetic_trace`] generates the
+//! homogeneous traces the CI soak replays.
 
 use std::fmt::Write as _;
 
 use lightrw_graph::Graph;
 use lightrw_walker::{JobSpec, QuerySet, WalkProgram};
+
+use crate::json::{self, Value};
 
 /// A parsed trace: the jobs plus the trace-wide engine settings.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,7 +184,7 @@ pub fn to_json(trace: &Trace) -> String {
         let _ = writeln!(out, "  \"shard_threads\": {t},");
     }
     if let Some(g) = &trace.graph {
-        let _ = writeln!(out, "  \"graph\": \"{g}\",");
+        let _ = writeln!(out, "  \"graph\": \"{}\",", json::escape(g));
     }
     out.push_str("  \"jobs\": [\n");
     for (i, j) in trace.jobs.iter().enumerate() {
@@ -208,7 +209,7 @@ pub fn job_to_json(j: &TraceJob) -> String {
         .map(|ms| format!(", \"deadline_ms\": {ms}"))
         .unwrap_or_default();
     let (len_or_program, len_value) = match &j.program {
-        Some(p) => ("program", format!("\"{p}\"")),
+        Some(p) => ("program", format!("\"{}\"", json::escape(&p.to_string()))),
         None => ("length", j.length.to_string()),
     };
     format!(
@@ -223,91 +224,37 @@ pub fn job_to_json(j: &TraceJob) -> String {
 /// is 0 (there is no trace index to derive one from, so network clients
 /// that want distinct walks should send explicit seeds).
 pub fn parse_job(text: &str) -> Result<TraceJob, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing content after the job object"));
-    }
-    trace_job(0, root)
+    trace_job(0, json::parse(text, "the job object")?)
 }
 
 /// Parse a trace document. Errors carry the offending line number.
 pub fn parse_trace(text: &str) -> Result<Trace, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing content after the trace document"));
-    }
-    let mut threads = None;
-    let mut shards = None;
-    let mut shard_threads = None;
-    let mut graph = None;
-    let jobs_value = match root {
+    let mut trace = Trace::from_jobs(Vec::new());
+    let jobs_value = match json::parse(text, "the trace document")? {
         Value::Array(items) => items,
         Value::Object(fields) => {
+            // A trace-wide count: an integer in `min..=max`.
+            let setting = |key: &str, value: &Value, min: u64, max: u64, note: &str| {
+                let n = value.as_uint(max).ok().filter(|&n| n >= min);
+                n.map(|n| Some(n as usize)).ok_or_else(|| {
+                    format!("trace {key:?} must be an integer in {min}..={max}{note}")
+                })
+            };
             let mut jobs_value = None;
             for (key, value) in fields {
                 match key.as_str() {
                     "jobs" => jobs_value = Some(value),
-                    "threads" => match value {
-                        Value::Number(n)
-                            if n.is_finite()
-                                && n >= 0.0
-                                && n.fract() == 0.0
-                                && n <= MAX_TRACE_THREADS as f64 =>
-                        {
-                            threads = Some(n as usize)
-                        }
-                        _ => {
-                            return Err(format!(
-                                "trace \"threads\" must be an integer in \
-                                 0..={MAX_TRACE_THREADS} (0 = one per core)"
-                            ))
-                        }
-                    },
-                    "shards" => match value {
-                        Value::Number(n)
-                            if n.is_finite()
-                                && n >= 1.0
-                                && n.fract() == 0.0
-                                && n <= MAX_TRACE_SHARDS as f64 =>
-                        {
-                            shards = Some(n as usize)
-                        }
-                        _ => {
-                            return Err(format!(
-                                "trace \"shards\" must be an integer in 1..={MAX_TRACE_SHARDS}"
-                            ))
-                        }
-                    },
-                    "shard_threads" => match value {
-                        Value::Number(n)
-                            if n.is_finite()
-                                && n >= 0.0
-                                && n.fract() == 0.0
-                                && n <= MAX_TRACE_SHARDS as f64 =>
-                        {
-                            shard_threads = Some(n as usize)
-                        }
-                        _ => {
-                            return Err(format!(
-                                "trace \"shard_threads\" must be an integer in \
-                                 0..={MAX_TRACE_SHARDS} (0 = one per shard)"
-                            ))
-                        }
-                    },
+                    "threads" => {
+                        let note = " (0 = one per core)";
+                        trace.threads = setting(&key, &value, 0, MAX_TRACE_THREADS, note)?;
+                    }
+                    "shards" => trace.shards = setting(&key, &value, 1, MAX_TRACE_SHARDS, "")?,
+                    "shard_threads" => {
+                        let note = " (0 = one per shard)";
+                        trace.shard_threads = setting(&key, &value, 0, MAX_TRACE_SHARDS, note)?;
+                    }
                     "graph" => match value {
-                        Value::String(s) if !s.is_empty() => graph = Some(s),
+                        Value::String(s) if !s.is_empty() => trace.graph = Some(s),
                         _ => return Err("trace \"graph\" must be a non-empty string".into()),
                     },
                     other => return Err(format!("unknown trace field {other:?}")),
@@ -320,18 +267,12 @@ pub fn parse_trace(text: &str) -> Result<Trace, String> {
         }
         _ => return Err("trace must be an object with \"jobs\" or a bare array".into()),
     };
-    let jobs = jobs_value
+    trace.jobs = jobs_value
         .into_iter()
         .enumerate()
         .map(|(i, v)| trace_job(i, v))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(Trace {
-        threads,
-        shards,
-        shard_threads,
-        graph,
-        jobs,
-    })
+    Ok(trace)
 }
 
 /// Largest `threads` value a trace may request: beyond 1024 workers the
@@ -422,20 +363,11 @@ fn trace_job(index: usize, v: Value) -> Result<TraceJob, String> {
             job.program = Some(program_value(index, value)?);
             continue;
         }
-        let num = |what: &str| match value {
-            Value::Number(n) => Ok(n),
-            _ => Err(format!("job #{index}: {what} must be a number")),
-        };
         // Checked integer extraction: rejects negatives, fractions and
         // out-of-range values instead of silently truncating them.
-        let int = |what: &str, max: u64| -> Result<u64, String> {
-            let n = num(what)?;
-            if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= max as f64) {
-                return Err(format!(
-                    "job #{index}: {what} must be an integer in 0..={max} (got {n})"
-                ));
-            }
-            Ok(n as u64)
+        let int = |what: &str, max: u64| {
+            let n = value.as_uint(max);
+            n.map_err(|e| format!("job #{index}: {what} {e}"))
         };
         match key.as_str() {
             "tenant" => {
@@ -454,15 +386,15 @@ fn trace_job(index: usize, v: Value) -> Result<TraceJob, String> {
             // Numbers travel through f64, which is exact only up to 2^53;
             // larger seeds would be silently rounded, so reject them.
             "seed" => job.seed = int("seed", MAX_EXACT_SEED)?,
-            "deadline" => {
-                let d = num("deadline")?;
-                if !(d.is_finite() && d >= 0.0) {
+            "deadline" => match value {
+                Value::Number(d) if d.is_finite() && d >= 0.0 => job.deadline = Some(d),
+                Value::Number(_) => {
                     return Err(format!(
                         "job #{index}: deadline must be a non-negative number of seconds"
-                    ));
+                    ))
                 }
-                job.deadline = Some(d);
-            }
+                _ => return Err(format!("job #{index}: deadline must be a number")),
+            },
             // Wall-clock deadlines must be positive: a 0 ms budget is
             // already over at submission, which is a spec mistake, not a
             // job.
@@ -508,177 +440,6 @@ fn trace_job(index: usize, v: Value) -> Result<TraceJob, String> {
         ));
     }
     Ok(job)
-}
-
-/// Minimal JSON value tree (objects keep insertion order).
-enum Value {
-    Null,
-    Bool(#[allow(dead_code)] bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        let line = 1 + self.bytes[..self.pos.min(self.bytes.len())]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count();
-        format!("trace line {line}: {msg}")
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected {word}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self.peek().is_some_and(|b| {
-            b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-'
-        }) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Number)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        // Accumulate raw bytes: unescaped spans are copied verbatim (the
-        // input is a &str, so they are valid UTF-8 already) and escapes
-        // only ever insert ASCII, so the final from_utf8 cannot fail.
-        let mut out: Vec<u8> = Vec::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(String::from_utf8(out).expect("copied valid UTF-8"));
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    out.push(match esc {
-                        b'"' => b'"',
-                        b'\\' => b'\\',
-                        b'/' => b'/',
-                        b'n' => b'\n',
-                        b't' => b'\t',
-                        _ => return Err(self.err("unsupported string escape")),
-                    });
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    out.push(c);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

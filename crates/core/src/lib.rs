@@ -46,6 +46,7 @@
 //! | platform models (PCIe, power, resources) | this crate | [`platform`], [`pcie`], [`power`], [`resources`] |
 //! | sharded execution with walker hand-off (DESIGN.md §11) | this crate | [`sharded`] |
 //! | HTTP front door: serving, admission control (DESIGN.md §13) | this crate | [`http`] |
+//! | the JSON reader and string escaper behind job specs and the front door | this crate | [`json`] |
 
 pub mod accelerator;
 pub mod cli;
@@ -53,6 +54,7 @@ pub mod cluster;
 pub mod engines;
 pub mod http;
 pub mod jobspec;
+pub mod json;
 pub mod pcie;
 pub mod platform;
 pub mod power;

@@ -6,12 +6,10 @@
 //! little kernel time to amortize the one-time graph push) and negligible
 //! for Node2Vec (80-step walks).
 
-use serde::Serialize;
-
 use crate::platform::FpgaPlatform;
 
 /// Transfer/Execution breakdown of one accelerator invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieBreakdown {
     /// Seconds pushing the CSR image (and queries) to board DRAM.
     pub upload_s: f64,

@@ -5,11 +5,9 @@
 //! measured baseline wall-clock; these constants only convert runtime into
 //! the derived tables (3, 4, 5).
 
-use serde::Serialize;
-
 /// Which evaluated application a model constant refers to. The power and
 /// resource tables are per-application (different bitstreams).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppKind {
     /// MetaPath random walk (Eq. 1).
     MetaPath,
@@ -32,7 +30,7 @@ impl AppKind {
 }
 
 /// FPGA board platform description (Alveo U250 as deployed in Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpgaPlatform {
     /// Marketing name.
     pub name: &'static str,
@@ -69,7 +67,7 @@ pub const U250_PLATFORM: FpgaPlatform = FpgaPlatform {
 };
 
 /// CPU platform description (the ThunderRW host).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuPlatform {
     /// Marketing name.
     pub name: &'static str,

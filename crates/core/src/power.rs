@@ -6,12 +6,10 @@
 //! keep the measured power constants (platform data) and combine them
 //! with runtimes from the simulator / measured baseline.
 
-use serde::Serialize;
-
 use crate::platform::{AppKind, CpuPlatform, FpgaPlatform};
 
 /// A (runtime, power) pair and its energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyEstimate {
     /// Execution seconds.
     pub seconds: f64,
@@ -33,7 +31,7 @@ impl EnergyEstimate {
 }
 
 /// The Table 3 comparison for one (app, workload) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerComparison {
     /// Accelerator side.
     pub fpga: EnergyEstimate,

@@ -1,7 +1,5 @@
 //! End-to-end run reports.
 
-use serde::Serialize;
-
 use crate::pcie::PcieBreakdown;
 use crate::power::PowerComparison;
 use crate::resources::ResourceEstimate;
@@ -25,7 +23,7 @@ impl RunReport {
         self.pcie.end_to_end_s()
     }
 
-    /// Scalar metrics as a JSON value (experiment harness output).
+    /// Scalar metrics (experiment harness output).
     pub fn metrics(&self) -> Metrics {
         Metrics {
             kernel_seconds: self.sim.seconds,
@@ -41,8 +39,8 @@ impl RunReport {
     }
 }
 
-/// Flat, serializable summary of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// Flat summary of a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Simulated kernel seconds.
     pub kernel_seconds: f64,
@@ -65,7 +63,7 @@ pub struct Metrics {
 }
 
 /// A labelled comparison row used by the speedup experiments (Fig. 14).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Dataset name.
     pub dataset: String,
@@ -114,7 +112,5 @@ mod tests {
         assert!(m.steps_per_sec > 0.0);
         assert!((0.0..=1.0).contains(&m.dram_valid_ratio));
         assert!((0.0..=1.0).contains(&m.cache_hit_ratio));
-        let json = serde_json::to_string(&m).unwrap();
-        assert!(json.contains("steps_per_sec"));
     }
 }

@@ -19,13 +19,11 @@
 //! timing closure; the paper reports 300 MHz for both apps and we keep
 //! that constant below 64 lanes.
 
-use serde::Serialize;
-
 use crate::platform::AppKind;
 use lightrw_hwsim::LightRwConfig;
 
 /// Utilization of the four resource classes, as percentages of the U250.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceEstimate {
     /// LUT percentage.
     pub luts_pct: f64,

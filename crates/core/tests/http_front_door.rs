@@ -19,8 +19,9 @@ use std::time::{Duration, Instant};
 
 use lightrw::baseline::signal;
 use lightrw::graph::generators;
-use lightrw::http::wire::{read_response, Response};
+use lightrw::http::wire::{self, read_response, Response, MAX_BODY};
 use lightrw::http::{AdmissionConfig, ServeConfig, ServeSummary};
+use lightrw::json::{self, Value};
 use lightrw::prelude::*;
 use lightrw::service::ServiceConfig;
 
@@ -95,42 +96,16 @@ fn post_job(stream: &mut TcpStream, body: &str, keep_alive: bool) {
         .unwrap();
 }
 
-/// Audit one 200-streamed job response: ascending query ids, one `done`
-/// summary whose count matches. Returns `(status, paths)`.
+/// Audit one 200-streamed job response ([`wire::audit_stream`]): ascending
+/// query ids, one `done` summary whose count matches. Returns `(status,
+/// paths)`.
 fn audit_stream(resp: &Response) -> (String, usize) {
     assert_eq!(resp.status, 200, "{resp:?}");
     assert!(resp
         .headers
         .iter()
         .any(|(n, v)| n == "transfer-encoding" && v == "chunked"));
-    let text = std::str::from_utf8(&resp.body).unwrap();
-    let mut next_query = 0usize;
-    let mut done = None;
-    for line in text.lines() {
-        if line.starts_with("{\"event\": \"path\"") {
-            assert!(done.is_none(), "path after done: {line}");
-            let want = format!("{{\"event\": \"path\", \"query\": {next_query}, ");
-            assert!(
-                line.starts_with(&want),
-                "expected query {next_query}: {line}"
-            );
-            next_query += 1;
-        } else if line.starts_with("{\"event\": \"done\"") {
-            let paths_tag = "\"paths\": ";
-            let at = line.find(paths_tag).unwrap() + paths_tag.len();
-            let digits: String = line[at..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            let status_tag = "\"status\": \"";
-            let s = line.find(status_tag).unwrap() + status_tag.len();
-            let status = line[s..].split('"').next().unwrap().to_string();
-            done = Some((status, digits.parse::<usize>().unwrap()));
-        }
-    }
-    let (status, paths) = done.expect("stream must end with a done summary");
-    assert_eq!(paths, next_query, "done count must match streamed paths");
-    (status, paths)
+    wire::audit_stream(&resp.body).unwrap()
 }
 
 fn shutdown_and_join(handle: std::thread::JoinHandle<ServeSummary>) -> ServeSummary {
@@ -160,28 +135,27 @@ fn shutdown_within(
 }
 
 /// One `GET /stats` on a fresh connection; the JSON document.
-fn get_stats(addr: SocketAddr) -> String {
+fn get_stats(addr: SocketAddr) -> Value {
     let mut stream = connect(addr);
     stream
         .write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
         .unwrap();
-    let resp = read_response(&mut BufReader::new(stream)).unwrap();
-    assert_eq!(resp.status, 200);
-    String::from_utf8(resp.body).unwrap()
+    stats_document(&read_response(&mut BufReader::new(stream)).unwrap())
 }
 
-/// The unsigned value of a top-level `"key": N` in a `/stats` document.
-fn stat(stats: &str, key: &str) -> u64 {
-    let tag = format!("  \"{key}\": ");
-    let at = stats
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no {key} in {stats}"))
-        + tag.len();
-    let digits: String = stats[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().unwrap()
+/// The document a `200` answer to `GET /stats` carries.
+fn stats_document(resp: &Response) -> Value {
+    assert_eq!(resp.status, 200);
+    json::parse(std::str::from_utf8(&resp.body).unwrap(), "the document").unwrap()
+}
+
+/// The unsigned value of `"key": N` in a `/stats` document or one of its
+/// objects.
+fn stat(stats: &Value, key: &str) -> u64 {
+    let value = stats
+        .get(key)
+        .unwrap_or_else(|| panic!("no {key} in {stats:?}"));
+    value.as_uint(1 << 53).unwrap()
 }
 
 /// Read one chunked response off the raw socket, keeping what the
@@ -281,13 +255,15 @@ fn streams_jobs_exactly_once_with_keepalive_pipelining_and_stats() {
     stream
         .write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
         .unwrap();
-    let stats = read_response(&mut reader).unwrap();
-    assert_eq!(stats.status, 200);
-    let body = std::str::from_utf8(&stats.body).unwrap();
-    assert!(body.contains("\"admitted\": 5"), "{body}");
-    assert!(body.contains("\"queue_wait_secs\""), "{body}");
-    assert!(body.contains("\"exec_secs\""), "{body}");
-    assert!(body.contains("\"p99_queue_wait_s\""), "{body}");
+    let stats = stats_document(&read_response(&mut reader).unwrap());
+    assert_eq!(stat(stats.get("admission").unwrap(), "admitted"), 5);
+    let Some(Value::Array(tenants)) = stats.get("tenants") else {
+        panic!("no tenants in {stats:?}");
+    };
+    assert_eq!(tenants.len(), 4, "tenants 0, 1, 2 and 7");
+    let present = |doc: &Value, key| matches!(doc.get(key), Some(Value::Number(_)));
+    assert!(present(&tenants[0], "queue_wait_secs") && present(&tenants[0], "exec_secs"));
+    assert!(present(&stats, "p99_queue_wait_s"));
 
     let summary = shutdown_and_join(handle);
     assert_eq!(summary.submitted, 5);
@@ -328,8 +304,9 @@ fn sheds_with_429_and_retry_after_when_the_bucket_runs_dry() {
     assert_eq!(second.status, 429, "{second:?}");
     let retry: u64 = second.header("retry-after").unwrap().parse().unwrap();
     assert!(retry >= 1, "Retry-After must be a positive back-off");
-    let body = std::str::from_utf8(&second.body).unwrap();
-    assert!(body.contains("\"reason\": \"tenant_rate\""), "{body}");
+    let shed = json::parse(std::str::from_utf8(&second.body).unwrap(), "the body").unwrap();
+    let reason = shed.get("reason").and_then(Value::as_str);
+    assert_eq!(reason, Some("tenant_rate"), "{shed:?}");
 
     // An independent tenant still gets in.
     post_job(
@@ -363,6 +340,12 @@ fn malformed_requests_get_well_formed_4xx_responses() {
         );
         let body = std::str::from_utf8(&resp.body).unwrap();
         assert!(body.starts_with("{\"error\": \""), "{body}");
+        let error = json::parse(body, "the error body").unwrap();
+        error
+            .get("error")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_string()
     };
     check(b"NOT A VALID LINE\r\n\r\n", 400);
     check(b"GET / HTTP/2\r\n\r\n", 505);
@@ -379,6 +362,17 @@ fn malformed_requests_get_well_formed_4xx_responses() {
         b"POST /jobs HTTP/1.1\r\nContent-Length: 27\r\n\r\n{\"queries\": 4, \"length\": 0}",
         400,
     );
+    // Valid HTTP, a body as large as the wire lets it be, nested as deep
+    // as it is long: the reader's cap answers, not the stack's end.
+    for unit in ["[", "{\"a\":"] {
+        let body = unit.repeat(MAX_BODY / unit.len());
+        let head = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        let error = check((head + &body).as_bytes(), 400);
+        assert_eq!(error, "trace line 1: nesting deeper than 32 levels");
+    }
     // Truncated body: the connection dies mid-request; the server must
     // not hang. (The 408 response races the close; just verify the
     // server keeps serving afterwards.)
@@ -423,13 +417,7 @@ fn shutdown_drains_inflight_jobs_and_streams_their_terminal_summary() {
     // Wait until the job is admitted before pulling the plug.
     let mut admitted = false;
     for _ in 0..200 {
-        let mut stream = connect(addr);
-        stream
-            .write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let resp = read_response(&mut BufReader::new(stream)).unwrap();
-        let body = std::str::from_utf8(&resp.body).unwrap().to_string();
-        if body.contains("\"admitted\": 1") {
+        if stat(get_stats(addr).get("admission").unwrap(), "admitted") == 1 {
             admitted = true;
             break;
         }

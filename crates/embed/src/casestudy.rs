@@ -22,10 +22,9 @@ use lightrw::prelude::*;
 
 use crate::linkpred::{auc, holdout_split, score_pairs};
 use crate::sgns::{SgnsConfig, SgnsTrainer};
-use serde::Serialize;
 
 /// Phase times of one link-prediction flow, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseTimes {
     /// PCIe graph upload (0 for the CPU-only flow).
     pub graph_transfer_s: f64,
@@ -45,7 +44,7 @@ impl PhaseTimes {
 }
 
 /// Outcome of the case study.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CaseStudyReport {
     /// CPU-only flow ("SNAP").
     pub snap: PhaseTimes,

@@ -40,7 +40,10 @@ fn facade_service_layer_resolves() {
 
     // The deeper module paths resolve too.
     use lightrw_repro::lightrw::jobspec;
-    let trace = jobspec::Trace::from_jobs(jobspec::synthetic_trace(2, 1, 4, 5));
+    let mut trace = jobspec::Trace::from_jobs(jobspec::synthetic_trace(2, 1, 4, 5));
+    // A path only `lightrw::json::escape` makes a JSON string of: a
+    // quote, a backslash and a control character.
+    trace.graph = Some("C:\\graphs\\my \"big\" graph\u{1}.lrwpak".into());
     let parsed = jobspec::parse_trace(&jobspec::to_json(&trace)).unwrap();
     assert_eq!(parsed, trace);
     let stats: lightrw_repro::lightrw::service::ServiceStats = service.stats();
