@@ -45,8 +45,6 @@ pub enum Backend {
         strategy: ShardStrategy,
         /// Per-step weighted sampling method.
         sampler: SamplerKind,
-        /// Hand-off records coalesced per shard pair before a flush.
-        flush_budget: usize,
         /// Executor threads: 1 = the calling thread, 0 = one pinned
         /// executor per shard, n = min(n, shards) executors.
         shard_threads: usize,
@@ -71,7 +69,6 @@ impl Backend {
                 shards: 2,
                 strategy: ShardStrategy::Range,
                 sampler: SamplerKind::InverseTransform,
-                flush_budget: ShardedEngine::DEFAULT_FLUSH_BUDGET,
                 shard_threads: 1,
             }),
             other => Err(format!(
@@ -114,15 +111,10 @@ impl Backend {
         }
     }
 
-    /// Set the shard count (and optionally the partition strategy /
-    /// flush budget) of a sharded backend. Errors for every other
-    /// backend so `--shards` on the wrong engine is loud.
-    pub fn with_shards(
-        self,
-        shards: usize,
-        strategy: ShardStrategy,
-        flush_budget: usize,
-    ) -> Result<Self, String> {
+    /// Set the shard count and partition strategy of a sharded backend.
+    /// Errors for every other backend so `--shards` on the wrong engine
+    /// is loud.
+    pub fn with_shards(self, shards: usize, strategy: ShardStrategy) -> Result<Self, String> {
         if shards == 0 {
             return Err("--shards must be at least 1".into());
         }
@@ -135,7 +127,6 @@ impl Backend {
                 shards,
                 strategy,
                 sampler,
-                flush_budget: flush_budget.max(1),
                 shard_threads,
             }),
             _ => Err("--shards only applies to --engine sharded".into()),
@@ -152,13 +143,11 @@ impl Backend {
                 shards,
                 strategy,
                 sampler,
-                flush_budget,
                 ..
             } => Ok(Self::Sharded {
                 shards,
                 strategy,
                 sampler,
-                flush_budget,
                 shard_threads,
             }),
             _ => Err("--shard-threads only applies to --engine sharded".into()),
@@ -181,14 +170,12 @@ impl Backend {
             Self::Sharded {
                 shards,
                 strategy,
-                flush_budget,
                 shard_threads,
                 ..
             } => Self::Sharded {
                 shards,
                 strategy,
                 sampler,
-                flush_budget,
                 shard_threads,
             },
         }
@@ -222,11 +209,9 @@ impl Backend {
                 shards,
                 strategy,
                 sampler,
-                flush_budget,
                 shard_threads,
             } => Box::new(
                 ShardedEngine::partition(graph, shards, strategy, app, sampler, seed)
-                    .with_flush_budget(flush_budget)
                     .with_shard_threads(shard_threads),
             ),
         }
@@ -284,25 +269,24 @@ mod tests {
         // The shards knob reshapes sharded backends and rejects the rest.
         let b = Backend::parse("sharded")
             .unwrap()
-            .with_shards(4, ShardStrategy::Fennel, 16)
+            .with_shards(4, ShardStrategy::Fennel)
             .unwrap();
         assert!(matches!(
             b,
             Backend::Sharded {
                 shards: 4,
                 strategy: ShardStrategy::Fennel,
-                flush_budget: 16,
                 ..
             }
         ));
         assert!(Backend::parse("cpu")
             .unwrap()
-            .with_shards(2, ShardStrategy::Range, 1)
+            .with_shards(2, ShardStrategy::Range)
             .unwrap_err()
             .contains("--shards"));
         assert!(Backend::parse("sharded")
             .unwrap()
-            .with_shards(0, ShardStrategy::Range, 1)
+            .with_shards(0, ShardStrategy::Range)
             .unwrap_err()
             .contains("--shards"));
     }
@@ -322,7 +306,7 @@ mod tests {
         ));
         // The knob survives a later with_shards / with_sampler reshape.
         let b = b
-            .with_shards(4, ShardStrategy::Walk, 8)
+            .with_shards(4, ShardStrategy::Walk)
             .unwrap()
             .with_sampler(SamplerKind::Alias);
         assert!(matches!(

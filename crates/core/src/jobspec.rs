@@ -67,9 +67,9 @@ pub struct Trace {
     /// `1` = the calling thread); `None` leaves the backend's default.
     /// Only meaningful with `--engine sharded`.
     pub shard_threads: Option<usize>,
-    /// Graph the trace should run on (any path `lightrw-cli` accepts,
-    /// including `packed:` files); the CLI positional overrides it, and
-    /// a positional of `-` explicitly defers to this field.
+    /// Graph the trace should run on (a `.lrwpak` path, as on the
+    /// command line); the CLI positional overrides it, and a positional
+    /// of `-` explicitly defers to this field.
     pub graph: Option<String>,
     /// The jobs, in submission order.
     pub jobs: Vec<TraceJob>,

@@ -20,7 +20,7 @@ fn cli(args: &[&str]) {
 /// Create `dir` and write an rmat graph of `scale` into it.
 fn generate_rmat(dir: &Path, scale: &str) -> PathBuf {
     std::fs::create_dir_all(dir).unwrap();
-    let graph = dir.join("g.bin");
+    let graph = dir.join("g.lrwpak");
     cli(&[
         "generate",
         "--kind",

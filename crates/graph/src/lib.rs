@@ -23,14 +23,14 @@
 //! - [`generators`] — RMAT (the paper's synthetic workloads, Table 2),
 //!   Erdős–Rényi, and deterministic fixtures, plus scaled stand-ins for the
 //!   paper's five real-world datasets;
-//! - [`io`] — SNAP-style edge-list text and a binary CSR format;
+//! - [`io`] — SNAP-style edge-list text;
 //! - [`stats`] / [`validate`] — degree-distribution summaries and
 //!   structural integrity checks;
-//! - [`pack`] / [`packed`] / [`store`] — the out-of-core path
-//!   (DESIGN.md §10): a bounded-memory streaming pack pipeline into a
-//!   packed on-disk CSR (`LRWPAK01`), loaded back through `mmap` as
-//!   borrowed [`store::Section`] views so engines walk the file without
-//!   a resident copy;
+//! - [`pack`] / [`packed`] / [`store`] — the one on-disk graph format
+//!   and the out-of-core path (DESIGN.md §10): a bounded-memory
+//!   streaming pack pipeline into a packed on-disk CSR (`LRWPAK01`),
+//!   loaded back through `mmap` as borrowed [`store::Section`] views so
+//!   engines walk the file without a resident copy;
 //! - [`partition`] — the sharded-execution data model (DESIGN.md §11):
 //!   [`partition_graph`] splits a CSR into K [`Shard`] sub-CSRs with
 //!   ghost-vertex tables under a range or fennel-greedy

@@ -69,9 +69,6 @@ pub struct PackOptions {
     /// used). Bounds the pipeline's memory; smaller values spill more
     /// runs. The output does not depend on it.
     pub chunk_records: usize,
-    /// Precompute prefix cumulative sections into the file (skipped
-    /// automatically when any weight exceeds the 16-bit promote limit).
-    pub prefix_cache: bool,
     /// Partition the graph into this many contiguous vertex-range
     /// shards and persist the partition in the file (0 = unsharded).
     /// The streaming pipeline supports the range strategy only — its
@@ -88,7 +85,6 @@ impl Default for PackOptions {
         Self {
             relabel: false,
             chunk_records: 4 << 20,
-            prefix_cache: true,
             shards: 0,
             compress: false,
         }
@@ -496,7 +492,9 @@ where
     let m64 = m as u64;
     let distinct = stats.label_used.iter().filter(|&&u| u).count();
     let max_label = (0..256).rev().find(|&r| stats.label_used[r]);
-    let with_prefix = opts.prefix_cache && stats.max_weight <= MAX_PREFIX_STATIC_WEIGHT;
+    // The prefix cumulatives always travel in the file, unless a weight
+    // exceeds the 16-bit promote limit (`Graph::build_prefix_cache`'s rule).
+    let with_prefix = stats.max_weight <= MAX_PREFIX_STATIC_WEIGHT;
     // Per-relation cumulatives mirror `Graph::build_prefix_cache`: only
     // for typed graphs with few enough distinct labels, only for labels
     // actually used.
@@ -965,7 +963,6 @@ mod tests {
                     chunk_records: chunk,
                     shards,
                     compress,
-                    ..PackOptions::default()
                 };
                 let st = pack_rmat_dataset(10, 7, &out, &opts).unwrap();
                 assert_eq!((st.vertices, st.edges, st.duplicates), (1024, 6676, 1516));
@@ -1176,7 +1173,6 @@ mod tests {
             chunk_records: 200,
             shards: 2,
             compress: true,
-            ..PackOptions::default()
         };
         pack_rmat_dataset(6, seed, &out, &opts).unwrap();
         let g = generators::rmat_dataset(6, seed);

@@ -1,4 +1,4 @@
-//! Packed on-disk CSR: the out-of-core graph format (DESIGN.md §10).
+//! Packed on-disk CSR: the one graph file format (DESIGN.md §10).
 //!
 //! A packed file is a section-table image designed to be consumed by
 //! `mmap(2)` without any decode step: every CSR lane of [`Graph`] —
@@ -33,7 +33,10 @@
 //! endpoints `row[0] == 0`, `row[n] == m`): touching every page of a
 //! multi-GB file to re-validate adjacency sorting on each load would
 //! defeat the out-of-core design. Files are produced exclusively by
-//! [`write_packed`] / [`crate::pack`], which pack validated graphs.
+//! [`write_packed`] / [`crate::pack`] — which is what the CLI's
+//! `generate`, `convert` and `graph pack` write through — and those pack
+//! validated graphs; `lightrw_cli info` runs the full structural check
+//! ([`crate::validate`]) on a file whose origin is in doubt.
 
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
@@ -105,17 +108,6 @@ pub(crate) fn shard_section(s: usize, lane: u64) -> u64 {
 
 /// One section-table entry: `(id, byte offset, byte length)`.
 pub type SectionEntry = (u64, u64, u64);
-
-/// Sniff whether `path` starts with the packed-CSR magic (so CLIs can
-/// auto-detect the format without an extension convention).
-pub fn is_packed_file<P: AsRef<Path>>(path: P) -> bool {
-    use std::io::Read;
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return false;
-    };
-    let mut head = [0u8; 8];
-    f.read_exact(&mut head).is_ok() && &head == MAGIC
-}
 
 /// Human-readable name for a section id (for `graph stats` listings).
 pub fn section_name(id: u64) -> String {

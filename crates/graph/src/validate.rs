@@ -1,8 +1,9 @@
 //! Structural integrity checks for CSR graphs.
 //!
-//! Every loader and generator funnels through [`validate`] in debug builds;
-//! the binary I/O path runs it unconditionally because on-disk data is
-//! untrusted.
+//! `GraphBuilder::build` runs [`validate`] in debug builds; the
+//! edge-list reader runs it unconditionally, and so does `lightrw_cli
+//! info` on a packed file, whose loader checks header, section table and
+//! CSR endpoints only (`crate::packed`).
 
 use crate::csr::{Graph, VertexId};
 

@@ -7,10 +7,14 @@ use lightrw_repro as _;
 
 #[test]
 fn binary_graph_roundtrip_preserves_walk_behaviour() {
+    use lightrw::graph::packed::{load_packed, write_packed};
+
     let g = DatasetProfile::youtube().stand_in(9, 77);
-    let mut buf = Vec::new();
-    lightrw::graph::io::write_binary(&g, &mut buf).unwrap();
-    let g2 = lightrw::graph::io::read_binary(&buf[..]).unwrap();
+    let path = std::env::temp_dir().join(format!("lightrw_e2e_{}.lrwpak", std::process::id()));
+    write_packed(&g, None, &path).unwrap();
+    let g2 = load_packed(&path, lightrw::graph::LoadMode::Auto)
+        .unwrap()
+        .graph;
     assert_eq!(g, g2);
 
     // Same seed + same graph image ⇒ identical simulated walks.
@@ -19,6 +23,7 @@ fn binary_graph_roundtrip_preserves_walk_behaviour() {
     let b = LightRwSim::new(&g2, &Uniform, LightRwConfig::default()).run(&qs);
     assert_eq!(a.results, b.results);
     assert_eq!(a.cycles, b.cycles);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
