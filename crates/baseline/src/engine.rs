@@ -92,9 +92,9 @@ impl<'g> CpuEngine<'g> {
     }
 
     /// Start a batched streaming session (concrete type; the
-    /// [`WalkEngine`] impl boxes the same thing): contiguous lanes sized
-    /// by the [`LanePlan`], spawned workers pinned best-effort to a
-    /// stable core each.
+    /// [`WalkEngine`] impl boxes the same thing): as many lanes as the
+    /// [`LanePlan`] says, spawned workers pinned best-effort to a stable
+    /// core each.
     pub fn session(&self, queries: &QuerySet) -> LaneSession<'g> {
         let plan = LanePlan::plan(self.cfg.threads, queries.len());
         LaneSession::new(

@@ -1,9 +1,10 @@
 //! Lane planning: how the CPU engine maps queries onto worker lanes.
 //!
-//! The lanes themselves — walker records, the Gather–Move–Update sweep
-//! and the session over them — live in `lightrw_walker::lane`, shared
-//! with the reference and sharded engines (DESIGN.md §9). What is the
-//! CPU engine's own is the sizing policy below.
+//! The lanes themselves — walker records, the step-centric sweep, the
+//! deal of query ids to lanes and the session over them — live in
+//! `lightrw_walker::lane`, shared with the reference and sharded engines
+//! (DESIGN.md §9). What is the CPU engine's own is the sizing policy
+//! below.
 
 /// How a session maps queries onto worker lanes.
 ///
@@ -18,7 +19,8 @@
 pub struct LanePlan {
     /// Worker count after the first clamp (`0` → available cores).
     pub workers: usize,
-    /// Queries per lane (every lane but possibly the last).
+    /// Queries per lane, to within one dealt block (the session deals
+    /// ids to `ceil(queries / lane_len)` lanes in interleaved blocks).
     pub lane_len: usize,
     /// Lanes that actually materialize (`≤ workers`, second clamp).
     pub lanes: usize,
@@ -75,8 +77,8 @@ mod tests {
 
     #[test]
     fn lane_boundaries_match_the_chunking_formula() {
-        // The plan must reproduce `qs.chunks(lane_len)` exactly: the
-        // session chunks by `lane_len` and the plan reports the count.
+        // The plan must report the session's lane count exactly: the
+        // session makes `ceil(n / lane_len)` lanes.
         for (threads, n) in [(1, 10), (3, 10), (4, 9), (7, 7), (2, 1)] {
             let plan = LanePlan::plan(threads, n);
             assert_eq!(plan.lane_len, n.div_ceil(threads).max(1));

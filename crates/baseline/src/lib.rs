@@ -10,11 +10,11 @@
 //!   its generation phase.
 //! - **Step-centric multi-query interleaving**: each worker thread owns a
 //!   `lightrw_walker::WorkerLane` of queries (sized by [`LanePlan`]) and
-//!   advances them round-robin one Gather–Move–Update visit at a time — ThunderRW's scheduling shape,
-//!   including its distance-1 software prefetch of the next walker's CSR
-//!   row (`_mm_prefetch` on x86-64) and best-effort one-worker-per-core
-//!   pinning ([`affinity`]); both degrade gracefully where unsupported
-//!   (DESIGN.md §9).
+//!   advances a bounded window of them round-robin, one step attempt per
+//!   visit — ThunderRW's scheduling shape, with best-effort
+//!   one-worker-per-core pinning ([`affinity`]) that degrades gracefully
+//!   where unsupported. ThunderRW's software prefetch between the stages
+//!   is not here: no form of it won its paired runs (DESIGN.md §9).
 //! - **Configurable sampler**: inverse transformation sampling is the
 //!   paper's configuration (§6.1.4); alias, sequential WRS and the
 //!   parallel-WRS-on-CPU of Fig. 14's "ThunderRW w/PWRS" bars are a flag

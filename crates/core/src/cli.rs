@@ -59,7 +59,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::prelude::*;
-use lightrw_graph::{components, io as gio, pack, packed, stats, validate, LoadMode};
+use lightrw_graph::{components, io as gio, pack, packed, stats, validate, LoadMode, VertexId};
 use lightrw_walker::corpus_io;
 
 /// A parsed command line: positional arguments and `--key value` /
@@ -720,16 +720,40 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
     };
     let engine: &dyn WalkEngine = engine.as_ref();
 
-    let mut walks = WalkResults::with_capacity(queries.len(), length as usize + 1);
+    // Where the paths go. The text corpus is written as the session emits
+    // it and plain `walk` only counts, so either holds the graph and the
+    // lanes' windows, never the corpus; the binary form states its totals
+    // up front and has to be collected first. A relabel-packed graph
+    // walks in its renumbered id space: the corpus is written in
+    // *original* ids, so downstream consumers never see the pack-time
+    // permutation.
+    let original_id = |v: VertexId| match &loaded.relabeling {
+        Some(map) => map.old_id(v),
+        None => v,
+    };
+    let out = args.get("out");
+    let binary = args.flag("binary");
+    let mut counted = CountingSink::default();
+    let mut collected = WalkResults::new();
+    let mut text = match out {
+        Some(out) if !binary => {
+            let f = std::fs::File::create(out).map_err(|e| e.to_string())?;
+            Some(corpus_io::TextCorpusWriter::new(f, original_id))
+        }
+        _ => None,
+    };
+    let sink: &mut dyn WalkSink = match (&mut text, out) {
+        (Some(text), _) => text,
+        (None, Some(_)) => {
+            collected = WalkResults::with_capacity(queries.len(), 0);
+            &mut collected
+        }
+        (None, None) => &mut counted,
+    };
     let t = Instant::now();
     let mut sessions = vec![engine.start_session(&queries)];
     let mut batches = 0u64;
-    {
-        let mut sinks: Vec<&mut dyn WalkSink> = vec![&mut walks];
-        lightrw_walker::multiplex_sessions(&mut sessions, &mut sinks, batch, |_, _, _| {
-            batches += 1
-        });
-    }
+    lightrw_walker::multiplex_sessions(&mut sessions, &mut [sink], batch, |_, _, _| batches += 1);
     let wall_s = t.elapsed().as_secs_f64();
     let session = &sessions[0];
     let steps = session.steps_done();
@@ -767,30 +791,24 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
     summary += &shard_source;
 
     let mut out_line = String::new();
-    if let Some(out) = args.get("out") {
-        // A relabel-packed graph walks in its renumbered id space; emit
-        // the corpus in *original* ids so downstream consumers never see
-        // the pack-time permutation.
-        let walks = match &loaded.relabeling {
-            Some(map) => {
-                let mut original = WalkResults::with_capacity(walks.len(), length as usize + 1);
-                for p in walks.iter() {
-                    for &v in p {
-                        original.push_vertex(map.old_id(v));
+    if let Some(out) = out {
+        let written = match text {
+            Some(text) => text.finish().map_err(|e| e.to_string())?,
+            None => {
+                if loaded.relabeling.is_some() {
+                    let mut original = WalkResults::with_capacity(collected.len(), 0);
+                    for p in collected.iter() {
+                        p.iter().for_each(|&v| original.push_vertex(original_id(v)));
+                        original.end_path();
                     }
-                    original.end_path();
+                    collected = original;
                 }
-                original
+                let f = std::fs::File::create(out).map_err(|e| e.to_string())?;
+                corpus_io::write_binary(&collected, f).map_err(|e| e.to_string())?;
+                collected.len()
             }
-            None => walks,
         };
-        let f = std::fs::File::create(out).map_err(|e| e.to_string())?;
-        if args.flag("binary") {
-            corpus_io::write_binary(&walks, f).map_err(|e| e.to_string())?;
-        } else {
-            corpus_io::write_text(&walks, f).map_err(|e| e.to_string())?;
-        }
-        out_line = format!("\nwrote {} walks to {out}", walks.len());
+        out_line = format!("\nwrote {written} walks to {out}");
     }
     Ok(format!("{summary}{out_line}"))
 }
@@ -1917,6 +1935,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn streamed_text_corpus_equals_the_collected_one() {
+        // `walk -o` writes each path as the session emits it, renaming
+        // through the pack's relabeling on the way; collecting the same
+        // session, renaming afterwards and writing the lot is the form it
+        // replaced.
+        let packed_path = tmp("stream_relabel.lrwpak");
+        run(
+            "graph",
+            &parse(&["pack", "rmat:8:5", "--relabel", "-o", &packed_path]),
+        )
+        .unwrap();
+        let wpath = tmp("stream_relabel_walks.txt");
+        let out = run(
+            "walk",
+            &parse(&[
+                &packed_path,
+                "--engine",
+                "cpu",
+                "--threads",
+                "2",
+                "--app",
+                "static",
+                "--length",
+                "9",
+                "--seed",
+                "5",
+                "-o",
+                &wpath,
+            ]),
+        )
+        .unwrap();
+
+        let loaded = load_graph_file(&packed_path, LoadMode::Auto).unwrap();
+        let map = loaded.relabeling.expect("packed with --relabel");
+        let g = loaded.graph;
+        let queries = QuerySet::per_nonisolated_vertex(&g, 9, 5);
+        assert!(out.ends_with(&format!("wrote {} walks to {wpath}", queries.len())));
+        let engine = Backend::parse("reference")
+            .unwrap()
+            .build(&g, &StaticWeighted, 5);
+        let walked = engine.run_collected(&queries);
+        let mut original = WalkResults::new();
+        for p in walked.iter() {
+            p.iter().for_each(|&v| original.push_vertex(map.old_id(v)));
+            original.end_path();
+        }
+        assert_ne!(walked, original, "the relabeling renames something");
+        let mut collected = Vec::new();
+        corpus_io::write_text(&original, &mut collected).unwrap();
+        assert_eq!(std::fs::read(&wpath).unwrap(), collected);
     }
 
     #[test]

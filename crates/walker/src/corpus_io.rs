@@ -8,25 +8,74 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
+use crate::engine::WalkSink;
 use crate::path::WalkResults;
+use lightrw_graph::VertexId;
+
+/// The text form as a [`WalkSink`]: each path is written as one line —
+/// vertices whitespace-separated, node2vec's output format — when it is
+/// emitted, so a session streams its corpus out instead of collecting it.
+/// Every vertex goes through `rename` first (a relabel-packed graph's map
+/// back to original ids; the identity otherwise). A sink cannot fail, so
+/// the first write error is kept for [`TextCorpusWriter::finish`] and
+/// later paths are dropped.
+pub struct TextCorpusWriter<W: Write, F> {
+    out: BufWriter<W>,
+    rename: F,
+    walks: usize,
+    error: Option<io::Error>,
+}
+
+impl<W: Write, F: Fn(VertexId) -> VertexId> TextCorpusWriter<W, F> {
+    /// Write the corpus to `writer`.
+    pub fn new(writer: W, rename: F) -> Self {
+        Self {
+            out: BufWriter::new(writer),
+            rename,
+            walks: 0,
+            error: None,
+        }
+    }
+
+    fn write_line(&mut self, path: &[VertexId]) -> io::Result<()> {
+        for (i, &v) in path.iter().enumerate() {
+            if i > 0 {
+                self.out.write_all(b" ")?;
+            }
+            write!(self.out, "{}", (self.rename)(v))?;
+        }
+        self.out.write_all(b"\n")
+    }
+
+    /// Flush, and return how many walks were written — or the error that
+    /// stopped the writing.
+    pub fn finish(mut self) -> io::Result<usize> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.out.flush().map(|()| self.walks),
+        }
+    }
+}
+
+impl<W: Write, F: Fn(VertexId) -> VertexId> WalkSink for TextCorpusWriter<W, F> {
+    fn emit(&mut self, _query_id: u32, path: &[VertexId]) {
+        if self.error.is_none() {
+            match self.write_line(path) {
+                Ok(()) => self.walks += 1,
+                Err(e) => self.error = Some(e),
+            }
+        }
+    }
+}
 
 /// Write one walk per line, vertices whitespace-separated (node2vec's
 /// output format).
 pub fn write_text<W: Write>(walks: &WalkResults, writer: W) -> io::Result<()> {
-    let mut out = BufWriter::new(writer);
-    for path in walks.iter() {
-        let mut first = true;
-        for &v in path {
-            if first {
-                first = false;
-            } else {
-                out.write_all(b" ")?;
-            }
-            write!(out, "{v}")?;
-        }
-        out.write_all(b"\n")?;
+    let mut out = TextCorpusWriter::new(writer, |v| v);
+    for (id, path) in walks.iter().enumerate() {
+        out.emit(id as u32, path);
     }
-    out.flush()
+    out.finish().map(|_| ())
 }
 
 /// Read a text corpus back. Blank lines are skipped; malformed tokens are

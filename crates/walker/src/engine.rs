@@ -260,10 +260,11 @@ pub fn multiplex_sessions<'s>(
 ///
 /// The emitter owns only the watermark: the next query id to emit. Each
 /// [`InOrderEmitter::drain`] call repeatedly asks the session for the path
-/// of that id (`take_ready` returns `None` while it is still walking,
-/// `Some(path)` exactly once when done — sessions `std::mem::take` the
-/// buffer, which is what makes double emission structurally impossible)
-/// and pushes it into the sink. Because the watermark only moves forward,
+/// of that id (`take_ready` returns `None` while it is still walking and
+/// the finished path once it is done — handed over, or lent from where
+/// the walker wrote it) and pushes it into the sink. The emitter asks for
+/// an id once it has emitted every id below it and never again after, so
+/// a session cannot emit a path twice. Because the watermark only moves forward,
 /// any interleaving of lane progress, batch boundaries and cancellation
 /// yields each path exactly once, in ascending id order — the
 /// [`WalkSink`] contract (DESIGN.md §6).
@@ -292,10 +293,10 @@ impl InOrderEmitter {
     /// Emit every ready path at the watermark: while `take_ready(id)`
     /// yields the finished path of the next id, hand it to `sink` and
     /// advance. Returns how many paths were emitted by this call.
-    pub fn drain(
+    pub fn drain<P: std::ops::Deref<Target = [VertexId]>>(
         &mut self,
         sink: &mut dyn WalkSink,
-        mut take_ready: impl FnMut(usize) -> Option<Vec<VertexId>>,
+        mut take_ready: impl FnMut(usize) -> Option<P>,
     ) -> usize {
         let mut emitted = 0;
         while self.next < self.total {

@@ -204,31 +204,6 @@ impl HotStepper {
     }
 }
 
-/// Software-prefetch the head of `v`'s CSR adjacency into cache.
-///
-/// The step-centric lane driver calls this during a walker's **Gather**
-/// phase for the *following* walker in the ring (prefetch distance 1): by
-/// the time the ring returns to that walker, its `col_index`/`weights`
-/// lines have had one full Move+Update of latency to arrive — ThunderRW's
-/// interleaving trick for hiding DRAM latency on CPUs. Resolving the view
-/// here also touches the two `row_index` entries, which is the useful part
-/// on architectures without an explicit prefetch instruction.
-#[inline]
-pub fn prefetch_row(g: &Graph, v: VertexId) {
-    let view = g.neighbor_view(v);
-    #[cfg(target_arch = "x86_64")]
-    if !view.targets.is_empty() {
-        // SAFETY: prefetch has no memory effects; any address is allowed.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(view.targets.as_ptr().cast::<i8>(), _MM_HINT_T0);
-            _mm_prefetch(view.weights.as_ptr().cast::<i8>(), _MM_HINT_T0);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = view;
-}
-
 /// The multi-walker lane driver: a persistent round-robin ring over the
 /// walkers one worker owns, visiting each active walker once per sweep
 /// (step-centric interleaving) and retiring walkers in place.
@@ -283,21 +258,11 @@ impl WalkerRing {
         Some(self.active[self.cursor])
     }
 
-    /// The slot the ring will visit after the current one — the Gather
-    /// phase's prefetch target. A hint only: when the current walker
-    /// retires, `swap_remove` visits a different slot next, and a
-    /// mispredicted prefetch costs nothing.
+    /// Add `slot` to the ring, to be visited at the end of the sweep in
+    /// progress.
     #[inline]
-    pub fn upcoming(&self) -> Option<usize> {
-        if self.active.len() < 2 {
-            return None;
-        }
-        let next = if self.cursor + 1 >= self.active.len() {
-            0
-        } else {
-            self.cursor + 1
-        };
-        Some(self.active[next])
+    pub fn push(&mut self, slot: usize) {
+        self.active.push(slot);
     }
 
     /// End a visit keeping the current walker: advance to the next slot.
@@ -570,32 +535,15 @@ mod tests {
         assert_eq!(visits, retire_after);
         assert!(ring.is_empty());
         assert_eq!(ring.len(), 0);
-    }
-
-    #[test]
-    fn walker_ring_upcoming_is_the_next_visit_when_keeping() {
-        let mut ring = WalkerRing::full(4);
-        // While no walker retires, upcoming() always predicts the slot
-        // current() returns after keep() — including the sweep wrap.
-        for _ in 0..10 {
-            let _ = ring.current().unwrap();
-            let predicted = ring.upcoming().unwrap();
-            ring.keep();
-            assert_eq!(ring.current(), Some(predicted));
-        }
-        // Down to one walker there is nothing left to prefetch.
-        let mut small = WalkerRing::full(1);
-        assert_eq!(small.current(), Some(0));
-        assert_eq!(small.upcoming(), None);
-        small.retire();
-        assert_eq!(small.current(), None);
-    }
-
-    #[test]
-    fn prefetch_row_touches_any_vertex_safely() {
-        let g = generators::rmat_dataset(6, 2);
-        for v in 0..g.num_vertices() as VertexId {
-            prefetch_row(&g, v); // includes isolated (empty-row) vertices
-        }
+        // A slot pushed mid-sweep gets its visit at the end of that sweep.
+        let mut ring = WalkerRing::full(2);
+        assert_eq!(ring.current(), Some(0));
+        ring.push(2);
+        ring.keep();
+        assert_eq!(ring.current(), Some(1));
+        ring.retire();
+        assert_eq!(ring.current(), Some(2));
+        ring.keep();
+        assert_eq!(ring.current(), Some(0), "the next sweep");
     }
 }

@@ -92,7 +92,7 @@ pub use engine::{
     multiplex_sessions, BatchProgress, CountingSink, InOrderEmitter, WalkEngine, WalkEngineExt,
     WalkSession, WalkSink,
 };
-pub use hotpath::{prefetch_row, HotStepper, WalkerRing};
+pub use hotpath::{HotStepper, WalkerRing};
 pub use lane::{LaneSession, VisitEnv, Walker, WorkerLane};
 pub use lightrw_graph::VertexId;
 pub use membership::NeighborBitset;
