@@ -79,7 +79,6 @@ const BOOL_FLAGS: &[&str] = &[
     "binary",
     "help",
     "relabel",
-    "compress",
     "repartition",
 ];
 
@@ -191,17 +190,19 @@ pub fn usage() -> &'static str {
      \x20        [--dataset NAME] [--seed N] -o FILE.lrwpak\n\
      \x20        --kind rmat streams in bounded memory and writes the\n\
      \x20        bytes of `graph pack rmat:SCALE:SEED` (its edge factor is\n\
-     \x20        fixed at 8; --edge-factor is for --kind er)\n\
+     \x20        fixed at 8); --edge-factor is for --kind er only,\n\
+     \x20        --dataset for --kind standin only\n\
      convert  --input EDGELIST [--directed|--undirected] -o FILE.lrwpak\n\
      graph    pack (rmat:SCALE[:SEED] | GRAPH.lrwpak) -o FILE.lrwpak\n\
-     \x20        [--relabel] [--chunk-records N] [--compress]\n\
+     \x20        [--relabel] [--chunk-records N]\n\
      \x20        [--shards K] [--strategy range|fennel|walk]\n\
      \x20        rmat inputs stream in bounded memory (external sort in\n\
      \x20        chunks of N 16-byte records, default 4 Mi = 64 MiB; the\n\
-     \x20        output does not depend on N);\n\
-     \x20        fennel/walk strategies materialize the graph instead;\n\
-     \x20        a GRAPH.lrwpak input is repacked whole (one that is\n\
-     \x20        already relabelled is refused)\n\
+     \x20        output does not depend on N); fennel/walk strategies\n\
+     \x20        materialize the graph to place its vertices first;\n\
+     \x20        a GRAPH.lrwpak input is read off its mapping and -o may\n\
+     \x20        name it (one that is already relabelled is refused);\n\
+     \x20        the output appears only once complete\n\
      graph    stats FILE.lrwpak  — header, sections, degree histogram\n\
      \x20        (reads via mmap; never materializes the CSR on heap)\n\
      info     GRAPH.lrwpak  — summary plus the full structural check\n\
@@ -260,13 +261,23 @@ fn cmd_generate(args: &Args) -> Result<String, String> {
             edges as f64 / vertices as f64
         )
     };
-    let mut g = match args.get("kind").unwrap_or("rmat") {
+    // Each kind reads its own shape option (rmat's edge factor is fixed
+    // at 8); another kind's is refused, not parsed and dropped.
+    let kind = args.get("kind").unwrap_or("rmat");
+    let reads: &[&str] = match kind {
+        "rmat" => &[],
+        "er" => &["edge-factor"],
+        "standin" => &["dataset"],
+        other => return Err(format!("unknown --kind {other:?}")),
+    };
+    let foreign = ["edge-factor", "dataset"]
+        .into_iter()
+        .find(|opt| args.get(opt).is_some() && !reads.contains(opt));
+    if let Some(opt) = foreign {
+        return Err(format!("--{opt} does not apply to --kind {kind}"));
+    }
+    let g = match kind {
         "rmat" => {
-            if args.get("edge-factor").is_some() {
-                return Err("--edge-factor does not apply to --kind rmat \
-                            (the dataset's edge factor is fixed at 8)"
-                    .into());
-            }
             // The streaming pipeline behind `graph pack rmat:SCALE:SEED`:
             // bounded memory, and the two commands emit the same bytes.
             let opts = pack::PackOptions::default();
@@ -278,7 +289,7 @@ fn cmd_generate(args: &Args) -> Result<String, String> {
             let ef = args.get_u64("edge-factor", 8)? as usize;
             lightrw_graph::generators::erdos_renyi_gnm(1 << scale, ef << scale, seed)
         }
-        "standin" => {
+        _standin => {
             let name = args.get("dataset").ok_or("standin requires --dataset")?;
             let profile = DatasetProfile::all_real()
                 .into_iter()
@@ -286,9 +297,8 @@ fn cmd_generate(args: &Args) -> Result<String, String> {
                 .ok_or_else(|| format!("unknown dataset {name:?} (see Table 2 names)"))?;
             profile.stand_in(scale, seed)
         }
-        other => return Err(format!("unknown --kind {other:?}")),
     };
-    pack::pack_graph(&mut g, false, Path::new(out)).map_err(|e| e.to_string())?;
+    pack::pack_graph(&g, false, Path::new(out)).map_err(|e| e.to_string())?;
     Ok(wrote(g.num_vertices(), g.num_edges()))
 }
 
@@ -300,8 +310,8 @@ fn cmd_convert(args: &Args) -> Result<String, String> {
     let out = args.get("out").ok_or("convert requires -o FILE")?;
     // Directed by default: mirrored input lines stay faithful.
     let directed = !args.flag("undirected");
-    let mut g = gio::load_edge_list(input, directed).map_err(|e| e.to_string())?;
-    pack::pack_graph(&mut g, false, Path::new(out)).map_err(|e| e.to_string())?;
+    let g = gio::load_edge_list(input, directed).map_err(|e| e.to_string())?;
+    pack::pack_graph(&g, false, Path::new(out)).map_err(|e| e.to_string())?;
     Ok(format!(
         "converted {} -> {} ({} vertices, {} edges)",
         input,
@@ -322,14 +332,7 @@ fn load_graph_file(path: &str, mode: LoadMode) -> Result<packed::PackedGraph, St
 }
 
 /// The options `graph pack` reads (`graph stats` reads none; see `run`).
-const GRAPH_OPTIONS: &[&str] = &[
-    "out",
-    "relabel",
-    "chunk-records",
-    "compress",
-    "shards",
-    "strategy",
-];
+const GRAPH_OPTIONS: &[&str] = &["out", "relabel", "chunk-records", "shards", "strategy"];
 
 fn cmd_graph(args: &Args) -> Result<String, String> {
     match args.positional.first().map(|s| s.as_str()) {
@@ -360,10 +363,9 @@ fn cmd_graph_pack(args: &Args) -> Result<String, String> {
     let relabel = args.flag("relabel");
     let shards = args.get_u64("shards", 0)? as usize;
     let strategy = parse_strategy(args)?;
-    let compress = args.flag("compress");
     let t = Instant::now();
 
-    let (mut g, what) = if let Some(rest) = input.strip_prefix("rmat:") {
+    let (g, what) = if let Some(rest) = input.strip_prefix("rmat:") {
         let mut parts = rest.split(':');
         let scale: u32 = parts
             .next()
@@ -389,15 +391,14 @@ fn cmd_graph_pack(args: &Args) -> Result<String, String> {
             let opts = pack::PackOptions {
                 relabel,
                 chunk_records: args.get_u64("chunk-records", 4 << 20)?.max(2) as usize,
-                shards,
-                compress,
+                partition: pack::Partition::Range(shards),
             };
             let st = pack::pack_rmat_dataset(scale, seed, Path::new(out), &opts)
                 .map_err(|e| e.to_string())?;
             return Ok(format!(
                 "packed rmat-{scale} (seed {seed}) -> {out}: {} vertices, {} edges, \
                  {} duplicate records collapsed, {} spilled runs, {} bytes, \
-                 relabel={relabel}, shards={shards}, compress={compress}, {:.3} s",
+                 relabel={relabel}, shards={shards}, {:.3} s",
                 st.vertices,
                 st.edges,
                 st.duplicates,
@@ -406,18 +407,19 @@ fn cmd_graph_pack(args: &Args) -> Result<String, String> {
                 t.elapsed().as_secs_f64(),
             ));
         }
-        // Fennel/walk placement needs the whole adjacency in memory, so
-        // the streaming pipeline can't serve it; materialize the same
-        // synthetic dataset and pack it whole instead.
+        // Fennel/walk placement needs the whole adjacency in memory:
+        // materialize the same synthetic dataset, place its vertices, and
+        // stream it through the pipeline with that owner table.
         let what = format!(
             "rmat-{scale} (seed {seed}, materialized for --strategy {})",
             strategy.name()
         );
         (lightrw_graph::generators::rmat_dataset(scale, seed), what)
     } else {
-        // Small-graph convenience: repack an existing file whole. A heap
-        // copy, not a mapping, so `-o` may name the input itself.
-        let p = load_graph_file(input, LoadMode::Heap)?;
+        // Repack an existing file off its mapping. `-o` may name the input
+        // itself: the output is a new file renamed over the name, so the
+        // mapping keeps reading the old one.
+        let p = load_graph_file(input, LoadMode::Auto)?;
         if p.relabeling.is_some() {
             return Err(format!(
                 "{input} is already relabelled: its vertex ids are pack-time \
@@ -427,11 +429,11 @@ fn cmd_graph_pack(args: &Args) -> Result<String, String> {
         }
         (p.graph, input.clone())
     };
-    let bytes = pack::pack_graph_with(&mut g, relabel, shards, strategy, compress, Path::new(out))
+    let bytes = pack::pack_graph_with(&g, relabel, shards, strategy, Path::new(out))
         .map_err(|e| e.to_string())?;
     Ok(format!(
         "packed {what} -> {out}: {} vertices, {} edges, {bytes} bytes, \
-         relabel={relabel}, shards={shards}, compress={compress}, {:.3} s",
+         relabel={relabel}, shards={shards}, {:.3} s",
         g.num_vertices(),
         g.num_edges(),
         t.elapsed().as_secs_f64(),
@@ -1746,7 +1748,7 @@ mod tests {
     #[test]
     fn walk_strategy_pack_runs_parallel_executors_off_the_file() {
         // A walk-strategy pack of an rmat: input materializes the graph
-        // (the streaming path is range-only), stats reports the
+        // (placing its vertices needs all of it), stats reports the
         // stationary-weighted crossing estimate, and a matching walk run
         // adopts the file partition with parallel executors.
         let packed_path = tmp("walk_strategy.lrwpak");
@@ -2059,6 +2061,17 @@ mod tests {
         let args = parse(&["--kind", "rmat", "--edge-factor", "64", "-o", "x"]);
         let err = run("generate", &args).unwrap_err();
         assert!(err.contains("--edge-factor does not apply"), "{err}");
+        // So is every shape option of a kind other than the one chosen.
+        for (kind, opt, value) in [
+            ("rmat", "dataset", "orkut"),
+            ("er", "dataset", "orkut"),
+            ("standin", "edge-factor", "8"),
+        ] {
+            let flag = format!("--{opt}");
+            let args = parse(&["--kind", kind, &flag, value, "-o", "x"]);
+            let err = run("generate", &args).unwrap_err();
+            assert_eq!(err, format!("--{opt} does not apply to --kind {kind}"));
+        }
         // --help is not an unknown option.
         assert!(run("walk", &parse(&["--help"]))
             .unwrap()
@@ -2148,6 +2161,54 @@ mod tests {
         ] {
             let err = run(sub, &parse(&raw)).unwrap_err();
             assert_eq!(err, "not a lightrw packed graph (bad magic)", "{sub}");
+        }
+    }
+
+    #[test]
+    fn a_relabelled_undirected_graph_stays_undirected() {
+        let er = generated("undirected_src.lrwpak", "er", "6");
+        let out = tmp("undirected_relabelled.lrwpak");
+        run("graph", &parse(&["pack", &er, "--relabel", "-o", &out])).unwrap();
+        let loaded = load_graph_file(&out, LoadMode::Auto).unwrap();
+        assert!(loaded.relabeling.is_some());
+        assert!(!loaded.graph.is_directed());
+        let st = run("graph", &parse(&["stats", &out])).unwrap();
+        assert!(st.contains("directed        : false"), "{st}");
+    }
+
+    #[test]
+    fn edgeless_table_shards_pack_load_and_walk_like_memory() {
+        // A typed graph whose only out-edges leave vertex 0: at k = 3 two
+        // fennel or walk shards own no edges, and the file must still
+        // carry every lane the sharded loader asks for. The walk off the
+        // file partition must be the walk off an in-memory one.
+        let edges = tmp("star_edges.txt");
+        let lines: String = (1..=7).map(|v| format!("0 {v} {v} 1\n")).collect();
+        std::fs::write(&edges, lines).unwrap();
+        let plain = tmp("star.lrwpak");
+        run("convert", &parse(&["--input", &edges, "-o", &plain])).unwrap();
+        for strategy in ["fennel", "walk"] {
+            let packed = tmp(&format!("star_{strategy}.lrwpak"));
+            let pack = ["pack", &plain, "--shards", "3", "--strategy", strategy];
+            run("graph", &parse(&[&pack[..], &["-o", &packed]].concat())).unwrap();
+            let mut runs = Vec::new();
+            for input in [&packed, &plain] {
+                let corpus = tmp(&format!("star_{strategy}_walks.txt"));
+                let walk = [input.as_str(), "--shards", "3", "--strategy", strategy];
+                let args = [
+                    &walk[..],
+                    &["--length", "4", "--queries", "8", "-o", &corpus],
+                ];
+                let out = run("walk", &parse(&args.concat())).unwrap();
+                runs.push((out, std::fs::read(&corpus).unwrap()));
+            }
+            assert!(
+                runs[0].0.contains("shard partition from file"),
+                "{}",
+                runs[0].0
+            );
+            assert!(!runs[1].0.contains("shard partition from file"));
+            assert_eq!(runs[0].1, runs[1].1, "{strategy}");
         }
     }
 

@@ -25,6 +25,9 @@ pub enum IoError {
     BadMagic,
     /// Recognized magic but a format version this build cannot read.
     UnsupportedVersion { found: u64, supported: u64 },
+    /// A packed file sets a flag bit this build does not read (the
+    /// lowest such bit).
+    UnknownFlag { bit: u32 },
     /// Packed file truncated or inconsistent, with the byte offset at
     /// which the inconsistency was detected.
     CorruptAt { offset: u64, what: &'static str },
@@ -43,6 +46,10 @@ impl std::fmt::Display for IoError {
             IoError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "unsupported graph format version {found} (this build reads version {supported})"
+            ),
+            IoError::UnknownFlag { bit } => write!(
+                f,
+                "packed graph sets flag bit {bit}, which this build does not read"
             ),
             IoError::CorruptAt { offset, what } => {
                 write!(f, "corrupt binary graph at byte {offset}: {what}")

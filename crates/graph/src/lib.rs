@@ -28,15 +28,15 @@
 //!   structural integrity checks;
 //! - [`pack`] / [`packed`] / [`store`] — the one on-disk graph format
 //!   and the out-of-core path (DESIGN.md §10): a bounded-memory
-//!   streaming pack pipeline into a packed on-disk CSR (`LRWPAK01`),
-//!   loaded back through `mmap` as borrowed [`store::Section`] views so
-//!   engines walk the file without a resident copy;
+//!   streaming pack pipeline, the only writer, into a packed on-disk CSR
+//!   (`LRWPAK01`), loaded back through `mmap` as borrowed
+//!   [`store::Section`] views so engines walk the file without a
+//!   resident copy;
 //! - [`partition`] — the sharded-execution data model (DESIGN.md §11):
 //!   [`partition_graph`] splits a CSR into K [`Shard`] sub-CSRs with
-//!   ghost-vertex tables under a range or fennel-greedy
-//!   [`ShardStrategy`]; `pack --shards K` persists the partition (and
-//!   optionally varint-compressed columns) as extra `LRWPAK01`
-//!   sections, [`load_packed_sharded`] maps it back.
+//!   ghost-vertex tables under a range, fennel or walk-aware
+//!   [`ShardStrategy`]; `pack --shards K` persists the partition as
+//!   extra `LRWPAK01` sections, [`load_packed_sharded`] maps it back.
 //!
 //! ```
 //! use lightrw_graph::GraphBuilder;

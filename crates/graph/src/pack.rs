@@ -1,5 +1,7 @@
 //! Streaming pack pipeline: edge stream → packed on-disk CSR, in
-//! bounded memory (DESIGN.md §10).
+//! bounded memory (DESIGN.md §10). It is the only code that writes a
+//! packed file: [`pack_rmat_dataset`] feeds it a generator's stream,
+//! [`pack_graph`] an in-memory graph's stored edges.
 //!
 //! The pipeline never holds the edge list in memory. Its phases:
 //!
@@ -28,14 +30,24 @@
 //!    prefix cumulative) consumes the merged stream in a single linear
 //!    pass, so the prefix caches are computed on the fly and
 //!    `build_prefix_cache` is a no-op on load. Only a complete file is
-//!    renamed to `out`; an error removes the partial file and every run.
+//!    renamed to `out` — a reader mapping the old file keeps its inode —
+//!    and an error removes the partial file and every run.
+//!
+//! A shard partition ([`Partition`]) costs one more merge before the
+//! section table is sized, for each shard's ghost set and boundary
+//! count. Range cuts come from the degrees; a fennel or walk partition
+//! is the caller's owner table, in the file's vertex ids, and each of
+//! its shards gets compacted copies of the rows it owns, written by one
+//! further merge per shard.
 //!
 //! Peak memory is `16·chunk_records` bytes (64 MiB at the default 4 Mi
 //! records; the sort is in place) plus 64 KiB per open run or section
 //! and O(|V|): 12 bytes per vertex of degrees and row offsets, the
-//! vertex labels, `shards·|V|` ghost bits — independent of |E|. Temp disk
-//! is 16 bytes per input record beyond the final chunk.
+//! vertex labels, with a partition 4 bytes per vertex of owners and
+//! `shards·|V|` ghost bits — independent of |E|. Temp disk is 16 bytes
+//! per input record beyond the final chunk.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -50,13 +62,13 @@ use crate::csr::{Graph, VertexId, MAX_CACHED_RELATIONS, MAX_PREFIX_STATIC_WEIGHT
 use crate::generators::{rmat_edge_stream, RMAT_A, RMAT_B, RMAT_C};
 use crate::io::IoError;
 use crate::packed::{
-    assign_offsets, shard_section, varint_len, write_header, write_packed_with, write_varint,
-    PackExtras, FLAG_COMPRESSED, FLAG_DIRECTED, FLAG_ELABELS, FLAG_PREFIX, FLAG_RELABEL,
-    FLAG_SHARDS, FLAG_VLABELS, SEC_COL, SEC_COL_VARINT, SEC_ELABELS, SEC_NEW_TO_OLD,
-    SEC_PREFIX_ALL, SEC_REL_PREFIX_BASE, SEC_ROW, SEC_SHARD_CUTS, SEC_SHARD_META, SEC_VLABELS,
-    SEC_WEIGHTS, SHARD_LANE_GHOSTS, SHARD_LANE_ROW,
+    assign_offsets, shard_section, write_header, FLAG_DIRECTED, FLAG_ELABELS, FLAG_PREFIX,
+    FLAG_RELABEL, FLAG_SHARDS, FLAG_VLABELS, SEC_COL, SEC_ELABELS, SEC_NEW_TO_OLD, SEC_PREFIX_ALL,
+    SEC_REL_PREFIX_BASE, SEC_ROW, SEC_SHARD_ASSIGN, SEC_SHARD_CUTS, SEC_SHARD_META, SEC_VLABELS,
+    SEC_WEIGHTS, SHARD_LANE_COL, SHARD_LANE_ELABELS, SHARD_LANE_GHOSTS, SHARD_LANE_PREFIX,
+    SHARD_LANE_ROW, SHARD_LANE_WEIGHTS,
 };
-use crate::partition::{cuts_from_row_index, partition_graph, ShardStrategy};
+use crate::partition::{clamp_shards, cuts_from_row_index, table_assignment, ShardStrategy};
 use crate::reorder::{by_degree_descending, Relabeling};
 
 /// Knobs for the streaming pipeline.
@@ -69,15 +81,8 @@ pub struct PackOptions {
     /// used). Bounds the pipeline's memory; smaller values spill more
     /// runs. The output does not depend on it.
     pub chunk_records: usize,
-    /// Partition the graph into this many contiguous vertex-range
-    /// shards and persist the partition in the file (0 = unsharded).
-    /// The streaming pipeline supports the range strategy only — its
-    /// cuts derive from the degree prefix sums already in memory;
-    /// fennel needs the whole graph and goes through
-    /// [`pack_graph_with`].
-    pub shards: usize,
-    /// Store `col_index` varint-delta compressed (DESIGN.md §11).
-    pub compress: bool,
+    /// The shard partition to persist in the file (DESIGN.md §11).
+    pub partition: Partition,
 }
 
 impl Default for PackOptions {
@@ -85,10 +90,24 @@ impl Default for PackOptions {
         Self {
             relabel: false,
             chunk_records: 4 << 20,
-            shards: 0,
-            compress: false,
+            partition: Partition::None,
         }
     }
+}
+
+/// The shard partition a pack persists (DESIGN.md §11).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Partition {
+    /// The file carries no partition.
+    None,
+    /// `k` contiguous vertex ranges, balanced by edge count and cut from
+    /// the degrees the pipeline already holds. `k` is clamped to the
+    /// vertex count; `Range(0)` writes no partition.
+    Range(usize),
+    /// A fennel or walk partition: one owner per vertex, in the file's
+    /// ids (the degree-ordered ones under `relabel`), computed by the
+    /// caller on the whole graph.
+    Table(ShardStrategy, Vec<u32>),
 }
 
 /// What the pipeline did, for logs and tests.
@@ -363,6 +382,78 @@ fn fill<B: AsRef<[u8]>>(
     w.flush()
 }
 
+/// The edge-indexed sections of one CSR — the file's own, or a fennel or
+/// walk shard's compacted copy — as write handles: targets, weights and,
+/// where the file has them, relations and the prefix cumulative; the
+/// file's own also the per-relation cumulatives, each with its row sum.
+struct EdgeLanes {
+    col: BufWriter<File>,
+    weights: BufWriter<File>,
+    relations: Option<BufWriter<File>>,
+    prefix: Option<BufWriter<File>>,
+    relation_prefix: Vec<(usize, u64, BufWriter<File>)>,
+}
+
+impl EdgeLanes {
+    /// `ids` are the col, weights, relation and prefix section ids.
+    fn open(
+        section: &impl Fn(u64) -> io::Result<BufWriter<File>>,
+        ids: [u64; 4],
+        relations: bool,
+        prefix: bool,
+    ) -> io::Result<Self> {
+        Ok(Self {
+            col: section(ids[0])?,
+            weights: section(ids[1])?,
+            relations: relations.then(|| section(ids[2])).transpose()?,
+            prefix: prefix.then(|| section(ids[3])).transpose()?,
+            relation_prefix: Vec::new(),
+        })
+    }
+
+    /// One linear pass over the merged records fills the lanes with the
+    /// rows `keep` picks, asked once per row.
+    fn fill(mut self, runs: &Runs, keep: impl Fn(u32) -> bool) -> io::Result<()> {
+        let (mut cur_u, mut kept, mut acc) = (None, false, 0u64);
+        let mut merge = runs.merge()?;
+        while let Some(rec) = merge.next()? {
+            if cur_u != Some(rec.u()) {
+                cur_u = Some(rec.u());
+                kept = keep(rec.u());
+                acc = 0;
+                for entry in self.relation_prefix.iter_mut() {
+                    entry.1 = 0;
+                }
+            }
+            if !kept {
+                continue;
+            }
+            acc += rec.w as u64;
+            self.col.write_all(&rec.v().to_le_bytes())?;
+            self.weights.write_all(&rec.w.to_le_bytes())?;
+            if let Some(r) = &mut self.relations {
+                r.write_all(&[rec.rel as u8])?;
+            }
+            if let Some(p) = &mut self.prefix {
+                p.write_all(&acc.to_le_bytes())?;
+            }
+            for (r, racc, w) in self.relation_prefix.iter_mut() {
+                if rec.rel as usize == *r {
+                    *racc += rec.w as u64;
+                }
+                w.write_all(&racc.to_le_bytes())?;
+            }
+        }
+        let optional = self.relations.into_iter().chain(self.prefix);
+        let per_relation = self.relation_prefix.into_iter().map(|(_, _, w)| w);
+        let all = [self.col, self.weights].into_iter().chain(optional);
+        for mut w in all.chain(per_relation) {
+            w.flush()?;
+        }
+        Ok(())
+    }
+}
+
 /// Everything phase 2 learns about the edge set.
 struct StreamStats {
     degree: Vec<u32>,
@@ -521,51 +612,56 @@ where
         debug_assert_eq!(acc, m64);
     }
 
-    // Clamp the requested shard count to the vertex count so every
-    // persisted shard owns at least one vertex (partition.rs guarantee).
-    let k = if opts.shards > 0 {
-        crate::partition::clamp_shards(opts.shards, n)
-    } else {
-        0
-    };
-    let cuts: Vec<VertexId> = if k > 0 {
-        cuts_from_row_index(&row, k)
-    } else {
-        Vec::new()
-    };
-    // Sharding and compression both need one extra linear pass over the
-    // merged records *before* the section table is sized: the ghost
-    // sets and boundary counts per shard, and the exact varint byte
-    // total. Ghost membership is k×n bits — bounded like the degrees.
-    let mut ghost_bits: Vec<Vec<u64>> = vec![vec![0u64; n.div_ceil(64)]; k];
-    let mut boundary = vec![0u64; k];
-    let mut varint_total = 0u64;
-    if k > 1 || opts.compress {
-        let mut merge = runs.merge()?;
-        let mut cur_u: Option<u32> = None;
-        let mut prev_v = 0u32;
-        let mut s = 0usize;
-        while let Some(rec) = merge.next()? {
-            let (u, v) = (rec.u(), rec.v());
-            if cur_u != Some(u) {
-                cur_u = Some(u);
-                if opts.compress {
-                    varint_total += varint_len(v);
-                }
-                // Records stream sorted by u, so the owner only advances.
-                while s + 1 < k && u >= cuts[s + 1] {
-                    s += 1;
-                }
-            } else if opts.compress {
-                varint_total += varint_len(v - prev_v - 1);
+    // The partition: `k` shards (0 = none), the strategy the file records
+    // and every vertex's owner.
+    let mut cuts: Vec<VertexId> = Vec::new();
+    let (k, strategy, owner): (usize, ShardStrategy, Cow<[u32]>) = match &opts.partition {
+        Partition::None => (0, ShardStrategy::Range, Cow::Borrowed(&[])),
+        // Clamped to the vertex count, so every shard owns a vertex.
+        Partition::Range(k) => {
+            let k = clamp_shards(*k, n);
+            if k > 0 {
+                cuts = cuts_from_row_index(&row, k);
             }
-            prev_v = v;
-            if k > 1 {
-                let t = cuts.partition_point(|&c| c <= v) - 1;
-                if t != s {
-                    boundary[s] += 1;
-                    ghost_bits[s][v as usize / 64] |= 1 << (v % 64);
-                }
+            let spans = cuts.windows(2).enumerate();
+            let owner =
+                spans.flat_map(|(s, w)| std::iter::repeat_n(s as u32, (w[1] - w[0]) as usize));
+            (k, ShardStrategy::Range, Cow::Owned(owner.collect()))
+        }
+        Partition::Table(strategy, owner) => {
+            if *strategy == ShardStrategy::Range || owner.len() != n {
+                let what = "a table partition needs a fennel or walk owner for every vertex";
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, what).into());
+            }
+            let k = owner.iter().max().map_or(1, |&o| o as usize + 1);
+            (k, *strategy, Cow::Borrowed(owner.as_slice()))
+        }
+    };
+    // Fennel and walk shards store compacted copies of the rows they own,
+    // and the file the owner table; a range partition's file, the cuts.
+    let compacted = strategy != ShardStrategy::Range;
+    let (ownership_id, ownership) = match compacted {
+        true => (SEC_SHARD_ASSIGN, &owner[..]),
+        false => (SEC_SHARD_CUTS, &cuts[..]),
+    };
+    // Per shard: owned vertices, owned edges, boundary edges.
+    let mut counts = vec![[0u64; 3]; k];
+    for (&s, &d) in owner.iter().zip(&stats.degree) {
+        counts[s as usize][0] += 1;
+        counts[s as usize][1] += d as u64;
+    }
+    // With two or more shards, one extra linear pass over the merged
+    // records *before* the section table is sized finds each shard's
+    // ghost set and boundary count. Ghost membership is k×n bits —
+    // bounded like the degrees.
+    let mut ghost_bits: Vec<Vec<u64>> = vec![vec![0u64; n.div_ceil(64)]; k];
+    if k > 1 {
+        let mut merge = runs.merge()?;
+        while let Some(rec) = merge.next()? {
+            let (s, v) = (owner[rec.u() as usize] as usize, rec.v());
+            if owner[v as usize] as usize != s {
+                counts[s][2] += 1;
+                ghost_bits[s][v as usize / 64] |= 1 << (v % 64);
             }
         }
     }
@@ -583,14 +679,11 @@ where
     if directed {
         flags |= FLAG_DIRECTED;
     }
-    let mut lens: Vec<(u64, u64)> = vec![(SEC_ROW, (n64 + 1) * 8)];
-    if opts.compress {
-        flags |= FLAG_COMPRESSED;
-        lens.push((SEC_COL_VARINT, varint_total));
-    } else {
-        lens.push((SEC_COL, m64 * 4));
-    }
-    lens.push((SEC_WEIGHTS, m64 * 4));
+    let mut lens: Vec<(u64, u64)> = vec![
+        (SEC_ROW, (n64 + 1) * 8),
+        (SEC_COL, m64 * 4),
+        (SEC_WEIGHTS, m64 * 4),
+    ];
     if vertex_labels.is_some() {
         flags |= FLAG_VLABELS;
         lens.push((SEC_VLABELS, n64));
@@ -613,13 +706,22 @@ where
     if k > 0 {
         flags |= FLAG_SHARDS;
         lens.push((SEC_SHARD_META, (2 + 3 * k as u64) * 8));
-        lens.push((SEC_SHARD_CUTS, (k as u64 + 1) * 4));
-        for (s, shard_ghosts) in ghosts.iter().enumerate().take(k) {
+        lens.push((ownership_id, ownership.len() as u64 * 4));
+        for (s, shard_ghosts) in ghosts.iter().enumerate() {
             lens.push((shard_section(s, SHARD_LANE_ROW), (n64 + 1) * 8));
-            lens.push((
-                shard_section(s, SHARD_LANE_GHOSTS),
-                shard_ghosts.len() as u64 * 4,
-            ));
+            let ghost_bytes = shard_ghosts.len() as u64 * 4;
+            lens.push((shard_section(s, SHARD_LANE_GHOSTS), ghost_bytes));
+            if compacted {
+                let edges = counts[s][1];
+                lens.push((shard_section(s, SHARD_LANE_COL), edges * 4));
+                lens.push((shard_section(s, SHARD_LANE_WEIGHTS), edges * 4));
+                if any_rel {
+                    lens.push((shard_section(s, SHARD_LANE_ELABELS), edges));
+                }
+                if with_prefix {
+                    lens.push((shard_section(s, SHARD_LANE_PREFIX), edges * 8));
+                }
+            }
         }
     }
     let (table, total) = assign_offsets(&lens);
@@ -643,23 +745,32 @@ where
 
     fill(section(SEC_ROW)?, row.iter().map(|x| x.to_le_bytes()))?;
     if k > 0 {
-        let per_shard = (0..k).flat_map(|s| {
-            let (lo, hi) = (cuts[s] as usize, cuts[s + 1] as usize);
-            [(hi - lo) as u64, row[hi] - row[lo], boundary[s]]
-        });
-        let meta = [k as u64, ShardStrategy::Range.code()];
-        let meta = meta.into_iter().chain(per_shard).map(u64::to_le_bytes);
-        fill(section(SEC_SHARD_META)?, meta)?;
-        let cut_bytes = cuts.iter().map(|c| c.to_le_bytes());
-        fill(section(SEC_SHARD_CUTS)?, cut_bytes)?;
-        for s in 0..k {
-            // Range shard rows are the global offsets clamped to the
-            // owned span — see `packed::range_shard_row`.
-            let rows = (0..=n as u32).map(|v| row[v.clamp(cuts[s], cuts[s + 1]) as usize]);
-            let lane = section(shard_section(s, SHARD_LANE_ROW))?;
-            fill(lane, rows.map(u64::to_le_bytes))?;
+        let meta = [k as u64, strategy.code()].into_iter();
+        let meta = meta.chain(counts.iter().flatten().copied());
+        fill(section(SEC_SHARD_META)?, meta.map(u64::to_le_bytes))?;
+        fill(
+            section(ownership_id)?,
+            ownership.iter().map(|o| o.to_le_bytes()),
+        )?;
+        for (s, shard_ghosts) in ghosts.iter().enumerate() {
+            // A fennel or walk shard's rows index its compacted lanes. A
+            // range shard shares the file's edge sections, so its rows are
+            // the global offsets clamped to the owned span: the same
+            // running sum over owned degrees, from its first row's offset.
+            let base = if compacted { 0 } else { row[cuts[s] as usize] };
+            let owned = owner.iter().zip(&stats.degree).scan(base, |acc, (&o, &d)| {
+                if o as usize == s {
+                    *acc += d as u64;
+                }
+                Some(*acc)
+            });
+            let rows = std::iter::once(base).chain(owned);
+            fill(
+                section(shard_section(s, SHARD_LANE_ROW))?,
+                rows.map(u64::to_le_bytes),
+            )?;
             let lane = section(shard_section(s, SHARD_LANE_GHOSTS))?;
-            fill(lane, ghosts[s].iter().map(|g| g.to_le_bytes()))?;
+            fill(lane, shard_ghosts.iter().map(|g| g.to_le_bytes()))?;
         }
     }
     if let Some(labels_of) = vertex_labels {
@@ -683,64 +794,27 @@ where
     }
 
     // One linear pass over the merged (possibly relabeled) records fills
-    // every edge-indexed section in parallel.
-    {
-        let mut col = section(if opts.compress {
-            SEC_COL_VARINT
-        } else {
-            SEC_COL
-        })?;
-        let mut wts = section(SEC_WEIGHTS)?;
-        let mut elb = any_rel.then(|| section(SEC_ELABELS)).transpose()?;
-        let mut pfx = with_prefix.then(|| section(SEC_PREFIX_ALL)).transpose()?;
-        let mut rel_pfx: Vec<(usize, u64, BufWriter<File>)> = Vec::new();
-        for &r in &rel_prefix_labels {
-            let w = section(SEC_REL_PREFIX_BASE + r as u64)?;
-            rel_pfx.push((r, 0, w));
-        }
-
-        let mut cur_u: Option<u32> = None;
-        let mut acc = 0u64;
-        let mut prev_v = 0u32;
-        let mut merge = runs.merge()?;
-        while let Some(rec) = merge.next()? {
-            let (u, v) = (rec.u(), rec.v());
-            let new_row = cur_u != Some(u);
-            if new_row {
-                cur_u = Some(u);
-                acc = 0;
-                for entry in rel_pfx.iter_mut() {
-                    entry.1 = 0;
-                }
-            }
-            if opts.compress {
-                let val = if new_row { v } else { v - prev_v - 1 };
-                write_varint(&mut col, val)?;
-            } else {
-                col.write_all(&v.to_le_bytes())?;
-            }
-            prev_v = v;
-            wts.write_all(&rec.w.to_le_bytes())?;
-            if let Some(e) = elb.as_mut() {
-                e.write_all(&[rec.rel as u8])?;
-            }
-            if let Some(p) = pfx.as_mut() {
-                acc += rec.w as u64;
-                p.write_all(&acc.to_le_bytes())?;
-            }
-            for (r, racc, w) in rel_pfx.iter_mut() {
-                if rec.rel as usize == *r {
-                    *racc += rec.w as u64;
-                }
-                w.write_all(&racc.to_le_bytes())?;
-            }
-        }
-        col.flush()?;
-        wts.flush()?;
-        let rel_writers = rel_pfx.iter_mut().map(|entry| &mut entry.2);
-        for w in elb.iter_mut().chain(&mut pfx).chain(rel_writers) {
-            w.flush()?;
-        }
+    // every edge-indexed section of the file's own CSR; one more per
+    // fennel or walk shard, its compacted copy of the rows it owns. The
+    // cumulatives are row-local, so a shard's prefix lane is the file's,
+    // restricted to those rows.
+    let ids = [SEC_COL, SEC_WEIGHTS, SEC_ELABELS, SEC_PREFIX_ALL];
+    let mut lanes = EdgeLanes::open(&section, ids, any_rel, with_prefix)?;
+    for &r in &rel_prefix_labels {
+        let w = section(SEC_REL_PREFIX_BASE + r as u64)?;
+        lanes.relation_prefix.push((r, 0, w));
+    }
+    lanes.fill(&runs, |_| true)?;
+    for s in (0..k).filter(|_| compacted) {
+        let lanes = [
+            SHARD_LANE_COL,
+            SHARD_LANE_WEIGHTS,
+            SHARD_LANE_ELABELS,
+            SHARD_LANE_PREFIX,
+        ];
+        let ids = lanes.map(|lane| shard_section(s, lane));
+        let lanes = EdgeLanes::open(&section, ids, any_rel, with_prefix)?;
+        lanes.fill(&runs, |u| owner[u as usize] as usize == s)?;
     }
 
     std::fs::rename(&partial, out)?;
@@ -753,41 +827,53 @@ where
     })
 }
 
-/// Pack an in-memory graph (the small-graph convenience path). Builds
-/// the prefix cache in place first (no-op if present or ineligible) so
-/// the file carries it; with `relabel`, the graph is reordered via
-/// [`by_degree_descending`] and the relabeling persisted.
-pub fn pack_graph(g: &mut Graph, relabel: bool, out: &Path) -> Result<u64, IoError> {
-    pack_graph_with(g, relabel, 0, ShardStrategy::Range, false, out)
+/// Pack an in-memory graph through the same pipeline: its stored edges
+/// are the stream — an undirected graph's once each (`u ≤ v`), for the
+/// pipeline to mirror back — and its vertex labels the label source.
+/// With `relabel`, the vertices are renumbered in descending-degree
+/// order (the order of [`by_degree_descending`]) and the map persisted.
+/// Returns the file's size.
+pub fn pack_graph(g: &Graph, relabel: bool, out: &Path) -> Result<u64, IoError> {
+    pack_graph_with(g, relabel, 0, ShardStrategy::Range, out)
 }
 
-/// [`pack_graph`] with shard-partition and compression extras. Unlike
-/// the streaming pipeline, the in-memory path supports both partition
-/// strategies (fennel walks the whole adjacency greedily).
+/// [`pack_graph`] with a partition into `shards` shards (0 = none).
+/// Range cuts are the pipeline's; a fennel or walk table is computed here
+/// on the whole graph, numbered as it will be in the file.
 pub fn pack_graph_with(
-    g: &mut Graph,
+    g: &Graph,
     relabel: bool,
     shards: usize,
     strategy: ShardStrategy,
-    compress: bool,
     out: &Path,
 ) -> Result<u64, IoError> {
-    g.build_prefix_cache();
-    let write = |g: &Graph, map: Option<&Relabeling>| -> Result<u64, IoError> {
-        let sharded = (shards > 0).then(|| partition_graph(g, shards, strategy));
-        let extras = PackExtras {
-            sharded: sharded.as_ref(),
-            compress,
-        };
-        write_packed_with(g, map, &extras, out)
+    let partition = match strategy {
+        _ if shards == 0 => Partition::None,
+        ShardStrategy::Range => Partition::Range(shards),
+        table if relabel => {
+            let (file_graph, _) = by_degree_descending(g);
+            Partition::Table(table, table_assignment(&file_graph, shards, table))
+        }
+        table => Partition::Table(table, table_assignment(g, shards, table)),
     };
-    if relabel {
-        let (mut reordered, map) = by_degree_descending(g);
-        reordered.build_prefix_cache();
-        write(&reordered, Some(&map))
-    } else {
-        write(g, None)
-    }
+    let directed = g.is_directed();
+    let records = (0..g.num_vertices() as VertexId).flat_map(move |u| {
+        let view = g.neighbor_view(u);
+        let rels = view.relations.iter().copied().chain(std::iter::repeat(0));
+        let edges = view.targets.iter().zip(view.weights).zip(rels);
+        edges.filter_map(move |((&v, &w), rel)| (directed || u <= v).then_some((u, v, w, rel)))
+    });
+    let labels = g.has_vertex_labels().then(|| {
+        let labels = g.vertex_labels.to_vec();
+        Box::new(move |_| labels) as Box<dyn FnOnce(usize) -> Vec<u8>>
+    });
+    let opts = PackOptions {
+        relabel,
+        partition,
+        ..PackOptions::default()
+    };
+    let stats = pack_edge_stream(records, directed, g.num_vertices(), labels, out, &opts)?;
+    Ok(stats.file_bytes)
 }
 
 /// Stream-pack the `generators::rmat_dataset` synthetic without ever
@@ -820,7 +906,8 @@ pub fn pack_rmat_dataset(
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::packed::{load_packed, LoadMode};
+    use crate::packed::{load_packed, load_packed_sharded, LoadMode};
+    use crate::partition::partition_graph;
     use crate::GraphBuilder;
 
     fn tmp(name: &str) -> PathBuf {
@@ -949,20 +1036,17 @@ mod tests {
     #[test]
     fn rmat10_pack_bytes_are_pinned() {
         let pinned = [
-            (false, 0, false, 0xa98d_0119_e554_8eb8u64),
-            (true, 0, false, 0x2bb0_a1a5_9e4b_2ede),
-            (false, 4, false, 0x2480_db5a_d2bd_5f63),
-            (false, 0, true, 0xe808_cc8b_bc17_e2f2),
-            (true, 4, true, 0x1ad9_34c6_4a2c_f3c5),
+            (false, 0, 0xa98d_0119_e554_8eb8u64),
+            (true, 0, 0x2bb0_a1a5_9e4b_2ede),
+            (false, 4, 0x2480_db5a_d2bd_5f63),
         ];
-        for (relabel, shards, compress, want) in pinned {
+        for (relabel, shards, want) in pinned {
             for chunk in [16, 500, 5000, PackOptions::default().chunk_records] {
-                let out = tmp(&format!("pin_{relabel}_{shards}_{compress}_{chunk}.lrwpak"));
+                let out = tmp(&format!("pin_{relabel}_{shards}_{chunk}.lrwpak"));
                 let opts = PackOptions {
                     relabel,
                     chunk_records: chunk,
-                    shards,
-                    compress,
+                    partition: Partition::Range(shards),
                 };
                 let st = pack_rmat_dataset(10, 7, &out, &opts).unwrap();
                 assert_eq!((st.vertices, st.edges, st.duplicates), (1024, 6676, 1516));
@@ -971,7 +1055,7 @@ mod tests {
                 assert_eq!(
                     fnv1a(&bytes),
                     want,
-                    "relabel={relabel} shards={shards} compress={compress} chunk={chunk}"
+                    "relabel={relabel} shards={shards} chunk={chunk}"
                 );
                 no_temps_left(&out);
                 std::fs::remove_file(&out).ok();
@@ -1074,14 +1158,14 @@ mod tests {
 
     #[test]
     fn pack_graph_convenience_roundtrips() {
-        let mut g = generators::rmat_dataset(6, 9);
+        let g = generators::rmat_dataset(6, 9);
         let out = tmp("conv.lrwpak");
-        let bytes = pack_graph(&mut g, false, &out).unwrap();
+        let bytes = pack_graph(&g, false, &out).unwrap();
         assert_eq!(bytes, std::fs::metadata(&out).unwrap().len());
         assert_eq!(load_packed(&out, LoadMode::Auto).unwrap().graph, g);
         // And the relabeled flavor.
         let out2 = tmp("conv_rl.lrwpak");
-        pack_graph(&mut g, true, &out2).unwrap();
+        pack_graph(&g, true, &out2).unwrap();
         let loaded = load_packed(&out2, LoadMode::Auto).unwrap();
         let (expected, _) = by_degree_descending(&g);
         assert_eq!(loaded.graph, expected);
@@ -1098,11 +1182,11 @@ mod tests {
         let out = tmp("rmat7_sharded.lrwpak");
         let opts = PackOptions {
             chunk_records: 400, // force external sorting
-            shards: 4,
+            partition: Partition::Range(4),
             ..PackOptions::default()
         };
         pack_rmat_dataset(7, seed, &out, &opts).unwrap();
-        let loaded = crate::packed::load_packed_sharded(&out, LoadMode::Auto).unwrap();
+        let loaded = load_packed_sharded(&out, LoadMode::Auto).unwrap();
         assert_eq!(loaded.meta.k(), 4);
         assert_eq!(loaded.meta.strategy, ShardStrategy::Range);
         assert_eq!(loaded.sharded.crossing_rate(), mem.crossing_rate());
@@ -1125,45 +1209,8 @@ mod tests {
         std::fs::remove_file(&out).ok();
     }
 
-    #[test]
-    fn streamed_compressed_pack_is_equal_and_smaller() {
-        let seed = 4u64;
-        let expected = generators::rmat_dataset(7, seed);
-        let out_c = tmp("rmat7_comp.lrwpak");
-        let out_p = tmp("rmat7_plaincol.lrwpak");
-        let comp = pack_rmat_dataset(
-            7,
-            seed,
-            &out_c,
-            &PackOptions {
-                chunk_records: 300,
-                compress: true,
-                ..PackOptions::default()
-            },
-        )
-        .unwrap();
-        let plain = pack_rmat_dataset(
-            7,
-            seed,
-            &out_p,
-            &PackOptions {
-                chunk_records: 300,
-                ..PackOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            comp.file_bytes < plain.file_bytes,
-            "varint file ({}) not smaller than plain ({})",
-            comp.file_bytes,
-            plain.file_bytes
-        );
-        let loaded = load_packed(&out_c, LoadMode::Auto).unwrap();
-        assert_eq!(loaded.graph, expected);
-        std::fs::remove_file(&out_c).ok();
-        std::fs::remove_file(&out_p).ok();
-    }
-
+    /// Relabeling and range shards in one stream-pack. (`compressed` in
+    /// the name is a column layout the format no longer has.)
     #[test]
     fn streamed_sharded_compressed_relabel_combine() {
         let seed = 8u64;
@@ -1171,13 +1218,12 @@ mod tests {
         let opts = PackOptions {
             relabel: true,
             chunk_records: 200,
-            shards: 2,
-            compress: true,
+            partition: Partition::Range(2),
         };
         pack_rmat_dataset(6, seed, &out, &opts).unwrap();
         let g = generators::rmat_dataset(6, seed);
         let (expected, _) = by_degree_descending(&g);
-        let loaded = crate::packed::load_packed_sharded(&out, LoadMode::Heap).unwrap();
+        let loaded = load_packed_sharded(&out, LoadMode::Heap).unwrap();
         assert!(loaded.relabeling.is_some());
         let mem = partition_graph(&expected, 2, ShardStrategy::Range);
         for (ls, ms) in loaded.sharded.shards.iter().zip(mem.shards.iter()) {
@@ -1192,11 +1238,11 @@ mod tests {
 
     #[test]
     fn pack_graph_with_fennel_partition_roundtrips() {
-        let mut g = generators::rmat_dataset(6, 5);
+        let g = generators::rmat_dataset(6, 5);
         let out = tmp("conv_fennel.lrwpak");
-        pack_graph_with(&mut g, false, 3, ShardStrategy::Fennel, false, &out).unwrap();
+        pack_graph_with(&g, false, 3, ShardStrategy::Fennel, &out).unwrap();
         let mem = partition_graph(&g, 3, ShardStrategy::Fennel);
-        let loaded = crate::packed::load_packed_sharded(&out, LoadMode::Auto).unwrap();
+        let loaded = load_packed_sharded(&out, LoadMode::Auto).unwrap();
         assert_eq!(loaded.meta.strategy, ShardStrategy::Fennel);
         for (ls, ms) in loaded.sharded.shards.iter().zip(mem.shards.iter()) {
             assert_eq!(ls.owned_edges, ms.owned_edges);
@@ -1204,6 +1250,68 @@ mod tests {
                 assert_eq!(ls.graph.neighbors(v), ms.graph.neighbors(v));
             }
         }
+        std::fs::remove_file(&out).ok();
+    }
+
+    /// File checksums of what the whole-graph writer this pipeline
+    /// replaced wrote for the graphs the CLI materializes: the pipeline
+    /// writes the same bytes, except that a relabelled undirected graph
+    /// now keeps `FLAG_DIRECTED` clear — the old writer set it because its
+    /// degree reordering rebuilt the graph as directed. Those rows set the
+    /// bit back before hashing.
+    #[test]
+    fn whole_graph_packs_keep_their_bytes() {
+        use ShardStrategy::{Fennel, Range, Walk};
+        let er = generators::erdos_renyi_gnm(1 << 9, 8 << 9, 7);
+        let youtube = generators::DatasetProfile::youtube().stand_in(9, 7);
+        let rmat = generators::rmat_dataset(9, 7);
+        let pinned = [
+            (&er, false, 0, Range, 0x9341_b574_b98a_3968u64),
+            (&er, true, 0, Range, 0x46e8_0062_5c99_e755),
+            (&youtube, false, 0, Range, 0xc943_cb67_2dd8_a693),
+            (&youtube, true, 0, Range, 0x94c3_60b0_84ee_7ef5),
+            (&rmat, false, 0, Range, 0xfe76_8918_d7c4_d92b),
+            (&rmat, true, 0, Range, 0x37c7_302b_f027_19df),
+            (&rmat, false, 3, Range, 0x55cf_1296_08c2_3fd4),
+            (&rmat, false, 3, Fennel, 0x3022_acd8_65fa_d708),
+            (&rmat, false, 2, Walk, 0x001a_c87c_4e50_cdf2),
+            (&rmat, true, 2, Walk, 0x703a_8aca_b52b_3c58),
+        ];
+        for (i, (g, relabel, shards, strategy, want)) in pinned.into_iter().enumerate() {
+            let out = tmp(&format!("whole_graph_{i}.lrwpak"));
+            let len = pack_graph_with(g, relabel, shards, strategy, &out).unwrap();
+            let mut bytes = std::fs::read(&out).unwrap();
+            assert_eq!(len, bytes.len() as u64, "row {i}");
+            let directed = bytes[16] & FLAG_DIRECTED as u8 != 0;
+            assert_eq!(directed, g.is_directed(), "row {i}");
+            if relabel && !directed {
+                bytes[16] |= FLAG_DIRECTED as u8;
+            }
+            assert_eq!(fnv1a(&bytes), want, "row {i}");
+            no_temps_left(&out);
+            std::fs::remove_file(&out).ok();
+        }
+    }
+
+    /// A reader that mapped a pack keeps reading the rows it mapped while
+    /// the path is repacked, here with a partition: the new file is a new
+    /// inode renamed over the name, not the old one rewritten.
+    #[test]
+    fn repacking_a_path_leaves_its_mapped_readers_their_rows() {
+        let g = generators::rmat_dataset(10, 7);
+        let out = tmp("repacked.lrwpak");
+        pack_graph(&g, false, &out).unwrap();
+        let mapped = load_packed(&out, LoadMode::Auto).unwrap().graph;
+        let n = mapped.num_vertices() as u32;
+        let rows: Vec<Vec<u32>> = (0..n).map(|v| mapped.neighbors(v).to_vec()).collect();
+        pack_graph_with(&g, false, 2, ShardStrategy::Fennel, &out).unwrap();
+        for (v, row) in (0..n).zip(&rows) {
+            assert_eq!(mapped.neighbors(v), &row[..], "row {v}");
+        }
+        assert_eq!(
+            load_packed_sharded(&out, LoadMode::Auto).unwrap().meta.k(),
+            2
+        );
         std::fs::remove_file(&out).ok();
     }
 

@@ -15,7 +15,7 @@
 //! magic    8 bytes  "LRWPAK01"
 //! version  u64      1
 //! flags    u64      bit0 directed, bit1 vertex labels, bit2 edge labels,
-//!                   bit3 prefix cache, bit4 relabeling
+//!                   bit3 prefix cache, bit4 relabeling, bit5 shard partition
 //! n        u64      vertex count
 //! m        u64      stored (directed) edge count
 //! count    u64      number of section-table entries
@@ -26,20 +26,32 @@
 //! Section ids: 1 `row_index` ((n+1)×u64) · 2 `col_index` (m×u32) ·
 //! 3 `weights` (m×u32) · 4 vertex labels (n×u8) · 5 edge labels (m×u8) ·
 //! 6 prefix cumulative (m×u64) · 7 `new_to_old` relabeling (n×u32) ·
-//! 16+r per-relation prefix cumulative for relation `r` (m×u64).
+//! 8 shard metadata ((2+3k)×u64: `k`, the strategy code, then owned
+//! vertices, owned edges and boundary edges of each shard) · 9 range
+//! cuts ((k+1)×u32) · 10 fennel/walk owner table (n×u32) · 16+r
+//! per-relation prefix cumulative for relation `r` (m×u64).
 //!
-//! The loader performs **light** validation only (magic/version, table
-//! bounds and alignment, section sizes against `n`/`m`, and the CSR
-//! endpoints `row[0] == 0`, `row[n] == m`): touching every page of a
-//! multi-GB file to re-validate adjacency sorting on each load would
-//! defeat the out-of-core design. Files are produced exclusively by
-//! [`write_packed`] / [`crate::pack`] — which is what the CLI's
-//! `generate`, `convert` and `graph pack` write through — and those pack
-//! validated graphs; `lightrw_cli info` runs the full structural check
+//! With bit 5, shard `s` adds a block at id `1024 + 16·s + lane`: lane 0
+//! its full-span row offsets ((n+1)×u64), lane 1 its sorted ghost table
+//! (u32 ids). Range shards share the file's edge sections, so their row
+//! offsets are global; fennel and walk shards carry compacted copies of
+//! the rows they own — lanes 2 `col_index` (u32), 3 weights (u32), 4 edge
+//! labels (u8, typed graphs) and 5 prefix cumulative (u64, cached graphs)
+//! — and their row offsets index those.
+//!
+//! The loader performs **light** validation only (magic/version, known
+//! flag bits, table bounds and alignment, section sizes against `n`/`m`,
+//! the CSR endpoints `row[0] == 0`, `row[n] == m`, and the shard
+//! metadata against the graph): touching every page of a multi-GB file
+//! to re-validate adjacency sorting on each load would defeat the
+//! out-of-core design. A damaged file is an `Err`, never a panic. Files
+//! come only from [`crate::pack`] — the streaming pipeline behind the
+//! CLI's `generate`, `convert` and `graph pack` — which packs validated
+//! graphs; `lightrw_cli info` runs the full structural check
 //! ([`crate::validate`]) on a file whose origin is in doubt.
 
 use std::collections::HashMap;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -59,9 +71,9 @@ pub(crate) const FLAG_PREFIX: u64 = 1 << 3;
 pub(crate) const FLAG_RELABEL: u64 = 1 << 4;
 /// The file carries a shard partition (DESIGN.md §11).
 pub(crate) const FLAG_SHARDS: u64 = 1 << 5;
-/// `col_index` is stored varint-delta compressed (`SEC_COL_VARINT`
-/// replaces `SEC_COL`).
-pub(crate) const FLAG_COMPRESSED: u64 = 1 << 6;
+/// Every bit this build reads; a file setting any other is refused.
+const FLAGS_KNOWN: u64 =
+    FLAG_DIRECTED | FLAG_VLABELS | FLAG_ELABELS | FLAG_PREFIX | FLAG_RELABEL | FLAG_SHARDS;
 
 pub(crate) const SEC_ROW: u64 = 1;
 pub(crate) const SEC_COL: u64 = 2;
@@ -75,10 +87,8 @@ pub(crate) const SEC_NEW_TO_OLD: u64 = 7;
 pub(crate) const SEC_SHARD_META: u64 = 8;
 /// Range-strategy ownership: `k + 1` u32 cut points.
 pub(crate) const SEC_SHARD_CUTS: u64 = 9;
-/// Table-strategy (fennel) ownership: `n` u32 owners.
+/// Table-strategy (fennel, walk) ownership: `n` u32 owners.
 pub(crate) const SEC_SHARD_ASSIGN: u64 = 10;
-/// Varint-delta compressed `col_index` (present iff `FLAG_COMPRESSED`).
-pub(crate) const SEC_COL_VARINT: u64 = 11;
 pub(crate) const SEC_REL_PREFIX_BASE: u64 = 16;
 
 /// Per-shard sections live at `SEC_SHARD_BASE + s·SEC_SHARD_STRIDE +
@@ -88,18 +98,18 @@ pub(crate) const SEC_SHARD_BASE: u64 = 1024;
 pub(crate) const SEC_SHARD_STRIDE: u64 = 16;
 /// Full-span row offsets ((n+1) × u64). Under the range strategy the
 /// offsets index the *global* `col_index` (the shard shares the global
-/// edge sections); under fennel they index the shard's own compacted
-/// col section.
+/// edge sections); under fennel and walk they index the shard's own
+/// compacted col section.
 pub(crate) const SHARD_LANE_ROW: u64 = 0;
 /// Sorted ghost-vertex table (u32 global ids).
 pub(crate) const SHARD_LANE_GHOSTS: u64 = 1;
-/// Compacted per-shard `col_index` (fennel only).
+/// Compacted per-shard `col_index` (fennel/walk only).
 pub(crate) const SHARD_LANE_COL: u64 = 2;
-/// Compacted per-shard weights (fennel only).
+/// Compacted per-shard weights (fennel/walk only).
 pub(crate) const SHARD_LANE_WEIGHTS: u64 = 3;
-/// Compacted per-shard edge labels (fennel only, typed graphs).
+/// Compacted per-shard edge labels (fennel/walk only, typed graphs).
 pub(crate) const SHARD_LANE_ELABELS: u64 = 4;
-/// Compacted per-shard prefix cumulative (fennel only, cached graphs).
+/// Compacted per-shard prefix cumulative (fennel/walk only, cached graphs).
 pub(crate) const SHARD_LANE_PREFIX: u64 = 5;
 
 pub(crate) fn shard_section(s: usize, lane: u64) -> u64 {
@@ -122,7 +132,6 @@ pub fn section_name(id: u64) -> String {
         SEC_SHARD_META => "shard_meta".into(),
         SEC_SHARD_CUTS => "shard_cuts".into(),
         SEC_SHARD_ASSIGN => "shard_assign".into(),
-        SEC_COL_VARINT => "col_varint".into(),
         s if s >= SEC_SHARD_BASE => {
             let shard = (s - SEC_SHARD_BASE) / SEC_SHARD_STRIDE;
             let lane = match (s - SEC_SHARD_BASE) % SEC_SHARD_STRIDE {
@@ -141,106 +150,6 @@ pub fn section_name(id: u64) -> String {
     }
 }
 
-// ----------------------------------------------------------------------
-// Varint-delta col_index compression (DESIGN.md §11)
-// ----------------------------------------------------------------------
-//
-// Each adjacency row is encoded independently (row boundaries come from
-// `row_index`): the first target as an absolute LEB128 varint, every
-// later target as LEB128(delta − 1) from its predecessor — adjacency
-// lists are sorted and duplicate-free, so deltas are ≥ 1 and the −1
-// saves a bit on consecutive-id runs.
-
-/// Encoded byte length of one value.
-#[inline]
-pub(crate) fn varint_len(x: u32) -> u64 {
-    match x {
-        0..=0x7F => 1,
-        0x80..=0x3FFF => 2,
-        0x4000..=0x1F_FFFF => 3,
-        0x20_0000..=0x0FFF_FFFF => 4,
-        _ => 5,
-    }
-}
-
-#[inline]
-pub(crate) fn write_varint<W: Write>(out: &mut W, mut x: u32) -> std::io::Result<()> {
-    loop {
-        let byte = (x & 0x7F) as u8;
-        x >>= 7;
-        if x == 0 {
-            return out.write_all(&[byte]);
-        }
-        out.write_all(&[byte | 0x80])?;
-    }
-}
-
-#[inline]
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let mut x = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &b = bytes.get(*pos)?;
-        *pos += 1;
-        x |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return u32::try_from(x).ok();
-        }
-        shift += 7;
-        if shift > 28 + 7 {
-            return None;
-        }
-    }
-}
-
-/// Encode a full `col_index` under `row_index` into one varint stream.
-fn encode_col_varint(row_index: &[u64], col_index: &[u32]) -> Vec<u8> {
-    let n = row_index.len() - 1;
-    let mut out = Vec::new();
-    for v in 0..n {
-        let row = &col_index[row_index[v] as usize..row_index[v + 1] as usize];
-        let mut prev: Option<u32> = None;
-        for &t in row {
-            let val = match prev {
-                None => t,
-                Some(p) => t - p - 1,
-            };
-            write_varint(&mut out, val).expect("Vec write is infallible");
-            prev = Some(t);
-        }
-    }
-    out
-}
-
-/// Decode a varint-delta col section back into raw targets.
-fn decode_col_varint(bytes: &[u8], row_index: &[u64], m: usize) -> Option<Vec<u32>> {
-    let n = row_index.len() - 1;
-    let mut col = Vec::with_capacity(m);
-    let mut pos = 0usize;
-    for v in 0..n {
-        let deg = (row_index[v + 1] - row_index[v]) as usize;
-        if deg == 0 {
-            continue;
-        }
-        let mut prev = read_varint(bytes, &mut pos)?;
-        col.push(prev);
-        for _ in 1..deg {
-            let delta = read_varint(bytes, &mut pos)?;
-            prev = prev.checked_add(delta)?.checked_add(1)?;
-            col.push(prev);
-        }
-    }
-    if col.len() == m {
-        Some(col)
-    } else {
-        None
-    }
-}
-
-pub(crate) fn align8(x: u64) -> u64 {
-    x.div_ceil(8) * 8
-}
-
 /// Lay out sections `(id, len_bytes)` after the header+table, assigning
 /// 8-aligned offsets in order. Returns the table and the total file size.
 pub(crate) fn assign_offsets(lens: &[(u64, u64)]) -> (Vec<SectionEntry>, u64) {
@@ -248,7 +157,7 @@ pub(crate) fn assign_offsets(lens: &[(u64, u64)]) -> (Vec<SectionEntry>, u64) {
     let mut table = Vec::with_capacity(lens.len());
     for &(id, len) in lens {
         table.push((id, off, len));
-        off = align8(off + len);
+        off = (off + len).div_ceil(8) * 8;
     }
     (table, off)
 }
@@ -273,239 +182,6 @@ pub(crate) fn write_header<W: Write>(
         out.write_all(&len.to_le_bytes())?;
     }
     Ok(())
-}
-
-/// View a Pod slice as raw little-endian bytes (little-endian hosts only;
-/// the cfg guard keeps big-endian builds on the per-element path).
-#[cfg(target_endian = "little")]
-pub(crate) fn lane_bytes<T: crate::store::Pod>(s: &[T]) -> &[u8] {
-    // SAFETY: Pod types have no padding or invalid bit patterns; reading
-    // a slice's memory as bytes is always sound.
-    unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u8>(), std::mem::size_of_val(s)) }
-}
-
-fn write_u64_lane<W: Write>(out: &mut W, s: &[u64]) -> std::io::Result<()> {
-    #[cfg(target_endian = "little")]
-    return out.write_all(lane_bytes(s));
-    #[cfg(target_endian = "big")]
-    {
-        for &x in s {
-            out.write_all(&x.to_le_bytes())?;
-        }
-        Ok(())
-    }
-}
-
-fn write_u32_lane<W: Write>(out: &mut W, s: &[u32]) -> std::io::Result<()> {
-    #[cfg(target_endian = "little")]
-    return out.write_all(lane_bytes(s));
-    #[cfg(target_endian = "big")]
-    {
-        for &x in s {
-            out.write_all(&x.to_le_bytes())?;
-        }
-        Ok(())
-    }
-}
-
-/// Pad `out` to the next 8-byte boundary after writing `len` bytes at
-/// 8-aligned `off`.
-fn pad_to_align<W: Write>(out: &mut W, off: u64, len: u64) -> std::io::Result<()> {
-    let end = off + len;
-    let pad = align8(end) - end;
-    out.write_all(&[0u8; 8][..pad as usize])
-}
-
-/// Optional extra payloads for [`write_packed_with`].
-#[derive(Default)]
-pub struct PackExtras<'a> {
-    /// Persist this shard partition into the file (DESIGN.md §11). The
-    /// partition must have been computed over the same graph being
-    /// written. Range partitions cost only `K·(n+1)·8` bytes of shard
-    /// row offsets (the shards share the global edge sections); fennel
-    /// partitions additionally store compacted per-shard edge lanes.
-    pub sharded: Option<&'a ShardedGraph>,
-    /// Store `col_index` varint-delta compressed (`SEC_COL_VARINT`).
-    /// Loads decode it back into an owned section, trading load-time
-    /// heap for file bytes.
-    pub compress: bool,
-}
-
-/// The full-span row offsets of a *range* shard owning `lo..hi`,
-/// expressed in **global** `col_index` coordinates: `row[v] =
-/// g_row[clamp(v, lo, hi)]`, so owned rows are verbatim global rows and
-/// every other row is empty.
-pub(crate) fn range_shard_row(g_row: &[u64], lo: VertexId, hi: VertexId) -> Vec<u64> {
-    let n = (g_row.len() - 1) as u32;
-    (0..=n).map(|v| g_row[v.clamp(lo, hi) as usize]).collect()
-}
-
-/// Serialize an in-memory graph (plus an optional relabeling that
-/// produced it) into a packed file. The prefix cache is written as-is
-/// when present, so loading the file makes `build_prefix_cache` a no-op.
-pub fn write_packed<P: AsRef<Path>>(
-    g: &Graph,
-    relabeling: Option<&Relabeling>,
-    path: P,
-) -> Result<u64, IoError> {
-    write_packed_with(g, relabeling, &PackExtras::default(), path)
-}
-
-/// [`write_packed`] with shard-partition and compression extras.
-pub fn write_packed_with<P: AsRef<Path>>(
-    g: &Graph,
-    relabeling: Option<&Relabeling>,
-    extras: &PackExtras<'_>,
-    path: P,
-) -> Result<u64, IoError> {
-    let n = g.num_vertices() as u64;
-    let m = g.num_edges() as u64;
-    if let Some(map) = relabeling {
-        assert_eq!(map.new_to_old().len() as u64, n, "relabeling size mismatch");
-    }
-
-    let col_varint = if extras.compress {
-        Some(encode_col_varint(&g.row_index, &g.col_index))
-    } else {
-        None
-    };
-
-    let mut flags = 0u64;
-    if g.is_directed() {
-        flags |= FLAG_DIRECTED;
-    }
-    let mut lens: Vec<(u64, u64)> = vec![(SEC_ROW, (n + 1) * 8)];
-    match &col_varint {
-        Some(enc) => {
-            flags |= FLAG_COMPRESSED;
-            lens.push((SEC_COL_VARINT, enc.len() as u64));
-        }
-        None => lens.push((SEC_COL, m * 4)),
-    }
-    lens.push((SEC_WEIGHTS, m * 4));
-    if g.has_vertex_labels() {
-        flags |= FLAG_VLABELS;
-        lens.push((SEC_VLABELS, n));
-    }
-    if g.has_edge_labels() {
-        flags |= FLAG_ELABELS;
-        lens.push((SEC_ELABELS, m));
-    }
-    if let Some(cache) = &g.prefix {
-        flags |= FLAG_PREFIX;
-        lens.push((SEC_PREFIX_ALL, m * 8));
-        for (r, cum) in cache.per_relation.iter().enumerate() {
-            if !cum.is_empty() {
-                lens.push((SEC_REL_PREFIX_BASE + r as u64, m * 8));
-            }
-        }
-    }
-    if relabeling.is_some() {
-        flags |= FLAG_RELABEL;
-        lens.push((SEC_NEW_TO_OLD, n * 4));
-    }
-    if let Some(sg) = extras.sharded {
-        assert_eq!(sg.num_vertices() as u64, n, "shard partition size mismatch");
-        flags |= FLAG_SHARDS;
-        let k = sg.k() as u64;
-        lens.push((SEC_SHARD_META, (2 + 3 * k) * 8));
-        match &sg.ownership {
-            Ownership::Range { .. } => lens.push((SEC_SHARD_CUTS, (k + 1) * 4)),
-            Ownership::Table { .. } => lens.push((SEC_SHARD_ASSIGN, n * 4)),
-        }
-        for (s, shard) in sg.shards.iter().enumerate() {
-            lens.push((shard_section(s, SHARD_LANE_ROW), (n + 1) * 8));
-            lens.push((
-                shard_section(s, SHARD_LANE_GHOSTS),
-                shard.ghosts.len() as u64 * 4,
-            ));
-            if matches!(sg.ownership, Ownership::Table { .. }) {
-                lens.push((shard_section(s, SHARD_LANE_COL), shard.owned_edges * 4));
-                lens.push((shard_section(s, SHARD_LANE_WEIGHTS), shard.owned_edges * 4));
-                if shard.graph.has_edge_labels() {
-                    lens.push((shard_section(s, SHARD_LANE_ELABELS), shard.owned_edges));
-                }
-                if shard.graph.prefix.is_some() {
-                    lens.push((shard_section(s, SHARD_LANE_PREFIX), shard.owned_edges * 8));
-                }
-            }
-        }
-    }
-
-    let (table, total) = assign_offsets(&lens);
-    let mut out = BufWriter::new(std::fs::File::create(path)?);
-    write_header(&mut out, flags, n, m, &table)?;
-    for &(id, off, len) in &table {
-        match id {
-            SEC_ROW => write_u64_lane(&mut out, &g.row_index)?,
-            SEC_COL => write_u32_lane(&mut out, &g.col_index)?,
-            SEC_COL_VARINT => out.write_all(col_varint.as_ref().expect("flagged"))?,
-            SEC_WEIGHTS => write_u32_lane(&mut out, &g.weights)?,
-            SEC_VLABELS => out.write_all(&g.vertex_labels)?,
-            SEC_ELABELS => out.write_all(&g.edge_labels)?,
-            SEC_PREFIX_ALL => write_u64_lane(&mut out, &g.prefix.as_ref().expect("flagged").all)?,
-            SEC_NEW_TO_OLD => write_u32_lane(&mut out, relabeling.expect("flagged").new_to_old())?,
-            SEC_SHARD_META => {
-                let sg = extras.sharded.expect("flagged");
-                let mut words = vec![sg.k() as u64, sg.strategy.code()];
-                for shard in &sg.shards {
-                    words.extend([
-                        shard.owned_vertices,
-                        shard.owned_edges,
-                        shard.boundary_edges,
-                    ]);
-                }
-                write_u64_lane(&mut out, &words)?
-            }
-            SEC_SHARD_CUTS => match &extras.sharded.expect("flagged").ownership {
-                Ownership::Range { cuts } => write_u32_lane(&mut out, cuts)?,
-                Ownership::Table { .. } => unreachable!("range section under table ownership"),
-            },
-            SEC_SHARD_ASSIGN => match &extras.sharded.expect("flagged").ownership {
-                Ownership::Table { owner } => write_u32_lane(&mut out, owner)?,
-                Ownership::Range { .. } => unreachable!("table section under range ownership"),
-            },
-            id if id >= SEC_SHARD_BASE => {
-                let sg = extras.sharded.expect("flagged");
-                let s = ((id - SEC_SHARD_BASE) / SEC_SHARD_STRIDE) as usize;
-                let shard = &sg.shards[s];
-                match (id - SEC_SHARD_BASE) % SEC_SHARD_STRIDE {
-                    SHARD_LANE_ROW => match &sg.ownership {
-                        // Range shards share the global edge sections, so
-                        // their rows are global offsets.
-                        Ownership::Range { cuts } => write_u64_lane(
-                            &mut out,
-                            &range_shard_row(&g.row_index, cuts[s], cuts[s + 1]),
-                        )?,
-                        // Fennel shards ship compacted lanes; their rows
-                        // are exactly the in-memory sub-CSR's.
-                        Ownership::Table { .. } => {
-                            write_u64_lane(&mut out, &shard.graph.row_index)?
-                        }
-                    },
-                    SHARD_LANE_GHOSTS => write_u32_lane(&mut out, &shard.ghosts)?,
-                    SHARD_LANE_COL => write_u32_lane(&mut out, &shard.graph.col_index)?,
-                    SHARD_LANE_WEIGHTS => write_u32_lane(&mut out, &shard.graph.weights)?,
-                    SHARD_LANE_ELABELS => out.write_all(&shard.graph.edge_labels)?,
-                    SHARD_LANE_PREFIX => write_u64_lane(
-                        &mut out,
-                        &shard.graph.prefix.as_ref().expect("laid out").all,
-                    )?,
-                    other => unreachable!("unknown shard lane {other}"),
-                }
-            }
-            r => {
-                let rel = (r - SEC_REL_PREFIX_BASE) as usize;
-                write_u64_lane(
-                    &mut out,
-                    &g.prefix.as_ref().expect("flagged").per_relation[rel],
-                )?
-            }
-        }
-        pad_to_align(&mut out, off, len)?;
-    }
-    out.flush()?;
-    Ok(total)
 }
 
 /// How [`load_packed`] should back the graph's sections.
@@ -638,8 +314,7 @@ fn sec_u8(region: &Arc<Region>, off: usize, len: usize) -> Option<Section<u8>> {
 
 /// Load a packed graph file. The heavy sections are *borrowed* from the
 /// file region (mmap or aligned heap buffer); nothing CSR-sized is
-/// copied onto the heap in `Auto` mode on Linux (except a
-/// `FLAG_COMPRESSED` adjacency, which decodes into one owned section).
+/// copied onto the heap in `Auto` mode on Linux.
 pub fn load_packed<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<PackedGraph, IoError> {
     Ok(load_packed_file(path, mode)?.packed)
 }
@@ -671,6 +346,10 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
         });
     }
     let flags = u64_at(bytes, 16);
+    if flags & !FLAGS_KNOWN != 0 {
+        let bit = (flags & !FLAGS_KNOWN).trailing_zeros();
+        return Err(IoError::UnknownFlag { bit });
+    }
     let n64 = u64_at(bytes, 24);
     let m64 = u64_at(bytes, 32);
     let count = u64_at(bytes, 40);
@@ -751,22 +430,8 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
         ));
     }
 
-    let col_index = if flags & FLAG_COMPRESSED != 0 {
-        // Compressed files trade the zero-copy contract for file bytes:
-        // the adjacency decodes into one owned heap section at load.
-        let &(off, len) = by_id
-            .get(&SEC_COL_VARINT)
-            .ok_or_else(|| corrupt(48, "required section missing"))?;
-        let enc = bytes
-            .get(off as usize..(off + len) as usize)
-            .ok_or_else(bad)?;
-        let col = decode_col_varint(enc, &row_index, m)
-            .ok_or_else(|| corrupt(off, "varint col_index fails to decode"))?;
-        Section::from(col)
-    } else {
-        let (col_off, _) = expect(SEC_COL, m as u64 * 4, "col_index section has wrong size")?;
-        sec_u32(&region, col_off as usize, m).ok_or_else(bad)?
-    };
+    let (col_off, _) = expect(SEC_COL, m as u64 * 4, "col_index section has wrong size")?;
+    let col_index = sec_u32(&region, col_off as usize, m).ok_or_else(bad)?;
 
     let vertex_labels = if flags & FLAG_VLABELS != 0 {
         let (off, _) = expect(SEC_VLABELS, n as u64, "vertex-label section has wrong size")?;
@@ -826,7 +491,9 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
             "relabel section has wrong size",
         )?;
         let sec = sec_u32(&region, off as usize, n).ok_or_else(bad)?;
-        Some(Relabeling::from_new_to_old(sec.to_vec()))
+        let map = Relabeling::try_from_new_to_old(sec.to_vec())
+            .ok_or_else(|| corrupt(off, "relabel section is not a permutation"))?;
+        Some(map)
     } else {
         None
     };
@@ -839,19 +506,29 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
             return Err(corrupt(off, "shard metadata section has wrong size"));
         }
         let words = sec_u64(&region, off as usize, (len / 8) as usize).ok_or_else(bad)?;
-        let k = words[0] as usize;
-        if k == 0 || words.len() != 2 + 3 * k {
+        // `k` is read off the section's length, then checked against the
+        // count word, so no product of file words can overflow.
+        let k = (words.len() - 2) / 3;
+        if k == 0 || words.len() != 2 + 3 * k || words[0] != k as u64 {
             return Err(corrupt(off, "shard metadata count mismatch"));
         }
         let strategy = ShardStrategy::from_code(words[1])
             .ok_or_else(|| corrupt(off + 8, "unknown shard strategy code"))?;
-        let shards = (0..k)
-            .map(|s| ShardCounts {
-                owned_vertices: words[2 + 3 * s],
-                owned_edges: words[3 + 3 * s],
-                boundary_edges: words[4 + 3 * s],
+        let shards: Vec<ShardCounts> = words[2..]
+            .chunks_exact(3)
+            .map(|c| ShardCounts {
+                owned_vertices: c[0],
+                owned_edges: c[1],
+                boundary_edges: c[2],
             })
             .collect();
+        // Bounded by the graph's own counts, the lane sizes the sharded
+        // loader derives from these stay far inside u64.
+        if shards.iter().any(|c| {
+            c.owned_vertices > n64 || c.owned_edges > m64 || c.boundary_edges > c.owned_edges
+        }) {
+            return Err(corrupt(off + 16, "shard metadata counts exceed the graph"));
+        }
         Some(ShardMeta { strategy, shards })
     } else {
         None
@@ -887,10 +564,10 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
 /// Range-partitioned files share the global edge sections across all
 /// shards (each shard adds only its own row-offset lane and ghost
 /// table — under `mmap` the clones are reference-counted window
-/// handles, not copies). Fennel-partitioned files load each shard's
-/// compacted edge lanes; their prefix caches carry the all-relations
-/// cumulative only. Fails with [`IoError::CorruptAt`] if the file was
-/// packed without `--shards`.
+/// handles, not copies). Fennel- and walk-partitioned files load each
+/// shard's compacted edge lanes; their prefix caches carry the
+/// all-relations cumulative only. Fails with [`IoError::CorruptAt`] if
+/// the file was packed without `--shards`.
 pub fn load_packed_sharded<P: AsRef<Path>>(
     path: P,
     mode: LoadMode,
@@ -928,7 +605,10 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
             let cuts = sec_u32(&region, off as usize, k + 1)
                 .ok_or_else(bad)?
                 .to_vec();
-            if cuts.first() != Some(&0) || cuts.last().copied() != Some(n as VertexId) {
+            if cuts.first() != Some(&0)
+                || cuts.last().copied() != Some(n as VertexId)
+                || cuts.windows(2).any(|w| w[0] > w[1])
+            {
                 return Err(corrupt(off, "shard cuts do not span the vertex range"));
             }
             Ownership::Range { cuts }
@@ -940,6 +620,9 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
                 "shard assignment section has wrong size",
             )?;
             let owner = sec_u32(&region, off as usize, n).ok_or_else(bad)?.to_vec();
+            if owner.iter().any(|&o| o as usize >= k) {
+                return Err(corrupt(off, "shard assignment names a shard past k"));
+            }
             Ownership::Table { owner }
         }
     };
@@ -1043,6 +726,7 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::pack::{pack_graph, pack_graph_with};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("lightrw_packed_test");
@@ -1054,7 +738,7 @@ mod tests {
     fn packed_roundtrip_is_exact_in_both_modes() {
         let g = generators::rmat_dataset(8, 5);
         let path = tmp("roundtrip.lrwpak");
-        let total = write_packed(&g, None, &path).unwrap();
+        let total = pack_graph(&g, false, &path).unwrap();
         assert_eq!(total, std::fs::metadata(&path).unwrap().len());
         for mode in [LoadMode::Auto, LoadMode::Heap] {
             let loaded = load_packed(&path, mode).unwrap();
@@ -1084,7 +768,7 @@ mod tests {
             .vertex_labels(vec![7, 8, 9])
             .build();
         let path = tmp("labels.lrwpak");
-        write_packed(&g, None, &path).unwrap();
+        pack_graph(&g, false, &path).unwrap();
         let loaded = load_packed(&path, LoadMode::Heap).unwrap().graph;
         assert_eq!(loaded, g);
         assert!(!loaded.is_directed());
@@ -1098,7 +782,7 @@ mod tests {
         let g = generators::rmat_dataset(7, 3);
         let (reordered, map) = crate::reorder::by_degree_descending(&g);
         let path = tmp("relabel.lrwpak");
-        write_packed(&reordered, Some(&map), &path).unwrap();
+        pack_graph(&g, true, &path).unwrap();
         let loaded = load_packed(&path, LoadMode::Auto).unwrap();
         assert_eq!(loaded.graph, reordered);
         let lm = loaded.relabeling.unwrap();
@@ -1113,7 +797,7 @@ mod tests {
     fn loader_rejects_corruption_loudly() {
         let g = generators::rmat_dataset(6, 1);
         let path = tmp("corrupt.lrwpak");
-        write_packed(&g, None, &path).unwrap();
+        pack_graph(&g, false, &path).unwrap();
         let clean = std::fs::read(&path).unwrap();
 
         // Bad magic.
@@ -1158,55 +842,19 @@ mod tests {
     }
 
     #[test]
-    fn compressed_roundtrip_is_exact_and_smaller() {
-        let g = generators::rmat_dataset(9, 4);
-        let plain = tmp("plain_col.lrwpak");
-        let packed = tmp("varint_col.lrwpak");
-        let plain_bytes = write_packed(&g, None, &plain).unwrap();
-        let extras = PackExtras {
-            compress: true,
-            ..Default::default()
-        };
-        let comp_bytes = write_packed_with(&g, None, &extras, &packed).unwrap();
-        assert!(
-            comp_bytes < plain_bytes,
-            "varint file ({comp_bytes}) not smaller than plain ({plain_bytes})"
-        );
-        for mode in [LoadMode::Auto, LoadMode::Heap] {
-            let loaded = load_packed(&packed, mode).unwrap();
-            assert_eq!(loaded.graph, g);
-            assert!(loaded.shard_meta.is_none());
-        }
-        std::fs::remove_file(&plain).ok();
-        std::fs::remove_file(&packed).ok();
-    }
-
-    #[test]
-    fn corrupt_varint_col_is_rejected() {
+    fn a_flag_bit_the_reader_does_not_know_is_named() {
         let g = generators::rmat_dataset(6, 2);
-        let path = tmp("varint_corrupt.lrwpak");
-        let extras = PackExtras {
-            compress: true,
-            ..Default::default()
-        };
-        write_packed_with(&g, None, &extras, &path).unwrap();
-        let loaded = load_packed(&path, LoadMode::Heap).unwrap();
-        let &(_, off, len) = loaded
-            .sections
-            .iter()
-            .find(|&&(id, _, _)| id == SEC_COL_VARINT)
-            .unwrap();
+        let path = tmp("unknown_flag.lrwpak");
+        pack_graph(&g, false, &path).unwrap();
+        // Bit 6 is what older builds set for a column layout the format
+        // no longer has; their files are refused by name, not by the
+        // section that layout would have needed.
         let mut buf = std::fs::read(&path).unwrap();
-        // All-continuation bytes: every varint read overruns its width
-        // bound, so the decode must fail loudly.
-        for b in &mut buf[off as usize..(off + len) as usize] {
-            *b = 0x80;
-        }
+        buf[16] |= 1 << 6;
         std::fs::write(&path, &buf).unwrap();
-        assert!(matches!(
-            load_packed(&path, LoadMode::Heap),
-            Err(IoError::CorruptAt { .. })
-        ));
+        let err = load_packed(&path, LoadMode::Heap).unwrap_err();
+        assert!(matches!(err, IoError::UnknownFlag { bit: 6 }), "{err:?}");
+        assert!(err.to_string().contains("flag bit 6"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1238,6 +886,10 @@ mod tests {
                     "shard {s} row {v}"
                 );
                 assert_eq!(ls.graph.neighbor_weights(v), ms.graph.neighbor_weights(v));
+                assert_eq!(
+                    ls.graph.neighbor_relations(v),
+                    ms.graph.neighbor_relations(v)
+                );
                 if mem.owner_of(v) == s && ms.graph.has_prefix_cache() {
                     assert_eq!(ls.graph.static_prefix(v), ms.graph.static_prefix(v));
                 }
@@ -1250,11 +902,7 @@ mod tests {
         let g = generators::rmat_dataset(8, 6);
         let mem = crate::partition_graph(&g, 4, ShardStrategy::Range);
         let path = tmp("sharded_range.lrwpak");
-        let extras = PackExtras {
-            sharded: Some(&mem),
-            ..Default::default()
-        };
-        write_packed_with(&g, None, &extras, &path).unwrap();
+        pack_graph_with(&g, false, 4, ShardStrategy::Range, &path).unwrap();
 
         // The plain loader still sees the base graph, plus the summary.
         let flat = load_packed(&path, LoadMode::Heap).unwrap();
@@ -1279,36 +927,39 @@ mod tests {
         let g = generators::rmat_dataset(8, 7);
         let mem = crate::partition_graph(&g, 3, ShardStrategy::Fennel);
         let path = tmp("sharded_fennel.lrwpak");
-        let extras = PackExtras {
-            sharded: Some(&mem),
-            ..Default::default()
-        };
-        write_packed_with(&g, None, &extras, &path).unwrap();
+        pack_graph_with(&g, false, 3, ShardStrategy::Fennel, &path).unwrap();
         let loaded = load_packed_sharded(&path, LoadMode::Auto).unwrap();
         assert_matches_partition(&loaded, &mem, &g);
         std::fs::remove_file(&path).ok();
     }
 
+    /// A fennel or walk shard that owns no edges still gets every lane the
+    /// loader asks for — an empty edge-label lane included. Here a typed
+    /// graph's only out-edges leave vertex 0, so at k = 3 two shards own
+    /// none.
     #[test]
-    fn compressed_and_sharded_combine() {
-        let g = generators::rmat_dataset(7, 9);
-        let mem = crate::partition_graph(&g, 2, ShardStrategy::Range);
-        let path = tmp("sharded_varint.lrwpak");
-        let extras = PackExtras {
-            sharded: Some(&mem),
-            compress: true,
-        };
-        write_packed_with(&g, None, &extras, &path).unwrap();
-        let loaded = load_packed_sharded(&path, LoadMode::Auto).unwrap();
-        assert_matches_partition(&loaded, &mem, &g);
-        std::fs::remove_file(&path).ok();
+    fn table_shards_without_edges_still_load() {
+        let g = (1..=7)
+            .fold(crate::GraphBuilder::directed().num_vertices(8), |b, v| {
+                b.labeled_edge(0, v, v, 1)
+            })
+            .build();
+        for strategy in [ShardStrategy::Fennel, ShardStrategy::Walk] {
+            let mem = crate::partition_graph(&g, 3, strategy);
+            assert!(mem.shards.iter().any(|s| s.owned_edges == 0));
+            let path = tmp(&format!("edgeless_{}.lrwpak", strategy.name()));
+            pack_graph_with(&g, false, 3, strategy, &path).unwrap();
+            let loaded = load_packed_sharded(&path, LoadMode::Auto).unwrap();
+            assert_matches_partition(&loaded, &mem, &g);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
     fn plain_file_refuses_sharded_load() {
         let g = generators::rmat_dataset(6, 3);
         let path = tmp("unsharded.lrwpak");
-        write_packed(&g, None, &path).unwrap();
+        pack_graph(&g, false, &path).unwrap();
         assert!(matches!(
             load_packed_sharded(&path, LoadMode::Heap),
             Err(IoError::CorruptAt { .. })
@@ -1322,12 +973,144 @@ mod tests {
             .edges([(0, 1), (1, 2)])
             .build();
         let path = tmp("plain.lrwpak");
-        write_packed(&g, None, &path).unwrap();
+        pack_graph(&g, false, &path).unwrap();
         let loaded = load_packed(&path, LoadMode::Auto).unwrap().graph;
         assert_eq!(loaded, g);
         assert!(!loaded.has_vertex_labels());
         assert!(!loaded.has_edge_labels());
         assert_eq!(loaded.relation_prefix(0, 0), g.relation_prefix(0, 0));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `(offset, len)` of section `id` in a packed file's bytes.
+    fn section_of(bytes: &[u8], id: u64) -> Option<(usize, usize)> {
+        let count = u64_at(bytes, 40) as usize;
+        (0..count)
+            .map(|i| 48 + 24 * i)
+            .find(|&e| u64_at(bytes, e) == id)
+            .map(|e| {
+                (
+                    u64_at(bytes, e + 8) as usize,
+                    u64_at(bytes, e + 16) as usize,
+                )
+            })
+    }
+
+    /// Three clean packs of one typed, labelled graph: unsharded, with
+    /// three range shards, and relabelled with two walk shards.
+    fn clean_packs() -> &'static [Vec<u8>; 3] {
+        static PACKS: std::sync::OnceLock<[Vec<u8>; 3]> = std::sync::OnceLock::new();
+        PACKS.get_or_init(|| {
+            let g = generators::rmat_dataset(6, 4);
+            let pack = |relabel, shards, strategy: ShardStrategy| {
+                let path = tmp(&format!("clean_{relabel}_{shards}.lrwpak"));
+                pack_graph_with(&g, relabel, shards, strategy, &path).unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::remove_file(&path).ok();
+                bytes
+            };
+            [
+                pack(false, 0, ShardStrategy::Range),
+                pack(false, 3, ShardStrategy::Range),
+                pack(true, 2, ShardStrategy::Walk),
+            ]
+        })
+    }
+
+    /// Both loaders on damaged bytes: an `Err` or a partition whose every
+    /// owner is one of its shards, never a panic.
+    fn load_damaged(bytes: &[u8], name: &str) -> Result<(), String> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let _ = load_packed(&path, LoadMode::Auto);
+        let sharded = load_packed_sharded(&path, LoadMode::Heap);
+        std::fs::remove_file(&path).ok();
+        if let Ok(p) = sharded {
+            let n = p.sharded.num_vertices() as VertexId;
+            if let Some(v) = (0..n).find(|&v| p.sharded.owner_of(v) >= p.sharded.k()) {
+                return Err(format!("vertex {v} owned by a shard past k"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn the_damage_that_used_to_panic_is_an_error() {
+        let [_, range, walk] = clean_packs();
+        let (meta, _) = section_of(range, SEC_SHARD_META).unwrap();
+        // A shard count whose `2 + 3k` overflows.
+        let mut bytes = range.clone();
+        bytes[meta..meta + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let path = tmp("overflowing_meta.lrwpak");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_packed(&path, LoadMode::Heap).unwrap_err();
+        assert!(err.to_string().contains("shard metadata count"), "{err}");
+
+        // An owned-edge count whose lane sizes overflow.
+        let (meta, _) = section_of(walk, SEC_SHARD_META).unwrap();
+        let mut bytes = walk.clone();
+        bytes[meta + 24..meta + 32].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_packed_sharded(&path, LoadMode::Heap).unwrap_err();
+        assert!(err.to_string().contains("exceed the graph"), "{err}");
+
+        // An owner past k, which would index past the executors' queues.
+        let (assign, _) = section_of(walk, SEC_SHARD_ASSIGN).unwrap();
+        let mut bytes = walk.clone();
+        bytes[assign..assign + 4].copy_from_slice(&7u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_packed_sharded(&path, LoadMode::Heap).unwrap_err();
+        assert!(err.to_string().contains("past k"), "{err}");
+
+        // A relabeling that is not a permutation.
+        let (map, _) = section_of(walk, SEC_NEW_TO_OLD).unwrap();
+        let mut bytes = walk.clone();
+        bytes.copy_within(map..map + 4, map + 4);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_packed(&path, LoadMode::Heap).unwrap_err();
+        assert!(err.to_string().contains("not a permutation"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(1024))]
+
+        /// Start from a clean pack and damage it: overwrite one word of
+        /// the header, the section table or the shard metadata (count and
+        /// counts, cuts, owner table), or truncate the file.
+        #[test]
+        fn damaged_packs_are_errors_not_panics(
+            which in 0usize..3,
+            area in 0u8..4,
+            at in 0usize..1 << 16,
+            word in proptest::prop_oneof![
+                proptest::strategy::Just(u64::MAX / 2),
+                proptest::strategy::Just(u64::MAX),
+                0u64..16,
+                0u64..u64::MAX,
+            ],
+        ) {
+            let mut bytes = clean_packs()[which].clone();
+            let shard_sections = [SEC_SHARD_META, SEC_SHARD_CUTS, SEC_SHARD_ASSIGN];
+            let shard_words = shard_sections
+                .iter()
+                .filter_map(|&id| section_of(&bytes, id))
+                .flat_map(|(off, len)| (off..off + len / 8 * 8).step_by(8))
+                .collect::<Vec<_>>();
+            let table_words = 3 * u64_at(&bytes, 40) as usize;
+            let pos = match area {
+                0 => Some(at % 6 * 8),
+                1 => Some(48 + at % table_words * 8),
+                2 if !shard_words.is_empty() => Some(shard_words[at % shard_words.len()]),
+                2 => Some(at % 6 * 8),
+                _ => None,
+            };
+            match pos {
+                Some(pos) => bytes[pos..pos + 8].copy_from_slice(&word.to_le_bytes()),
+                None => bytes.truncate(at % bytes.len()),
+            }
+            let outcome = load_damaged(&bytes, "damaged.lrwpak");
+            proptest::prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
     }
 }

@@ -225,14 +225,24 @@ pub fn partition_graph(g: &Graph, k: usize, strategy: ShardStrategy) -> ShardedG
         ShardStrategy::Range => Ownership::Range {
             cuts: range_cuts(g, k),
         },
-        ShardStrategy::Fennel => Ownership::Table {
-            owner: ensure_nonempty(fennel_assign(g, k), k),
-        },
-        ShardStrategy::Walk => Ownership::Table {
-            owner: ensure_nonempty(walk_assign(g, k), k),
+        table => Ownership::Table {
+            owner: table_assignment(g, k, table),
         },
     };
     build_shards(g, k, ownership, strategy)
+}
+
+/// The owner table of a fennel or walk partition into `k ≥ 1` shards,
+/// clamped like [`partition_graph`]'s and each owning a vertex, without
+/// the shards: what the packer persists.
+pub(crate) fn table_assignment(g: &Graph, k: usize, strategy: ShardStrategy) -> Vec<u32> {
+    let k = clamp_shards(k, g.num_vertices());
+    let owner = match strategy {
+        ShardStrategy::Fennel => fennel_assign(g, k),
+        ShardStrategy::Walk => walk_assign(g, k),
+        ShardStrategy::Range => unreachable!("a range partition is cuts, not a table"),
+    };
+    ensure_nonempty(owner, k)
 }
 
 /// Clamp a requested shard count to the number of vertices (so every

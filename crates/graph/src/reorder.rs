@@ -28,18 +28,25 @@ impl Relabeling {
     /// not a permutation of `0..n`.
     pub fn from_new_to_old(new_to_old: Vec<VertexId>) -> Self {
         let n = new_to_old.len();
-        let mut old_to_new = vec![VertexId::MAX; n];
+        Self::try_from_new_to_old(new_to_old)
+            .unwrap_or_else(|| panic!("new_to_old is not a permutation of 0..{n}"))
+    }
+
+    /// [`Relabeling::from_new_to_old`], or `None` when `new_to_old` is not
+    /// a permutation of `0..n` (a damaged file).
+    pub(crate) fn try_from_new_to_old(new_to_old: Vec<VertexId>) -> Option<Self> {
+        let mut old_to_new = vec![VertexId::MAX; new_to_old.len()];
         for (new, &old) in new_to_old.iter().enumerate() {
-            assert!(
-                (old as usize) < n && old_to_new[old as usize] == VertexId::MAX,
-                "new_to_old is not a permutation of 0..{n}"
-            );
-            old_to_new[old as usize] = new as VertexId;
+            let slot = old_to_new.get_mut(old as usize)?;
+            if *slot != VertexId::MAX {
+                return None;
+            }
+            *slot = new as VertexId;
         }
-        Self {
+        Some(Self {
             old_to_new,
             new_to_old,
-        }
+        })
     }
 
     /// The `new_to_old` permutation (what packed files persist).

@@ -7,11 +7,11 @@ use lightrw_repro as _;
 
 #[test]
 fn binary_graph_roundtrip_preserves_walk_behaviour() {
-    use lightrw::graph::packed::{load_packed, write_packed};
+    use lightrw::graph::{pack::pack_graph, packed::load_packed};
 
     let g = DatasetProfile::youtube().stand_in(9, 77);
     let path = std::env::temp_dir().join(format!("lightrw_e2e_{}.lrwpak", std::process::id()));
-    write_packed(&g, None, &path).unwrap();
+    pack_graph(&g, false, &path).unwrap();
     let g2 = load_packed(&path, lightrw::graph::LoadMode::Auto)
         .unwrap()
         .graph;

@@ -14,8 +14,9 @@
 //!   every app × sampler kind, whatever the thread count
 //!   (`with_shard_threads`).
 //! - **Packed round-trip**: a partition loaded from an `LRWPAK01` file
-//!   (plain or varint-compressed columns) drives the engine to the same
-//!   walks as an in-memory partition of the same graph.
+//!   (range cuts, or a walk-aware owner table with compacted shard
+//!   lanes) drives the engine to the same walks as an in-memory
+//!   partition of the same graph.
 
 use lightrw::graph::pack::pack_graph_with;
 use lightrw::graph::packed::{load_packed_sharded, LoadMode};
@@ -131,8 +132,9 @@ fn parallel_executors_are_bit_identical_to_the_reference_engine() {
 #[test]
 fn packed_shard_partitions_reproduce_in_memory_partitions() {
     // Pack → load → walk must equal partition-in-memory → walk, for both
-    // the plain and the varint-compressed column encodings, so the CLI's
-    // "partition from file" fast path is exactly the in-memory engine.
+    // the range cuts and a walk-aware owner table (whose shards carry
+    // their own compacted lanes), so the CLI's "partition from file" fast
+    // path is exactly the in-memory engine.
     let mut g = generators::rmat_dataset(8, 14);
     g.build_prefix_cache();
     let qs = QuerySet::n_queries(&g, 48, 12, 5);
@@ -144,22 +146,13 @@ fn packed_shard_partitions_reproduce_in_memory_partitions() {
     )
     .run_collected(&qs);
 
-    for compress in [false, true] {
+    for strategy in [ShardStrategy::Range, ShardStrategy::Walk] {
         let path = std::env::temp_dir().join(format!(
             "lightrw_sharded_execution_{}_{}.lrwpak",
             std::process::id(),
-            compress
+            strategy.name()
         ));
-        let mut packed_src = g.clone();
-        pack_graph_with(
-            &mut packed_src,
-            false,
-            2,
-            ShardStrategy::Range,
-            compress,
-            &path,
-        )
-        .expect("pack sharded graph");
+        pack_graph_with(&g, false, 2, strategy, &path).expect("pack sharded graph");
         let loaded = load_packed_sharded(&path, LoadMode::Heap).expect("load sharded graph");
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.sharded.k(), 2);
@@ -174,6 +167,6 @@ fn packed_shard_partitions_reproduce_in_memory_partitions() {
             9,
         )
         .run_collected(&qs);
-        assert_eq!(got, expected, "compress={compress}");
+        assert_eq!(got, expected, "strategy={}", strategy.name());
     }
 }
