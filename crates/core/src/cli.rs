@@ -283,7 +283,7 @@ fn cmd_generate(args: &Args) -> Result<String, String> {
             let opts = pack::PackOptions::default();
             let st = pack::pack_rmat_dataset(scale, seed, Path::new(out), &opts)
                 .map_err(|e| e.to_string())?;
-            return Ok(wrote(st.vertices, st.edges));
+            return Ok(format!("{}; {}", wrote(st.vertices, st.edges), phases(&st)));
         }
         "er" => {
             let ef = args.get_u64("edge-factor", 8)? as usize;
@@ -300,6 +300,14 @@ fn cmd_generate(args: &Args) -> Result<String, String> {
     };
     pack::pack_graph(&g, false, Path::new(out)).map_err(|e| e.to_string())?;
     Ok(wrote(g.num_vertices(), g.num_edges()))
+}
+
+/// A pack's phase wall times, for the summary line.
+fn phases(st: &pack::PackStats) -> String {
+    format!(
+        "ingest {:.3} s, merge {:.3} s, sections {:.3} s",
+        st.ingest_s, st.merge_s, st.sections_s
+    )
 }
 
 /// The options `convert` reads.
@@ -398,13 +406,14 @@ fn cmd_graph_pack(args: &Args) -> Result<String, String> {
             return Ok(format!(
                 "packed rmat-{scale} (seed {seed}) -> {out}: {} vertices, {} edges, \
                  {} duplicate records collapsed, {} spilled runs, {} bytes, \
-                 relabel={relabel}, shards={shards}, {:.3} s",
+                 relabel={relabel}, shards={shards}, {:.3} s ({})",
                 st.vertices,
                 st.edges,
                 st.duplicates,
                 st.runs,
                 st.file_bytes,
                 t.elapsed().as_secs_f64(),
+                phases(&st),
             ));
         }
         // Fennel/walk placement needs the whole adjacency in memory:

@@ -1,6 +1,7 @@
 //! Graph construction from edge lists.
 
 use crate::csr::{Graph, VertexId};
+use crate::draws::{for_each_pair_draw, PairDraw, Tier};
 use lightrw_rng::{Rng, SplitMix64};
 
 /// Builder for [`Graph`].
@@ -110,26 +111,22 @@ impl GraphBuilder {
     /// setup: "graph datasets are initialized with random edge weights"
     /// (§6.1.4).
     pub fn randomize_weights(mut self, max_weight: u32, seed: u64) -> Self {
-        assert!(max_weight >= 1);
-        // Deterministic per undirected pair: key on (min,max) so mirrored
-        // entries agree regardless of insertion order.
-        for e in &mut self.edges {
-            let (a, b) = (e.0.min(e.1) as u64, e.0.max(e.1) as u64);
-            let mut pair_rng = SplitMix64::new(rng_key(seed, a, b));
-            e.2 = 1 + pair_rng.gen_range(max_weight as u64) as u32;
-        }
+        // Deterministic per undirected pair: keyed on (min, max), so
+        // mirrored entries agree regardless of insertion order.
+        let draw = PairDraw::new(seed, max_weight);
+        for_each_pair_draw(Tier::best(), &mut self.edges, draw, ends, |e, w| {
+            e.2 = 1 + w
+        });
         self
     }
 
     /// Assign uniform-random relation labels in `[0, num_relations)` to all
     /// edges added so far (mirrored halves agree), for MetaPath workloads.
     pub fn randomize_edge_labels(mut self, num_relations: u8, seed: u64) -> Self {
-        assert!(num_relations >= 1);
-        for e in &mut self.edges {
-            let (a, b) = (e.0.min(e.1) as u64, e.0.max(e.1) as u64);
-            let mut pair_rng = SplitMix64::new(rng_key(seed ^ 0xA5A5, a, b));
-            e.3 = pair_rng.gen_range(num_relations as u64) as u8;
-        }
+        let draw = PairDraw::new(seed ^ 0xA5A5, num_relations as u32);
+        for_each_pair_draw(Tier::best(), &mut self.edges, draw, ends, |e, r| {
+            e.3 = r as u8
+        });
         self
     }
 
@@ -214,12 +211,9 @@ impl GraphBuilder {
     }
 }
 
-/// Stable mixing of (seed, a, b) into a per-pair RNG seed. Shared with
-/// the streaming pack pipeline (`crate::pack`), which must reproduce the
-/// builder's per-pair attribute draws without materializing the edges.
-pub(crate) fn rng_key(seed: u64, a: u64, b: u64) -> u64 {
-    use lightrw_rng::splitmix::mix64;
-    mix64(seed ^ mix64(a.wrapping_mul(0x9E3779B97F4A7C15) ^ b))
+/// An edge record's endpoints.
+fn ends(&(u, v, _, _): &(VertexId, VertexId, u32, u8)) -> (u32, u32) {
+    (u, v)
 }
 
 #[cfg(test)]

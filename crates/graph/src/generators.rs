@@ -20,6 +20,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, VertexId};
+use crate::draws::RmatLanes;
 use lightrw_rng::{Rng, SplitMix64};
 
 /// Graph500 R-MAT partition probabilities (a, b, c; d is the remainder).
@@ -36,7 +37,9 @@ pub fn rmat_edges(
     skew: (f64, f64, f64),
     seed: u64,
 ) -> Vec<(VertexId, VertexId)> {
-    rmat_edge_stream(scale, edge_factor, skew, seed).collect()
+    let mut edges = Vec::with_capacity(edge_factor << scale);
+    edges.extend(rmat_edge_stream(scale, edge_factor, skew, seed));
+    edges
 }
 
 /// Streaming form of [`rmat_edges`]: yields the identical edge sequence
@@ -50,29 +53,19 @@ pub fn rmat_edges(
 /// chained through a three-way `if`, kept as the test oracle below):
 /// `next_f64()` is `x · 2^-53` for the integer `x = next_u64() >> 11`,
 /// and scaling by a power of two is exact, so
-/// `x · 2^-53 < t  ⇔  x < ⌈t · 2^53⌉`.
+/// `x · 2^-53 < t  ⇔  x < ⌈t · 2^53⌉`. Edge `k` takes draws
+/// `k·scale ..` of one SplitMix64 stream, a counter, so edges are drawn
+/// eight at a time, one per vector lane (`crate::draws`).
 pub fn rmat_edge_stream(
     scale: u32,
     edge_factor: usize,
-    (a, b, c): (f64, f64, f64),
+    skew: (f64, f64, f64),
     seed: u64,
 ) -> impl Iterator<Item = (VertexId, VertexId)> {
-    assert!(scale < 32, "scale must fit in u32 vertex ids");
-    assert!(a > 0.0 && b >= 0.0 && c >= 0.0 && a + b + c < 1.0);
-    let threshold = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
-    // Quadrants by draw: [0, ta) none, [ta, tab) v, [tab, tabc) u, rest both.
-    let (ta, tab, tabc) = (threshold(a), threshold(a + b), threshold(a + b + c));
-    let n_edges = edge_factor << scale;
-    let mut rng = SplitMix64::new(seed);
-    (0..n_edges).map(move |_| {
-        let (mut u, mut v) = (0u32, 0u32);
-        for _ in 0..scale {
-            let x = rng.next_u64() >> 11;
-            u = u << 1 | (x >= tab) as u32;
-            v = v << 1 | ((x >= ta) & (x < tab) | (x >= tabc)) as u32;
-        }
-        (u, v)
-    })
+    let lanes = RmatLanes::new(scale, skew, seed);
+    lanes
+        .stream(edge_factor << scale, [])
+        .map(|(edge, [])| edge)
 }
 
 /// R-MAT graph with Graph500 parameters, built directed (each sampled edge
@@ -289,6 +282,7 @@ pub fn rmat_dataset(scale: u32, seed: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draws::supported_tiers;
     use crate::stats::degree_histogram;
     use crate::validate::validate;
 
@@ -343,6 +337,34 @@ mod tests {
             }
         }
         assert_eq!(rmat_edge_stream(0, 8, graph500, 3).count(), 8);
+    }
+
+    /// Whole streams and their prefixes, on every vector tier this CPU
+    /// has — the portable body among them — and dispatched. No length
+    /// here but the last is a multiple of the block, and most are not one
+    /// of the lane count either.
+    #[test]
+    fn every_tier_draws_the_float_generators_stream() {
+        let skews = [(RMAT_A, RMAT_B, RMAT_C), DatasetProfile::us_patents().skew];
+        let shapes = (0..=5).flat_map(|scale| [(scale, 1), (scale, 3)]);
+        for (scale, edge_factor) in shapes.chain([(7, 3), (7, 11), (8, 1)]) {
+            for (skew, seed) in skews.into_iter().zip([0, u64::MAX]) {
+                let float = rmat_edge_stream_float(scale, edge_factor, skew, seed);
+                let want: Vec<_> = float.collect();
+                let n = want.len();
+                let what = format!("scale {scale} edge factor {edge_factor} seed {seed}");
+                for tier in supported_tiers() {
+                    let lanes = RmatLanes::new(scale, skew, seed).on(tier);
+                    let got: Vec<_> = lanes.stream(n, []).map(|(e, [])| e).collect();
+                    assert_eq!(got, want, "{tier:?}, {what}");
+                }
+                assert_eq!(rmat_edges(scale, edge_factor, skew, seed), want, "{what}");
+                for take in [0, 1, 7, 9, 255, 257, 263, n - 1] {
+                    let prefix = rmat_edge_stream(scale, edge_factor, skew, seed).take(take);
+                    assert!(prefix.eq(want[..take.min(n)].iter().copied()), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!   weights, vertex labels, edge relations for MetaPath);
 //! - [`generators`] — RMAT (the paper's synthetic workloads, Table 2),
 //!   Erdős–Rényi, and deterministic fixtures, plus scaled stand-ins for the
-//!   paper's five real-world datasets;
+//!   paper's five real-world datasets. R-MAT edges and their per-pair
+//!   weight and relation draws come out eight vector lanes at a time,
+//!   bit-identical to the scalar generator on every CPU (DESIGN.md §10,
+//!   *Generator*);
 //! - [`io`] — SNAP-style edge-list text;
 //! - [`stats`] / [`validate`] — degree-distribution summaries and
 //!   structural integrity checks;
@@ -54,6 +57,7 @@
 pub mod builder;
 pub mod components;
 pub mod csr;
+mod draws;
 pub mod generators;
 pub mod io;
 pub mod pack;

@@ -33,6 +33,10 @@
 //!    renamed to `out` — a reader mapping the old file keeps its inode —
 //!    and an error removes the partial file and every run.
 //!
+//! [`PackStats`] carries each phase's wall time: `ingest_s` (phase 1),
+//! `merge_s` (phase 2) and `sections_s` (phases 3 and 4 with the shard
+//! passes below).
+//!
 //! A shard partition ([`Partition`]) costs one more merge before the
 //! section table is sized, for each shard's ghost set and boundary
 //! count. Range cuts come from the degrees; a fennel or walk partition
@@ -54,12 +58,13 @@ use std::collections::BinaryHeap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use lightrw_rng::{Rng, SplitMix64};
 
-use crate::builder::rng_key;
 use crate::csr::{Graph, VertexId, MAX_CACHED_RELATIONS, MAX_PREFIX_STATIC_WEIGHT};
-use crate::generators::{rmat_edge_stream, RMAT_A, RMAT_B, RMAT_C};
+use crate::draws::{PairDraw, RmatLanes};
+use crate::generators::{RMAT_A, RMAT_B, RMAT_C};
 use crate::io::IoError;
 use crate::packed::{
     assign_offsets, shard_section, write_header, FLAG_DIRECTED, FLAG_ELABELS, FLAG_PREFIX,
@@ -123,6 +128,14 @@ pub struct PackStats {
     pub runs: usize,
     /// Total size of the packed output file.
     pub file_bytes: u64,
+    /// Wall seconds of ingest: taking the input stream (for a generator,
+    /// drawing it) and the chunk sorts and spills.
+    pub ingest_s: f64,
+    /// Wall seconds of the statistics merge.
+    pub merge_s: f64,
+    /// Wall seconds of the rest: with `relabel` the re-sort, with shards
+    /// their passes, and the section pass that writes the file.
+    pub sections_s: f64,
 }
 
 /// Capacity of every buffered run and section handle. Small on purpose:
@@ -512,6 +525,7 @@ where
 {
     let partial = with_suffix(out, ".partial");
     let mut temps = Temps(vec![partial.clone()]);
+    let start = Instant::now();
 
     // ---- Phase 1: ingest, mirror, chunk-sort, spill. ----
     let mut sorter = Sorter::new(
@@ -531,6 +545,7 @@ where
     }
     let mut runs = sorter.finish(!opts.relabel)?;
     let n_runs = runs.files.len();
+    let ingested = Instant::now();
 
     // ---- Phase 2: merge, dedup (first occurrence wins), stats. ----
     let mut stats = StreamStats::new();
@@ -548,6 +563,7 @@ where
         .max(min_vertices);
     stats.degree.resize(n, 0);
     let m = stats.edges;
+    let merged = Instant::now();
 
     // ---- Phase 3 (optional): degree relabeling + external re-sort. ----
     let mut relabeling: Option<Relabeling> = None;
@@ -824,6 +840,9 @@ where
         duplicates,
         runs: n_runs,
         file_bytes: total,
+        ingest_s: (ingested - start).as_secs_f64(),
+        merge_s: (merged - ingested).as_secs_f64(),
+        sections_s: merged.elapsed().as_secs_f64(),
     })
 }
 
@@ -879,22 +898,21 @@ pub fn pack_graph_with(
 /// Stream-pack the `generators::rmat_dataset` synthetic without ever
 /// materializing it: the packed file loads to a graph **equal** to
 /// `rmat_dataset(scale, seed)` (same edges, weights, labels), because
-/// the per-pair attribute draws reuse the builder's `rng_key` mixing.
+/// each edge comes with the builder's per-pair weight and relation draws,
+/// computed in the generator's vector lanes.
 pub fn pack_rmat_dataset(
     scale: u32,
     seed: u64,
     out: &Path,
     opts: &PackOptions,
 ) -> Result<PackStats, IoError> {
-    let wseed = seed ^ 0x5EED_0001;
-    let eseed = seed ^ 0x5EED_0002;
+    let weight = PairDraw::new(seed ^ 0x5EED_0001, 64);
+    let relation = PairDraw::new(seed ^ 0x5EED_0002 ^ 0xA5A5, 2);
+    let lanes = RmatLanes::new(scale, (RMAT_A, RMAT_B, RMAT_C), seed);
+    let records = lanes
+        .stream(8 << scale, [weight, relation])
+        .map(|((u, v), [w, rel])| (u, v, 1 + w, rel as u8));
     let vseed = seed ^ 0x5EED_0003;
-    let records = rmat_edge_stream(scale, 8, (RMAT_A, RMAT_B, RMAT_C), seed).map(move |(u, v)| {
-        let (a, b) = (u.min(v) as u64, u.max(v) as u64);
-        let w = 1 + SplitMix64::new(rng_key(wseed, a, b)).gen_range(64) as u32;
-        let rel = SplitMix64::new(rng_key(eseed ^ 0xA5A5, a, b)).gen_range(2) as u8;
-        (u, v, w, rel)
-    });
     let vlabels: Box<dyn FnOnce(usize) -> Vec<u8>> = Box::new(move |n| {
         let mut rng = SplitMix64::new(vseed);
         (0..n).map(|_| rng.gen_range(4) as u8).collect()

@@ -5,9 +5,10 @@
 //! including the static-weight prefix cumulatives — is stored exactly as
 //! its in-memory little-endian layout, 8-byte aligned, so loading a graph
 //! is a header parse plus O(sections) [`Section`](crate::store::Section)
-//! window constructions. Peak heap cost of a load is a few hundred bytes
-//! of header/table regardless of graph size; the kernel pages CSR data in
-//! on demand as walks touch it.
+//! window constructions and one pass over each row-offset lane. Peak heap
+//! cost of a load is a few hundred bytes of header/table regardless of
+//! graph size; the kernel pages the edge lanes in on demand as walks touch
+//! them.
 //!
 //! Layout (all words little-endian u64):
 //!
@@ -41,10 +42,13 @@
 //!
 //! The loader performs **light** validation only (magic/version, known
 //! flag bits, table bounds and alignment, section sizes against `n`/`m`,
-//! the CSR endpoints `row[0] == 0`, `row[n] == m`, and the shard
-//! metadata against the graph): touching every page of a multi-GB file
-//! to re-validate adjacency sorting on each load would defeat the
-//! out-of-core design. A damaged file is an `Err`, never a panic. Files
+//! the CSR endpoints `row[0] == 0`, `row[n] == m`, row offsets that
+//! ascend and stay within the edges they index — the file's and every
+//! shard's, 8 bytes per vertex each — and the shard metadata against the
+//! graph): touching every page of a multi-GB file to re-validate
+//! adjacency sorting on each load would defeat the out-of-core design. A
+//! damaged file is an `Err`, never a panic, and every row of a file that
+//! loads is an in-bounds slice of its edge lanes. Files
 //! come only from [`crate::pack`] — the streaming pipeline behind the
 //! CLI's `generate`, `convert` and `graph pack` — which packs validated
 //! graphs; `lightrw_cli info` runs the full structural check
@@ -312,6 +316,18 @@ fn sec_u8(region: &Arc<Region>, off: usize, len: usize) -> Option<Section<u8>> {
     Section::from_region(region, off, len)
 }
 
+/// The first entry of a row-offset lane that is below the one before it
+/// or above `edges`, if any: what would make a row's slice of the edge
+/// lanes panic when walked.
+fn misordered_row(rows: &[u64], edges: u64) -> Option<usize> {
+    let mut floor = 0;
+    rows.iter().position(|&row| {
+        let bad = row < floor || row > edges;
+        floor = row;
+        bad
+    })
+}
+
 /// Load a packed graph file. The heavy sections are *borrowed* from the
 /// file region (mmap or aligned heap buffer); nothing CSR-sized is
 /// copied onto the heap in `Auto` mode on Linux.
@@ -427,6 +443,12 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
         return Err(corrupt(
             row_off + n as u64 * 8,
             "row_index end disagrees with edge count",
+        ));
+    }
+    if let Some(i) = misordered_row(&row_index, m as u64) {
+        return Err(corrupt(
+            row_off + i as u64 * 8,
+            "row_index offsets decrease",
         ));
     }
 
@@ -635,6 +657,16 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
             "shard row section has wrong size",
         )?;
         let row_index = sec_u64(&region, row_off as usize, n + 1).ok_or_else(bad)?;
+        // A range shard's rows index the file's edge lanes, a fennel or
+        // walk shard's its own compacted ones.
+        let lane_edges = match meta.strategy {
+            ShardStrategy::Range => g.num_edges() as u64,
+            ShardStrategy::Fennel | ShardStrategy::Walk => counts.owned_edges,
+        };
+        if let Some(i) = misordered_row(&row_index, lane_edges) {
+            let what = "shard row section offsets decrease or pass its edge lane";
+            return Err(corrupt(row_off + i as u64 * 8, what));
+        }
         let &(gh_off, gh_len) = by_id
             .get(&shard_section(s, SHARD_LANE_GHOSTS))
             .ok_or_else(|| corrupt(48, "shard section missing"))?;
@@ -1017,21 +1049,68 @@ mod tests {
         })
     }
 
-    /// Both loaders on damaged bytes: an `Err` or a partition whose every
-    /// owner is one of its shards, never a panic.
+    /// Both loaders on damaged bytes: an `Err`, or graphs whose every row
+    /// can be walked and a partition whose every owner is one of its
+    /// shards — never a panic.
     fn load_damaged(bytes: &[u8], name: &str) -> Result<(), String> {
         let path = tmp(name);
         std::fs::write(&path, bytes).unwrap();
-        let _ = load_packed(&path, LoadMode::Auto);
+        let flat = load_packed(&path, LoadMode::Auto);
         let sharded = load_packed_sharded(&path, LoadMode::Heap);
         std::fs::remove_file(&path).ok();
+        let walk = |g: &Graph| {
+            for v in 0..g.num_vertices() as VertexId {
+                let _ = g.neighbor_view(v);
+            }
+        };
+        if let Ok(p) = flat {
+            walk(&p.graph);
+        }
         if let Ok(p) = sharded {
             let n = p.sharded.num_vertices() as VertexId;
             if let Some(v) = (0..n).find(|&v| p.sharded.owner_of(v) >= p.sharded.k()) {
                 return Err(format!("vertex {v} owned by a shard past k"));
             }
+            p.sharded.shards.iter().for_each(|shard| walk(&shard.graph));
         }
         Ok(())
+    }
+
+    /// A row offset below the one before it, or past the edges its lane
+    /// indexes, loaded and then panicked in `neighbors` when its row was
+    /// walked. Now each loader names the section.
+    #[test]
+    fn misordered_row_offsets_are_errors_at_load() {
+        let [plain, range, walk] = clean_packs();
+        let n = u64_at(plain, 24) as usize;
+        let path = tmp("misordered_rows.lrwpak");
+        let damaged = |clean: &Vec<u8>, id: u64, entry: usize, value: u64| {
+            let (off, _) = section_of(clean, id).unwrap();
+            let mut bytes = clean.clone();
+            let at = off + entry * 8;
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        };
+        // A middle offset of 0 in the file's own row index.
+        damaged(plain, SEC_ROW, n / 2, 0);
+        let err = load_packed(&path, LoadMode::Heap).unwrap_err();
+        assert!(
+            err.to_string().contains("row_index offsets decrease"),
+            "{err}"
+        );
+        // The same in a range shard's row lane, and a walk shard's lane
+        // ending at the file's edge count: past its own compacted edges.
+        let m = u64_at(walk, 32);
+        for (clean, entry, value) in [(range, n / 2, 0), (walk, n, m)] {
+            let lane = shard_section(1, SHARD_LANE_ROW);
+            damaged(clean, lane, entry, value);
+            let err = load_packed_sharded(&path, LoadMode::Heap).unwrap_err();
+            assert!(
+                err.to_string().contains("shard row section offsets"),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1076,12 +1155,13 @@ mod tests {
         #![proptest_config(proptest::test_runner::Config::with_cases(1024))]
 
         /// Start from a clean pack and damage it: overwrite one word of
-        /// the header, the section table or the shard metadata (count and
-        /// counts, cuts, owner table), or truncate the file.
+        /// the header, the section table, the shard metadata (count and
+        /// counts, cuts, owner table) or a row-offset lane, or truncate
+        /// the file.
         #[test]
         fn damaged_packs_are_errors_not_panics(
             which in 0usize..3,
-            area in 0u8..4,
+            area in 0u8..5,
             at in 0usize..1 << 16,
             word in proptest::prop_oneof![
                 proptest::strategy::Just(u64::MAX / 2),
@@ -1097,12 +1177,19 @@ mod tests {
                 .filter_map(|&id| section_of(&bytes, id))
                 .flat_map(|(off, len)| (off..off + len / 8 * 8).step_by(8))
                 .collect::<Vec<_>>();
+            let rows = (0..4).map(|s| shard_section(s, SHARD_LANE_ROW));
+            let row_words = std::iter::once(SEC_ROW)
+                .chain(rows)
+                .filter_map(|id| section_of(&bytes, id))
+                .flat_map(|(off, len)| (off..off + len).step_by(8))
+                .collect::<Vec<_>>();
             let table_words = 3 * u64_at(&bytes, 40) as usize;
             let pos = match area {
                 0 => Some(at % 6 * 8),
                 1 => Some(48 + at % table_words * 8),
                 2 if !shard_words.is_empty() => Some(shard_words[at % shard_words.len()]),
                 2 => Some(at % 6 * 8),
+                3 => Some(row_words[at % row_words.len()]),
                 _ => None,
             };
             match pos {
