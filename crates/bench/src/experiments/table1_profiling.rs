@@ -2,9 +2,10 @@
 //! memory bound, retiring) for MetaPath and Node2Vec on the liveJournal
 //! and uk2002 stand-ins, via the trace-driven LLC proxy.
 
-use lightrw::baseline::{profile_top_down, LlcSim};
 use lightrw::prelude::*;
 
+use crate::llc::LlcSim;
+use crate::profile::profile_top_down;
 use crate::table::Report;
 use crate::Opts;
 

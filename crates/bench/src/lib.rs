@@ -13,9 +13,15 @@
 //! Default scales are reduced (stand-ins ≤ 2^14 vertices) so the suite
 //! finishes in minutes; `--scale N` raises fidelity, `--quick` lowers it
 //! for CI. Results are deterministic per seed.
+//!
+//! [`llc`] and [`profile`] are Table 1's stand-in for vTune (DESIGN.md
+//! §1): a trace-driven LLC simulation of the CPU engine's memory
+//! references, read by `experiments::table1_profiling` alone.
 
 pub mod datasets;
 pub mod experiments;
+pub mod llc;
+pub mod profile;
 pub mod table;
 
 /// Common experiment options parsed from `std::env::args`.

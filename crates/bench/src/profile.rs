@@ -17,10 +17,10 @@
 //! reproduced claim.
 
 use crate::llc::LlcSim;
-use lightrw_graph::{Graph, VertexId};
-use lightrw_walker::app::StepContext;
-use lightrw_walker::membership::common_neighbor_mask;
-use lightrw_walker::{AnySampler, QuerySet, SamplerKind, WalkApp};
+use lightrw::graph::{Graph, VertexId};
+use lightrw::walker::app::StepContext;
+use lightrw::walker::membership::common_neighbor_mask;
+use lightrw::walker::{AnySampler, QuerySet, SamplerKind, WalkApp};
 
 /// Cycles a core is stalled by an LLC miss (DRAM at ~60 ns, 3 GHz core).
 const MISS_PENALTY: f64 = 180.0;
@@ -176,9 +176,9 @@ pub fn profile_top_down(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightrw_graph::DatasetProfile;
-    use lightrw_walker::app::{MetaPath, Node2Vec};
-    use lightrw_walker::SamplerKind;
+    use lightrw::graph::DatasetProfile;
+    use lightrw::walker::app::{MetaPath, Node2Vec};
+    use lightrw::walker::SamplerKind;
 
     fn profile(scale: u32, app: &dyn WalkApp, len: u32, kind: SamplerKind) -> TopDownProfile {
         let g = DatasetProfile::livejournal().stand_in(scale, 11);

@@ -50,7 +50,7 @@
 //! submits a trace's jobs concurrently over real sockets and audits the
 //! same exactly-once contract on the wire (the CI `serve-soak` step).
 //! Both serve modes drain gracefully on SIGINT/SIGTERM
-//! (`lightrw_baseline::signal`): in-flight jobs get up to `--drain-ms`
+//! (`lightrw_graph::sys::signal`): in-flight jobs get up to `--drain-ms`
 //! to finish, then are cancelled with their partial paths flushed —
 //! degrade, never fail.
 
@@ -59,6 +59,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::prelude::*;
+use lightrw_graph::sys::signal;
 use lightrw_graph::{components, io as gio, pack, packed, stats, validate, LoadMode, VertexId};
 use lightrw_walker::corpus_io;
 
@@ -972,16 +973,14 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     // in-flight jobs get up to --drain-ms to finish on their own, then
     // are cancelled with their partial paths flushed. Degrade, never
     // fail: the command still audits and reports what did complete.
-    lightrw_baseline::signal::install_shutdown_handler();
+    signal::install_shutdown_handler();
     let shutdown_after = args.get_u64("shutdown-after-ticks", u64::MAX)?;
     let drain = std::time::Duration::from_millis(args.get_u64("drain-ms", 0)?);
     let mut drain_started: Option<Instant> = None;
     let mut interrupted = false;
     let mut ticks = 0u64;
     loop {
-        if (lightrw_baseline::signal::shutdown_requested() || ticks >= shutdown_after)
-            && drain_started.is_none()
-        {
+        if (signal::shutdown_requested() || ticks >= shutdown_after) && drain_started.is_none() {
             drain_started = Some(Instant::now());
         }
         if let Some(t0) = drain_started {
@@ -1138,7 +1137,7 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<String, String> {
     // Clear a stale latch *before* binding: once the listener exists a
     // supervisor (or test) may signal at any time, and that request
     // must not be erased.
-    lightrw_baseline::signal::clear_shutdown();
+    signal::clear_shutdown();
     let listener = std::net::TcpListener::bind(addr)
         .map_err(|e| format!("cannot bind --listen {addr}: {e}"))?;
     let local = listener

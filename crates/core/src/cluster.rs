@@ -196,10 +196,9 @@ impl<'g> LightRwCluster<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightrw_baseline::{BaselineConfig, CpuEngine};
     use lightrw_graph::DatasetProfile;
     use lightrw_walker::path::validate_path;
-    use lightrw_walker::{ReferenceEngine, SamplerKind, Uniform};
+    use lightrw_walker::{BaselineConfig, CpuEngine, ReferenceEngine, SamplerKind, Uniform};
 
     #[test]
     fn cluster_scales_kernel_time_down() {

@@ -6,10 +6,11 @@
 //! the reference oracle, the ThunderRW-like CPU engine, or the simulated
 //! accelerator.
 
-use lightrw_baseline::{BaselineConfig, CpuEngine};
 use lightrw_graph::{Graph, ShardStrategy};
 use lightrw_hwsim::{LightRwConfig, LightRwSim};
-use lightrw_walker::{ReferenceEngine, SamplerKind, WalkApp, WalkEngine};
+use lightrw_walker::{
+    BaselineConfig, CpuEngine, ReferenceEngine, SamplerKind, WalkApp, WalkEngine,
+};
 
 use crate::sharded::ShardedEngine;
 
@@ -22,11 +23,12 @@ pub enum Backend {
         /// Per-step weighted sampling method.
         sampler: SamplerKind,
     },
-    /// The multi-threaded CPU engine (`lightrw_baseline::CpuEngine`).
+    /// The multi-threaded CPU engine (`lightrw_walker::CpuEngine`).
     Cpu {
-        /// Worker threads; 0 = one per core. Resolved by the engine's
-        /// `LanePlan` (the DESIGN.md §9 double clamp), so the CLI and a
-        /// service pool built from the same spec agree on worker counts.
+        /// Worker threads; 0 = one per core. Resolved by
+        /// `LaneSession::new` (the DESIGN.md §9 double clamp), so the CLI
+        /// and a service pool built from the same spec agree on worker
+        /// counts.
         threads: usize,
         /// Per-step weighted sampling method.
         sampler: SamplerKind,

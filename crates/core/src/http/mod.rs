@@ -31,7 +31,7 @@
 //!
 //! Entry point: [`server::serve`], wired to `lightrw_cli serve
 //! --listen ADDR`. Shutdown (SIGINT/SIGTERM via
-//! `lightrw_baseline::signal`) drains in-flight jobs up to a deadline,
+//! `lightrw_graph::sys::signal`) drains in-flight jobs up to a deadline,
 //! then cancels with partial flushes — degrade, never fail.
 
 pub mod admission;

@@ -23,7 +23,7 @@
 //!   exactly once, in query-id order — the session-layer contract
 //!   survives the wire intact.
 //!
-//! Graceful shutdown rides `lightrw_baseline::signal`: the accept loop
+//! Graceful shutdown rides `lightrw_graph::sys::signal`: the accept loop
 //! stops on the first SIGINT/SIGTERM, handlers finish their current
 //! response and close, and the scheduler keeps ticking until idle or
 //! until [`ServeConfig::drain`] expires — then cancels what remains,
@@ -38,7 +38,7 @@ use std::rc::Rc;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
-use lightrw_baseline::signal;
+use lightrw_graph::sys::signal;
 use lightrw_graph::{Graph, VertexId};
 use lightrw_walker::service::ServiceStats;
 use lightrw_walker::{JobId, JobReport, JobStatus, ServiceConfig, WalkEngine, WalkService};
@@ -160,7 +160,7 @@ const BATCH_U32S: usize = CHUNK_BYTES / std::mem::size_of::<u32>();
 
 /// Serve HTTP on `listener` over a pool of walk engines until a
 /// shutdown is requested (SIGINT/SIGTERM via
-/// `lightrw_baseline::signal`, or programmatically with
+/// `lightrw_graph::sys::signal`, or programmatically with
 /// `signal::request_shutdown`). Blocks the calling thread for the
 /// server's whole life; returns the traffic summary after the drain.
 ///

@@ -39,10 +39,9 @@
 //! | multi-stream RNG (ThundeRiNG model) | `lightrw-rng` | [`rng`] |
 //! | CSR graphs, generators, I/O | `lightrw-graph` | [`graph`] |
 //! | samplers incl. parallel WRS | `lightrw-sampling` | [`sampling`] |
-//! | walk apps, queries, oracle engine | `lightrw-walker` | [`walker`] |
+//! | walk apps, queries, the oracle and the ThunderRW-like CPU engine | `lightrw-walker` | [`walker`] |
 //! | DRAM / cache / burst models | `lightrw-memsim` | [`memsim`] |
 //! | accelerator pipeline model | `lightrw-hwsim` | [`hwsim`] |
-//! | ThunderRW-like CPU baseline | `lightrw-baseline` | [`baseline`] |
 //! | platform models (PCIe, power, resources) | this crate | [`platform`], [`pcie`], [`power`], [`resources`] |
 //! | sharded execution with walker hand-off (DESIGN.md §11) | this crate | [`sharded`] |
 //! | HTTP front door: serving, admission control (DESIGN.md §13) | this crate | [`http`] |
@@ -70,7 +69,6 @@ pub use report::RunReport;
 pub use sharded::ShardedEngine;
 
 // Substrate re-exports, so downstream users need only this crate.
-pub use lightrw_baseline as baseline;
 pub use lightrw_graph as graph;
 pub use lightrw_hwsim as hwsim;
 pub use lightrw_memsim as memsim;
@@ -86,6 +84,15 @@ pub use lightrw_walker as walker;
 /// the [`http`] front door (DESIGN.md §13).
 pub use lightrw_walker::service;
 
+/// The old path of the shutdown latch, kept only for the benchmark
+/// package's `use lightrw::baseline::signal` (`benchmark/src/serve.rs`);
+/// the next change to the benchmark imports `lightrw::graph::sys::signal`
+/// and removes this module.
+#[doc(hidden)]
+pub mod baseline {
+    pub use lightrw_graph::sys::signal;
+}
+
 /// One-line imports for applications and examples.
 pub mod prelude {
     pub use crate::accelerator::LightRw;
@@ -94,15 +101,14 @@ pub mod prelude {
     pub use crate::platform::{AppKind, U250_PLATFORM, XEON_6246R};
     pub use crate::report::RunReport;
     pub use crate::sharded::ShardedEngine;
-    pub use lightrw_baseline::{BaselineConfig, CpuEngine};
     pub use lightrw_graph::{generators, DatasetProfile, Graph, GraphBuilder};
     pub use lightrw_hwsim::{LightRwConfig, LightRwSim, SimReport};
     pub use lightrw_memsim::{BurstConfig, CachePolicy, DramConfig};
     pub use lightrw_walker::{
-        BatchProgress, Control, CountingSink, DeadEndPolicy, HotStepper, JobId, JobSpec, JobStatus,
-        MetaPath, NeighborBitset, Node2Vec, Query, QuerySet, ReferenceEngine, SamplerKind,
-        ServiceConfig, ServiceStats, StaticWeighted, TenantId, TenantStats, Uniform, WalkApp,
-        WalkEngine, WalkEngineExt, WalkProgram, WalkResults, WalkService, WalkSession, WalkSink,
-        WeightProfile,
+        BaselineConfig, BatchProgress, Control, CountingSink, CpuEngine, DeadEndPolicy, HotStepper,
+        JobId, JobSpec, JobStatus, MetaPath, NeighborBitset, Node2Vec, Query, QuerySet,
+        ReferenceEngine, SamplerKind, ServiceConfig, ServiceStats, StaticWeighted, TenantId,
+        TenantStats, Uniform, WalkApp, WalkEngine, WalkEngineExt, WalkProgram, WalkResults,
+        WalkService, WalkSession, WalkSink, WeightProfile,
     };
 }

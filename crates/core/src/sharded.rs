@@ -32,7 +32,7 @@
 //! - `shard_threads == 1` (default) is that loop with one executor run on
 //!   the calling thread: no spawn, no pin, every destination local.
 //!   `shard_threads >= 2` spawns scoped threads that pin themselves via
-//!   `lightrw_baseline::affinity`.
+//!   `lightrw_graph::sys::pin_current_thread`.
 //!
 //! The three contracts that make all of this safe:
 //!
@@ -72,8 +72,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
-use lightrw_baseline::{affinity, thread_clock};
-use lightrw_graph::{partition_graph, Graph, ShardStrategy, ShardedGraph, VertexId};
+use lightrw_graph::{partition_graph, sys, Graph, ShardStrategy, ShardedGraph, VertexId};
 use lightrw_walker::{
     BatchProgress, HotStepper, InOrderEmitter, LaneSession, QuerySet, SamplerKind, VisitEnv,
     WalkApp, WalkEngine, WalkProgram, WalkSession, WalkSink, Walker,
@@ -203,7 +202,7 @@ impl WalkEngine for ShardedEngine<'_> {
                     self.sampler,
                     self.seed,
                     queries,
-                    queries.len(),
+                    1,
                 )
                 .with_note(self.partition_note.as_deref()),
             )
@@ -424,7 +423,7 @@ impl WalkSession for MultiShardSession<'_> {
                         .into_iter()
                         .map(|(ctx, lanes, rx)| {
                             scope.spawn(move || {
-                                let pinned = affinity::pin_current_thread(ctx.exec);
+                                let pinned = sys::pin_current_thread(ctx.exec);
                                 ExecStats {
                                     pinned,
                                     ..run_executor(ctx, lanes, rx)
@@ -435,7 +434,7 @@ impl WalkSession for MultiShardSession<'_> {
                     collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("shard executor panicked"))
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                         .collect()
                 })
             };
@@ -748,7 +747,7 @@ fn run_executor(
     // report every executor busy for the whole round. CPU time counts
     // only this thread's own cycles on any host. Where the clock is
     // unsupported, degrade to wall-minus-blocked.
-    let cpu_enter = thread_clock::now();
+    let cpu_enter = sys::thread_cpu_seconds();
     let t_enter = Instant::now();
     let mut blocked_s = 0.0f64;
     let mut outbox: Vec<Vec<Record>> = (0..ctx.sharded.k()).map(|_| Vec::new()).collect();
@@ -788,7 +787,7 @@ fn run_executor(
         }
     }
     ctx.flush_completions();
-    stats.busy_s = match (cpu_enter, thread_clock::now()) {
+    stats.busy_s = match (cpu_enter, sys::thread_cpu_seconds()) {
         (Some(t0), Some(t1)) => (t1 - t0).max(0.0),
         _ => (t_enter.elapsed().as_secs_f64() - blocked_s).max(0.0),
     };
@@ -916,7 +915,7 @@ mod tests {
             )
             .with_shard_threads(threads)
             .with_partition_note("partition built in memory");
-            let cores_before = affinity::allowed_cores();
+            let cores_before = sys::allowed_cores();
             let mut sink = lightrw_walker::CountingSink::default();
             let mut session = engine.start_session(&qs);
             while !session.finished() {
@@ -932,7 +931,7 @@ mod tests {
             let model = session.model_seconds().unwrap();
             assert!(model > 0.0, "compute time folds into model seconds");
             assert_eq!(
-                affinity::allowed_cores(),
+                sys::allowed_cores(),
                 cores_before,
                 "shard_threads={threads} changed the calling thread's affinity"
             );

@@ -7,7 +7,7 @@
 //! stall between keep-alive jobs, a blocking `accept` that shutdown still
 //! breaks, and a scheduler that outlives a `Cancel` for a retired job.
 //!
-//! The shutdown latch (`lightrw_baseline::signal`) is process-global,
+//! The shutdown latch (`lightrw_graph::sys::signal`) is process-global,
 //! so every test that starts a server takes the [`SERIAL`] lock —
 //! otherwise one test's `request_shutdown` would stop another's server.
 
@@ -17,8 +17,8 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use lightrw::baseline::signal;
 use lightrw::graph::generators;
+use lightrw::graph::sys::signal;
 use lightrw::http::wire::{self, read_response, Response, MAX_BODY};
 use lightrw::http::{AdmissionConfig, ServeConfig, ServeSummary};
 use lightrw::json::{self, Value};

@@ -35,6 +35,9 @@
 //!   (`LRWPAK01`), loaded back through `mmap` as borrowed
 //!   [`store::Section`] views so engines walk the file without a
 //!   resident copy;
+//! - [`sys`] — the one module that calls the C library (`mmap`, CPU
+//!   affinity, the per-thread CPU clock, shutdown signals), each call
+//!   degrading where the OS lacks it;
 //! - [`partition`] — the sharded-execution data model (DESIGN.md §11):
 //!   [`partition_graph`] splits a CSR into K [`Shard`] sub-CSRs with
 //!   ghost-vertex tables under a range, fennel or walk-aware
@@ -66,6 +69,7 @@ pub mod partition;
 pub mod reorder;
 pub mod stats;
 pub mod store;
+pub mod sys;
 pub mod validate;
 
 pub use builder::GraphBuilder;

@@ -9,13 +9,11 @@
 //! signature and the engines' hot paths are storage-agnostic: they never
 //! learn whether a row came from anonymous heap or from the page cache.
 //!
-//! The mmap binding is hand-rolled in the style of
-//! `lightrw-baseline`'s `affinity.rs` (offline build, no crates.io):
-//! two `extern "C"` libc symbols that Rust's std already links on Linux.
-//! Non-Linux hosts (and callers that ask for it) fall back to reading
-//! the file into an **8-byte-aligned heap buffer** — a `Vec<u64>`, never
-//! a `Vec<u8>`, because sections of `u64` are reinterpreted in place and
-//! a 1-aligned buffer would be UB to cast.
+//! The mapping itself comes from [`crate::sys`]. Non-Linux hosts (and
+//! callers that ask for it) fall back to reading the file into an
+//! **8-byte-aligned heap buffer** — a `Vec<u64>`, never a `Vec<u8>`,
+//! because sections of `u64` are reinterpreted in place and a 1-aligned
+//! buffer would be UB to cast.
 //!
 //! Safety invariants (DESIGN.md §10):
 //! - a `Section` holds an `Arc<Region>`, so the mapping outlives every
@@ -33,6 +31,8 @@
 
 use std::ops::Deref;
 use std::sync::Arc;
+
+use crate::sys::{self, Mapping};
 
 /// Marker for element types a `Section` may reinterpret from raw mapped
 /// bytes: fixed-layout primitive lanes with no invalid bit patterns.
@@ -60,9 +60,8 @@ pub struct Region {
 }
 
 enum Backing {
-    /// A live `mmap` mapping; unmapped on drop.
-    #[cfg(target_os = "linux")]
-    Mmap,
+    /// A live `mmap` mapping, held for its drop, which unmaps it.
+    Mmap(#[allow(dead_code)] Mapping),
     /// Heap bytes. `Vec<u64>`-backed so the base pointer is 8-aligned
     /// (the strictest alignment any section type needs); moving the Vec
     /// never moves its buffer, so `ptr` stays valid for the region's
@@ -90,12 +89,7 @@ impl Region {
     /// Whether this region is a live `mmap` mapping (as opposed to the
     /// heap fallback).
     pub fn is_mapped(&self) -> bool {
-        #[cfg(target_os = "linux")]
-        {
-            matches!(self.backing, Backing::Mmap)
-        }
-        #[cfg(not(target_os = "linux"))]
-        false
+        matches!(self.backing, Backing::Mmap(_))
     }
 
     /// All bytes of the region.
@@ -118,8 +112,12 @@ impl Region {
         }
         let len = len as usize;
         if !force_heap && len > 0 {
-            if let Some(region) = imp::map_readonly(file, len) {
-                return Ok(Arc::new(region));
+            if let Some(mapping) = sys::map_readonly(file, len) {
+                return Ok(Arc::new(Region {
+                    ptr: mapping.ptr(),
+                    len,
+                    backing: Backing::Mmap(mapping),
+                }));
             }
         }
         Self::heap_from_file(file, len)
@@ -146,88 +144,12 @@ impl Region {
     }
 }
 
-impl Drop for Region {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if matches!(self.backing, Backing::Mmap) {
-            // SAFETY: `ptr`/`len` are exactly what `mmap` returned and
-            // no `Section` outlives the owning `Arc<Region>`.
-            unsafe { imp::unmap(self.ptr, self.len) };
-        }
-    }
-}
-
 impl std::fmt::Debug for Region {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Region")
             .field("len", &self.len)
             .field("mapped", &self.is_mapped())
             .finish()
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::{Backing, Region};
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut u8,
-            length: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut u8;
-        fn munmap(addr: *mut u8, length: usize) -> i32;
-    }
-
-    /// Map `len` bytes of `file` read-only; `None` on failure (caller
-    /// degrades to the heap path).
-    pub fn map_readonly(file: &std::fs::File, len: usize) -> Option<Region> {
-        // SAFETY: fd is a live open file, len > 0 was checked by the
-        // caller; a NULL addr lets the kernel pick the placement.
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ,
-                MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        // MAP_FAILED is (void*)-1.
-        if ptr.is_null() || ptr as isize == -1 {
-            return None;
-        }
-        Some(Region {
-            ptr,
-            len,
-            backing: Backing::Mmap,
-        })
-    }
-
-    /// # Safety
-    /// `ptr`/`len` must be a live mapping returned by [`map_readonly`].
-    pub unsafe fn unmap(ptr: *const u8, len: usize) {
-        // Failure here is unrecoverable and harmless (the mapping leaks);
-        // mirror affinity.rs's degrade-never-fail contract.
-        let _ = munmap(ptr as *mut u8, len);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    use super::Region;
-
-    /// Non-Linux stub: no mmap; callers take the heap path.
-    pub fn map_readonly(_file: &std::fs::File, _len: usize) -> Option<Region> {
-        None
     }
 }
 

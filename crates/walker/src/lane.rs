@@ -31,7 +31,7 @@ use crate::hotpath::{HotStepper, WalkerRing};
 use crate::program::{StepOutcome, WalkProgram, WalkState};
 use crate::query::{Query, QuerySet};
 use crate::reference::{SamplerKind, SamplerStream};
-use lightrw_graph::{Graph, VertexId};
+use lightrw_graph::{sys, Graph, VertexId};
 
 /// Walker slots per lane: the most walks a lane has in flight, and so
 /// the bound on its walker state — `WINDOW` × (one [`Walker`] record +
@@ -465,9 +465,12 @@ pub const MIN_STEPS_PER_LANE: u64 = 16_384;
 /// written. Blocks are interleaved (`lane = (id / block) % lanes`) so
 /// that the watermark moves through all lanes' output together.
 ///
-/// The deal, the window, thread spawning and pinning are scheduling
-/// only: every walker owns its stream, so the sampled walks equal
-/// [`crate::ReferenceEngine::run`] for every `lane_len`.
+/// A spawned lane worker pins itself to a core, best effort
+/// ([`lightrw_graph::sys::pin_current_thread`] with its lane index); the
+/// caller's thread is never pinned. The deal, the window, thread
+/// spawning and pinning are scheduling only: every walker owns its
+/// stream, so the sampled walks equal [`crate::ReferenceEngine::run`] for
+/// every thread count.
 pub struct LaneSession<'s> {
     graph: &'s Graph,
     app: &'s dyn WalkApp,
@@ -478,9 +481,6 @@ pub struct LaneSession<'s> {
     left: Vec<u64>,
     emitter: InOrderEmitter,
     steps_done: u64,
-    /// Best-effort core pinning for spawned lane workers (lane index →
-    /// pinned?); `None` leaves them unpinned.
-    pin: Option<fn(usize) -> bool>,
     /// Workers successfully core-pinned in the last parallel round.
     pinned: usize,
     /// Appended to [`WalkSession::diagnostics`].
@@ -488,18 +488,28 @@ pub struct LaneSession<'s> {
 }
 
 impl<'s> LaneSession<'s> {
-    /// Start `queries` on `graph` over `ceil(queries.len() / lane_len)`
-    /// lanes (`lane_len >= queries.len()` is one lane).
+    /// Start `queries` on `graph` over at most `threads` lanes.
+    ///
+    /// The thread count goes through a documented **double clamp**
+    /// (DESIGN.md §9): `0` resolves to one per core the scheduler grants,
+    /// then `lane_len = ceil(n / threads)` queries per lane makes
+    /// `ceil(n / lane_len)` lanes — never more than `n`, so a tiny set on a
+    /// big machine spawns no empty workers. The CLI's `--threads`, a
+    /// jobspec's `threads` and the service pool all size through here.
     pub fn new(
         graph: &'s Graph,
         app: &'s dyn WalkApp,
         sampler: SamplerKind,
         seed: u64,
         queries: &QuerySet,
-        lane_len: usize,
+        threads: usize,
     ) -> Self {
         let qs = queries.queries();
-        let lane_len = lane_len.max(1);
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let lane_len = qs.len().div_ceil(threads).max(1);
         let deal = Deal {
             // A set too small to fill a block per lane is dealt in
             // contiguous lanes, so every lane still gets its share.
@@ -524,17 +534,9 @@ impl<'s> LaneSession<'s> {
             deal,
             emitter: InOrderEmitter::new(qs.len()),
             steps_done: 0,
-            pin: None,
             pinned: 0,
             note: None,
         }
-    }
-
-    /// Pin spawned lane workers with `pin(lane_index)` (best effort: a
-    /// `false` return means that worker runs unpinned).
-    pub fn with_pinning(mut self, pin: fn(usize) -> bool) -> Self {
-        self.pin = Some(pin);
-        self
     }
 
     /// Append `note` to this session's diagnostics.
@@ -561,7 +563,8 @@ impl<'s> LaneSession<'s> {
     }
 
     /// One round's visits. A spawned round gives every lane that can run
-    /// a scoped thread for what is left of its budget; otherwise each
+    /// a scoped thread for what is left of its budget, and a worker that
+    /// panics passes its own payload on to the caller; otherwise each
     /// lane sweeps its window once on the caller's thread — which is
     /// never pinned, it belongs to the embedding application — so that
     /// finished walkers do not wait long for the emit that frees their
@@ -572,7 +575,6 @@ impl<'s> LaneSession<'s> {
             app: self.app,
             program: &self.program,
         };
-        let pin = self.pin;
         let lanes = self.lanes.iter_mut().zip(&mut self.left);
         let mut total = LaneProgress::default();
         if spawn {
@@ -586,7 +588,7 @@ impl<'s> LaneSession<'s> {
                     .filter(|(_, (lane, left))| !lane.is_idle() && **left > 0)
                     .map(|(i, (lane, left))| {
                         scope.spawn(move || {
-                            let pinned = pin.is_some_and(|pin| pin(i));
+                            let pinned = sys::pin_current_thread(i);
                             let done = lane.advance(*left, env, true);
                             *left -= done.visits;
                             (done, pinned)
@@ -594,7 +596,9 @@ impl<'s> LaneSession<'s> {
                     })
                     .collect();
                 for handle in handles {
-                    let (done, pinned) = handle.join().expect("worker thread panicked");
+                    let (done, pinned) = handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                     total += done;
                     self.pinned += pinned as usize;
                 }
@@ -698,12 +702,6 @@ mod tests {
     use lightrw_graph::generators;
     use proptest::collection::vec;
 
-    /// A pin hook that claims success and pins nothing: the `pinned`
-    /// count in the diagnostics then says whether a round spawned.
-    fn pretend_to_pin(_lane: usize) -> bool {
-        true
-    }
-
     /// Walkers in flight, and the most any lane's window has grown to.
     fn occupancy(session: &LaneSession<'_>) -> (usize, usize) {
         let in_flight = session.lanes.iter().map(|l| l.ring.len()).sum();
@@ -742,7 +740,7 @@ mod tests {
             let qs = QuerySet::n_queries(&g, n, length, seed);
             let oracle = ReferenceEngine::new(&g, app, sampler, seed).run(&qs);
 
-            let mut session = LaneSession::new(&g, app, sampler, seed, &qs, n.div_ceil(n_lanes))
+            let mut session = LaneSession::new(&g, app, sampler, seed, &qs, n_lanes)
                 .with_window(slots);
             proptest::prop_assert_eq!(session.lanes.len(), n.div_ceil(n.div_ceil(n_lanes)));
             let mut got: Vec<(u32, Vec<VertexId>)> = Vec::new();
@@ -875,8 +873,8 @@ mod tests {
         let kind = SamplerKind::InverseTransform;
         let engine = ReferenceEngine::new(&g, &StaticWeighted, kind, 9);
         let oracle = engine.run(&qs);
-        for lane_len in [n, n / 2] {
-            let mut session = LaneSession::new(&g, &StaticWeighted, kind, 9, &qs, lane_len);
+        for threads in [1, 2] {
+            let mut session = LaneSession::new(&g, &StaticWeighted, kind, 9, &qs, threads);
             let mut got = WalkResults::new();
             session.advance(1_000, &mut got);
             assert!(!session.finished());
@@ -914,8 +912,7 @@ mod tests {
         assert!(10 * WINDOW as u64 * 4 < MIN_STEPS_PER_LANE);
         assert!(320 * WINDOW as u64 >= MIN_STEPS_PER_LANE);
         let kind = SamplerKind::InverseTransform;
-        let mut session =
-            LaneSession::new(&g, &Uniform, kind, 2, &qs, 32 * WINDOW).with_pinning(pretend_to_pin);
+        let mut session = LaneSession::new(&g, &Uniform, kind, 2, &qs, 2);
         for lane in &mut session.lanes {
             assert_eq!(lane.remaining_steps(), 320 * WINDOW as u64);
             lane.refill();
@@ -926,7 +923,11 @@ mod tests {
             session.advance(u64::MAX, &mut got);
             assert!(occupancy(&session).0 <= 2 * WINDOW);
         }
-        assert_eq!(session.diagnostics().unwrap(), "2 worker lanes, 2 pinned");
+        // Only spawned workers pin, so where pinning works the count says
+        // that the last round spawned both lanes.
+        if !sys::allowed_cores().is_empty() {
+            assert_eq!(session.diagnostics().unwrap(), "2 worker lanes, 2 pinned");
+        }
         assert_eq!(got, ReferenceEngine::new(&g, &Uniform, kind, 2).run(&qs));
     }
 
@@ -939,7 +940,7 @@ mod tests {
         let length = 20;
         let qs = QuerySet::n_queries(&g, 32 * WINDOW, length, 8);
         let kind = SamplerKind::InverseTransform;
-        let mut session = LaneSession::new(&g, &StaticWeighted, kind, 4, &qs, qs.len());
+        let mut session = LaneSession::new(&g, &StaticWeighted, kind, 4, &qs, 1);
         let mut sink = CountingSink::default();
         while !session.finished() {
             let batch = session.advance(4_096, &mut sink);
@@ -957,5 +958,50 @@ mod tests {
         }
         assert_eq!(sink.paths, qs.len());
         assert_eq!(sink.steps, qs.total_steps());
+    }
+
+    /// Lanes and queries per lane of a session over `n` queries.
+    fn lane_sizes(threads: usize, n: usize) -> Vec<usize> {
+        let g = generators::ring(16, 1);
+        let qs = QuerySet::n_queries(&g, n, 4, 1);
+        let session = LaneSession::new(&g, &Uniform, SamplerKind::Alias, 1, &qs, threads);
+        session.lanes.iter().map(|l| l.queries.len()).collect()
+    }
+
+    #[test]
+    fn zero_threads_resolve_to_available_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let n = 1_000;
+        assert_eq!(lane_sizes(0, n).len(), n.div_ceil(n.div_ceil(cores)));
+        assert_eq!(lane_sizes(3, n).len(), 3);
+    }
+
+    #[test]
+    fn threads_clamp_to_the_query_count() {
+        // Second clamp: 8 threads over 3 queries → 3 one-query lanes.
+        assert_eq!(lane_sizes(8, 3), [1, 1, 1]);
+    }
+
+    #[test]
+    fn lane_count_follows_the_chunking_formula() {
+        // `ceil(n / lane_len)` lanes, every query dealt to one of them.
+        for (threads, n) in [(1, 10), (3, 10), (4, 9), (7, 7), (2, 1)] {
+            let sizes = lane_sizes(threads, n);
+            assert_eq!(sizes.len(), n.div_ceil(n.div_ceil(threads)));
+            assert!(sizes.len() <= threads && sizes.iter().all(|&k| k > 0));
+            assert_eq!(sizes.iter().sum::<usize>(), n);
+        }
+    }
+
+    #[test]
+    fn an_empty_set_makes_no_lanes() {
+        assert!(lane_sizes(4, 0).is_empty());
+        let g = generators::ring(16, 1);
+        let qs = QuerySet::from_starts(Vec::new(), 4);
+        let mut session = LaneSession::new(&g, &Uniform, SamplerKind::Alias, 1, &qs, 4);
+        assert!(session.finished());
+        let mut got = WalkResults::new();
+        assert!(session.advance(10, &mut got).finished);
+        assert_eq!(got.len(), 0);
     }
 }

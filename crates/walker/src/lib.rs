@@ -1,8 +1,9 @@
 //! # lightrw-walker — graph dynamic random walk definitions
 //!
-//! The application layer of the reproduction: what a GDRW *is*, independent
-//! of which engine (CPU baseline, reference, or simulated accelerator)
-//! executes it.
+//! The application layer of the reproduction: what a GDRW *is*, and the
+//! two software engines that execute it — the reference oracle and the
+//! ThunderRW-like CPU engine; the simulated accelerator lives in
+//! `lightrw-hwsim`.
 //!
 //! - [`app`] defines the [`app::WalkApp`] trait — the paper's
 //!   application-specific weight update function `F` (§2.1) — and the two
@@ -35,13 +36,14 @@
 //!   its own stream, [`lane::WorkerLane`] sweeps a worker's walkers
 //!   step-centrically (DESIGN.md §9), and [`lane::LaneSession`] is the
 //!   [`engine::WalkSession`] of the reference, CPU and single-shard
-//!   engines.
+//!   engines: lanes on threads, spawned workers pinned to cores.
 //! - [`engine`] is the streaming execution seam every backend plugs into:
 //!   [`engine::WalkEngine`] starts [`engine::WalkSession`]s that run in
 //!   bounded batches and emit each finished path exactly once into a
-//!   [`engine::WalkSink`] (DESIGN.md §6). The CPU baseline
-//!   (`lightrw-baseline`) and the accelerator model (`lightrw-hwsim`)
-//!   implement the same trait.
+//!   [`engine::WalkSink`] (DESIGN.md §6). It holds the one lane engine,
+//!   [`engine::CpuEngine`] — the paper's ThunderRW comparator, a
+//!   [`lane::LaneSession`] over `threads` lanes — and the accelerator
+//!   model (`lightrw-hwsim`) implements the same trait.
 //! - [`service`] multiplexes many concurrent tenant jobs onto a shared
 //!   pool of those engines: [`service::WalkService`] schedules per-job
 //!   sessions with weighted-fair deficit round-robin, per-tenant
@@ -89,8 +91,8 @@ pub mod stats;
 
 pub use app::{MetaPath, Node2Vec, StaticWeighted, Uniform, WalkApp, WeightProfile};
 pub use engine::{
-    multiplex_sessions, BatchProgress, CountingSink, InOrderEmitter, WalkEngine, WalkEngineExt,
-    WalkSession, WalkSink,
+    multiplex_sessions, BaselineConfig, BaselineRunStats, BatchProgress, CountingSink, CpuEngine,
+    InOrderEmitter, WalkEngine, WalkEngineExt, WalkSession, WalkSink,
 };
 pub use hotpath::{HotStepper, WalkerRing};
 pub use lane::{LaneSession, VisitEnv, Walker, WorkerLane};

@@ -2,7 +2,7 @@
 //!
 //! A direct, single-threaded transcription of Algorithm 2.1 (table-based
 //! samplers) / Algorithm 3.1 (reservoir samplers), generic over the
-//! sampling method. Both the CPU baseline (`lightrw-baseline`) and the
+//! sampling method. Both the CPU engine ([`crate::CpuEngine`]) and the
 //! accelerator model (`lightrw-hwsim`) are tested for distributional
 //! agreement against this engine.
 
