@@ -14,7 +14,7 @@ use lightrw_rng::{Rng, SplitMix64};
 pub struct GraphBuilder {
     directed: bool,
     min_vertices: usize,
-    edges: Vec<(VertexId, VertexId, u32, u8)>,
+    edges: Vec<Record>,
     vertex_labels: Vec<u8>,
     prefix_cache: bool,
 }
@@ -62,6 +62,8 @@ impl GraphBuilder {
 
     /// Add many unit-weight edges.
     pub fn edges<I: IntoIterator<Item = (VertexId, VertexId)>>(mut self, it: I) -> Self {
+        let it = it.into_iter();
+        self.reserve(it.size_hint().0);
         for (u, v) in it {
             self.push_edge(u, v, 1, 0);
         }
@@ -79,6 +81,8 @@ impl GraphBuilder {
         mut self,
         it: I,
     ) -> Self {
+        let it = it.into_iter();
+        self.reserve(it.size_hint().0);
         for (u, v, w) in it {
             self.push_edge(u, v, w, 0);
         }
@@ -89,6 +93,12 @@ impl GraphBuilder {
     pub fn labeled_edge(mut self, u: VertexId, v: VertexId, w: u32, rel: u8) -> Self {
         self.push_edge(u, v, w, rel);
         self
+    }
+
+    /// Room for `edges` more input edges (twice the records when mirrored).
+    fn reserve(&mut self, edges: usize) {
+        let records = if self.directed { edges } else { 2 * edges };
+        self.edges.reserve(records);
     }
 
     /// In-place edge insertion (non-consuming; useful in loops).
@@ -155,14 +165,21 @@ impl GraphBuilder {
 
     /// Pack into CSR. Duplicate `(u,v)` edges are collapsed (first
     /// occurrence wins); self-loops are kept if present in the input.
+    ///
+    /// Linear in edges and vertices (DESIGN.md §5, *Heap CSR assembly*):
+    /// two stable counting passes order the records by target, then by
+    /// source, so equal `(u, v)` sit in arrival order and the survivor of
+    /// a duplicate is the input's first occurrence, as in the streamed
+    /// pack (`crate::pack`). The records are freed before the prefix
+    /// cache is built.
     pub fn build(self) -> Graph {
         let n = self.vertex_count();
         let has_edge_labels = self.edges.iter().any(|e| e.3 != 0);
         let mut edges = self.edges;
-        // Stable, so the survivor of a duplicate `(u, v)` is the input's
-        // first occurrence, as in the streamed pack (`crate::pack`). One
-        // `u64` key sorts a fifth faster than the pair at 8 M edges.
-        edges.sort_by_key(|&(u, v, _, _)| (u as u64) << 32 | v as u64);
+        let mut scratch = vec![(0, 0, 0, 0); edges.len()];
+        counting_pass(&edges, &mut scratch, n, |e| e.1);
+        counting_pass(&scratch, &mut edges, n, |e| e.0);
+        drop(scratch);
         edges.dedup_by_key(|&mut (u, v, _, _)| (u, v));
 
         let mut row_index = vec![0u64; n + 1];
@@ -172,24 +189,18 @@ impl GraphBuilder {
         for i in 0..n {
             row_index[i + 1] += row_index[i];
         }
-
-        let mut col_index = Vec::with_capacity(edges.len());
-        let mut weights = Vec::with_capacity(edges.len());
-        let mut edge_labels = if has_edge_labels {
-            Vec::with_capacity(edges.len())
+        let col_index: Vec<VertexId> = edges.iter().map(|e| e.1).collect();
+        let weights: Vec<u32> = edges.iter().map(|e| e.2).collect();
+        let edge_labels: Vec<u8> = if has_edge_labels {
+            edges.iter().map(|e| e.3).collect()
         } else {
             Vec::new()
         };
-        for (_, v, w, rel) in &edges {
-            col_index.push(*v);
-            weights.push(*w);
-            if has_edge_labels {
-                edge_labels.push(*rel);
-            }
-        }
+        drop(edges);
 
         let mut vertex_labels = self.vertex_labels;
         if !vertex_labels.is_empty() {
+            vertex_labels.reserve_exact(n - vertex_labels.len());
             vertex_labels.resize(n, 0);
         }
 
@@ -211,15 +222,135 @@ impl GraphBuilder {
     }
 }
 
+/// An input edge record: source, target, weight, relation.
+type Record = (VertexId, VertexId, u32, u8);
+
+/// One stable counting-sort pass: `from`'s records into `to` in order of
+/// `key` (below `n`), records of equal key in their order in `from`.
+fn counting_pass(from: &[Record], to: &mut [Record], n: usize, key: impl Fn(&Record) -> VertexId) {
+    let mut next = vec![0usize; n];
+    for r in from {
+        next[key(r) as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        (*slot, start) = (start, start + *slot);
+    }
+    for r in from {
+        let slot = &mut next[key(r) as usize];
+        to[*slot] = *r;
+        *slot += 1;
+    }
+}
+
 /// An edge record's endpoints.
-fn ends(&(u, v, _, _): &(VertexId, VertexId, u32, u8)) -> (u32, u32) {
+fn ends(&(u, v, _, _): &Record) -> (u32, u32) {
     (u, v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{MAX_CACHED_RELATIONS, MAX_PREFIX_STATIC_WEIGHT};
     use crate::validate::validate;
+    use proptest::prop_assert_eq;
+    use std::collections::BTreeMap;
+
+    /// Inclusive running sums of one row's terms.
+    fn running(terms: impl Iterator<Item = u64>) -> Vec<u64> {
+        terms
+            .scan(0, |acc, t| {
+                *acc += t;
+                Some(*acc)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+
+        /// Random edge multisets against a first-occurrence oracle. Ids
+        /// come from a small range, so duplicates with other weights and
+        /// relations, self-loops and mirrored pairs are common; the vertex
+        /// count may lie past the largest id and the vertex labels may be
+        /// shorter than it; `spread` takes the relation alphabet from
+        /// none to more labels than the cache holds; and one record may
+        /// carry a weight past the cache's limit.
+        #[test]
+        fn build_matches_a_first_occurrence_oracle(
+            undirected in 0u8..2,
+            records in proptest::collection::vec((0u32..20, 0u32..20, 1u32..6, 0u8..=255), 0..160),
+            spread in 1u8..12,
+            extra in 0usize..28,
+            labels in proptest::collection::vec(0u8..4, 0..24),
+            heavy in 0usize..320,
+        ) {
+            let undirected = undirected == 1;
+            let mut b = if undirected {
+                GraphBuilder::undirected()
+            } else {
+                GraphBuilder::directed()
+            };
+            let mut first = BTreeMap::new();
+            let mut labeled = false;
+            for (i, &(u, v, w, rel)) in records.iter().enumerate() {
+                let w = if i == heavy { MAX_PREFIX_STATIC_WEIGHT + 1 } else { w };
+                let rel = rel % spread;
+                b.push_edge(u, v, w, rel);
+                first.entry((u, v)).or_insert((w, rel));
+                if undirected {
+                    first.entry((v, u)).or_insert((w, rel));
+                }
+                labeled |= rel != 0;
+            }
+            let g = b.num_vertices(extra).vertex_labels(labels.clone()).build();
+
+            let ids = records.iter().map(|&(u, v, ..)| u.max(v) as usize + 1).max();
+            let n = ids.unwrap_or(0).max(extra).max(labels.len());
+            prop_assert_eq!(g.num_vertices(), n);
+            prop_assert_eq!(g.num_edges(), first.len());
+            prop_assert_eq!(g.is_directed(), !undirected);
+            prop_assert_eq!(g.has_edge_labels(), labeled);
+            prop_assert_eq!(g.has_vertex_labels(), !labels.is_empty());
+            let mut used = [false; 256];
+            first.values().for_each(|&(_, rel)| used[rel as usize] = true);
+            let distinct = used.iter().filter(|&&u| u).count();
+            let cached = first.values().all(|&(w, _)| w <= MAX_PREFIX_STATIC_WEIGHT);
+            prop_assert_eq!(g.has_prefix_cache(), cached);
+            for u in 0..n as u32 {
+                let row: Vec<_> = first.range((u, 0)..=(u, u32::MAX)).collect();
+                let targets: Vec<u32> = row.iter().map(|(&(_, v), _)| v).collect();
+                let weights: Vec<u32> = row.iter().map(|(_, &(w, _))| w).collect();
+                let relations: Vec<u8> = row.iter().map(|(_, &(_, r))| r).collect();
+                prop_assert_eq!(g.neighbors(u), &targets[..]);
+                prop_assert_eq!(g.neighbor_weights(u), &weights[..]);
+                let want: &[u8] = if labeled { &relations } else { &[] };
+                prop_assert_eq!(g.neighbor_relations(u), want);
+                let label = labels.get(u as usize).copied().unwrap_or(0);
+                prop_assert_eq!(g.vertex_label(u), label);
+                if !cached {
+                    continue;
+                }
+                let all = running(weights.iter().map(|&w| w as u64));
+                prop_assert_eq!(g.static_prefix(u), Some(&all[..]));
+                for r in 0..12u8 {
+                    let masked = running(
+                        row.iter()
+                            .map(|(_, &(w, rel))| if rel == r { w as u64 } else { 0 }),
+                    );
+                    let want = match labeled {
+                        false => (r == 0).then_some(&all[..]),
+                        true if used[r as usize] && distinct <= MAX_CACHED_RELATIONS => {
+                            Some(&masked[..])
+                        }
+                        true => None,
+                    };
+                    prop_assert_eq!(g.relation_prefix(u, r), want);
+                }
+            }
+            prop_assert_eq!(validate(&g), Ok(()));
+        }
+    }
 
     #[test]
     fn duplicate_edges_collapse() {
@@ -347,6 +478,23 @@ mod tests {
     fn self_loops_are_kept() {
         let g = GraphBuilder::directed().edges([(1, 1), (1, 2)]).build();
         assert_eq!(g.neighbors(1), &[1, 2]);
+    }
+
+    #[test]
+    fn a_relation_only_a_dropped_duplicate_carries_has_no_prefix_lane() {
+        // The second (0, 1) is dropped. Its relation 5 was seen before
+        // dedup, so the edge-label lane exists; the prefix cache is decided
+        // on what survived, so relation 5 gets no lane. Its weight, past
+        // the cache's limit, does not cost the graph its cache either.
+        let g = GraphBuilder::directed()
+            .labeled_edge(0, 1, 2, 0)
+            .labeled_edge(0, 1, MAX_PREFIX_STATIC_WEIGHT + 1, 5)
+            .build();
+        assert!(g.has_edge_labels());
+        assert_eq!(g.neighbor_relations(0), &[0]);
+        assert_eq!(g.neighbor_weights(0), &[2]);
+        assert_eq!(g.relation_prefix(0, 0).unwrap(), &[2]);
+        assert!(g.relation_prefix(0, 5).is_none());
     }
 
     #[test]

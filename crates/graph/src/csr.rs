@@ -297,16 +297,6 @@ impl Graph {
             self.prefix = None;
             return;
         }
-        let n = self.num_vertices();
-        let mut all = Vec::with_capacity(self.col_index.len());
-        for v in 0..n {
-            let (lo, hi) = (self.row_index[v] as usize, self.row_index[v + 1] as usize);
-            let mut acc = 0u64;
-            for e in lo..hi {
-                acc += self.weights[e] as u64;
-                all.push(acc);
-            }
-        }
         // Per-relation copies: only for labels the graph actually uses, and
         // only when there are few enough *distinct* labels (dense |E|-entry
         // arrays per label are the cost being bounded). Unused label slots
@@ -315,29 +305,35 @@ impl Graph {
         for &r in self.edge_labels.iter() {
             label_used[r as usize] = true;
         }
-        let distinct = label_used.iter().filter(|&&u| u).count();
-        let per_relation = match self.edge_labels.iter().copied().max() {
-            Some(max) if distinct <= MAX_CACHED_RELATIONS => (0..=max)
-                .map(|r| {
-                    if !label_used[r as usize] {
-                        return Section::default();
-                    }
-                    let mut cum = Vec::with_capacity(self.col_index.len());
-                    for v in 0..n {
-                        let (lo, hi) = (self.row_index[v] as usize, self.row_index[v + 1] as usize);
-                        let mut acc = 0u64;
-                        for e in lo..hi {
-                            if self.edge_labels[e] == r {
-                                acc += self.weights[e] as u64;
-                            }
-                            cum.push(acc);
-                        }
-                    }
-                    cum.into()
-                })
-                .collect(),
-            _ => Vec::new(),
+        let used: Vec<u8> = (0..=u8::MAX).filter(|&r| label_used[r as usize]).collect();
+        let cached = if used.len() <= MAX_CACHED_RELATIONS {
+            &used[..]
+        } else {
+            &[]
         };
+        // One pass over the rows fills every cumulative; each restarts at
+        // every row.
+        let m = self.num_edges();
+        let mut all = Vec::with_capacity(m);
+        let mut masked: Vec<Vec<u64>> = cached.iter().map(|_| Vec::with_capacity(m)).collect();
+        for row in self.row_index.windows(2) {
+            let (lo, hi) = (row[0] as usize, row[1] as usize);
+            let weights = &self.weights[lo..hi];
+            all.extend(running_sums(weights.iter().map(|&w| w as u64)));
+            for (cum, &r) in masked.iter_mut().zip(cached) {
+                let labels = &self.edge_labels[lo..hi];
+                let terms = weights
+                    .iter()
+                    .zip(labels)
+                    .map(|(&w, &l)| u64::from(l == r) * w as u64);
+                cum.extend(running_sums(terms));
+            }
+        }
+        let slots = cached.last().map_or(0, |&r| r as usize + 1);
+        let mut per_relation = vec![Section::default(); slots];
+        for (&r, cum) in cached.iter().zip(masked) {
+            per_relation[r as usize] = cum.into();
+        }
         self.prefix = Some(PrefixCache {
             all: all.into(),
             per_relation,
@@ -453,6 +449,14 @@ impl Graph {
     pub fn col_index(&self) -> &[VertexId] {
         &self.col_index
     }
+}
+
+/// The inclusive running sums of `terms`.
+fn running_sums(terms: impl Iterator<Item = u64>) -> impl Iterator<Item = u64> {
+    terms.scan(0, |acc, t| {
+        *acc += t;
+        Some(*acc)
+    })
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! The text format accepts the files distributed by the SNAP repository
 //! (the source of the paper's youtube/us-patents/liveJournal datasets):
 //! `#`-prefixed comment lines, then one `src dst [weight [relation]]` line
-//! per edge, whitespace separated. The one binary format is the packed
+//! per edge, whitespace separated, with vertex ids below 2^32 − 1. The one binary format is the packed
 //! CSR file of [`crate::packed`].
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -89,8 +89,13 @@ pub fn read_edge_list<R: Read>(reader: R, directed: bool) -> Result<Graph, IoErr
             line: idx + 1,
             content: trimmed.to_string(),
         };
-        let u: VertexId = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        let v: VertexId = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+        // The largest id leaves the vertex count, one past it, in the
+        // 32-bit id space every graph file holds to (`crate::packed`).
+        let mut id = || match parts.next().map(str::parse::<VertexId>) {
+            Some(Ok(id)) if id < VertexId::MAX => Ok(id),
+            _ => Err(bad()),
+        };
+        let (u, v) = (id()?, id()?);
         let w: u32 = match parts.next() {
             Some(tok) => tok.parse().map_err(|_| bad())?,
             None => 1,
@@ -187,5 +192,20 @@ mod tests {
         }
         let err = read_edge_list("42\n".as_bytes(), true).unwrap_err();
         assert!(matches!(err, IoError::BadLine { .. }));
+    }
+
+    #[test]
+    fn edge_list_ids_stay_in_the_32_bit_id_space() {
+        // Vertex 2^32 - 1 would make 2^32 vertices, one more than a graph
+        // file can hold; the id below it is the largest one accepted.
+        let err = read_edge_list("0 1\n1 4294967295\n".as_bytes(), true).unwrap_err();
+        match err {
+            IoError::BadLine { line, content } => {
+                assert_eq!((line, content.as_str()), (2, "1 4294967295"))
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        let err = read_edge_list("4294967295 0\n".as_bytes(), false).unwrap_err();
+        assert!(matches!(err, IoError::BadLine { line: 1, .. }), "{err:?}");
     }
 }
