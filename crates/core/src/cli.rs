@@ -216,18 +216,16 @@ pub fn usage() -> &'static str {
      \x20        NAME: inverse-transform|alias|sequential-wrs|pwrs|rejection\n\
      \x20              |a-expj\n\
      \x20        --threads is cpu-only (0 = one worker lane per core)\n\
-     \x20        [--shards K] [--strategy NAME] [--shard-threads N]\n\
-     \x20        [--repartition]\n\
-     \x20        --shards K walks on the sharded engine; --shard-threads\n\
-     \x20        pins parallel per-shard executors (0 = one per shard);\n\
+     \x20        [--shards K] [--strategy NAME] [--repartition]\n\
+     \x20        --shards K walks on the sharded engine;\n\
      \x20        --repartition overrides a mismatched packed partition\n\
      serve    GRAPH.lrwpak (--jobs SPEC.json | --synthetic-tenants N\n\
      \x20        | --listen ADDR)\n\
      \x20        [--jobs-per-tenant N] [--queries N] [--length N]\n\
      \x20        [--app NAME] [--engine sim|cpu|reference|sharded]\n\
      \x20        [--workers N] [--threads N] [--sampler NAME]\n\
-     \x20        [--shards K] [--strategy NAME] [--shard-threads N]\n\
-     \x20        [--quantum N] [--tenant-budget N] [--seed N]\n\
+     \x20        [--shards K] [--strategy NAME] [--quantum N]\n\
+     \x20        [--tenant-budget N] [--seed N]\n\
      \x20        [--drain-ms N] [--shutdown-after-ticks N]\n\
      \x20        --listen ADDR serves HTTP (POST /jobs streams NDJSON\n\
      \x20        paths, GET /stats) instead of replaying a trace; use\n\
@@ -608,7 +606,6 @@ const WALK_OPTIONS: &[&str] = &[
     "out",
     "shards",
     "strategy",
-    "shard-threads",
     "repartition",
 ];
 
@@ -674,7 +671,6 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
             shards,
             strategy,
             sampler,
-            shard_threads,
         } if loaded.shard_meta.is_some() => {
             // Only flags the user actually pinned can conflict with the
             // file's persisted partition; defaults adopt whatever the
@@ -686,10 +682,12 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
                     && (!strategy_pinned || p.sharded.strategy == strategy) =>
                 {
                     shard_source = ", shard partition from file".into();
-                    Box::new(
-                        crate::sharded::ShardedEngine::new(p.sharded, app.as_ref(), sampler, seed)
-                            .with_shard_threads(shard_threads),
-                    )
+                    Box::new(crate::sharded::ShardedEngine::new(
+                        p.sharded,
+                        app.as_ref(),
+                        sampler,
+                        seed,
+                    ))
                 }
                 p => {
                     // The file's persisted partition contradicts the
@@ -719,7 +717,6 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
                             sampler,
                             seed,
                         )
-                        .with_shard_threads(shard_threads)
                         .with_partition_note(format!(
                             "repartitioned in memory (file partition was k={file_k} \
                              strategy={file_strategy})"
@@ -827,7 +824,7 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
 
 /// Build the backend from the CLI flags (`default_engine` when there is
 /// no `--engine`), falling back to the trace's own sizing fields
-/// (`threads`, `shards`, `shard_threads`) when replaying one. `walk` and
+/// (`threads`, `shards`) when replaying one. `walk` and
 /// the listen mode pass no trace — flags only.
 fn configure_backend(
     args: &Args,
@@ -836,10 +833,10 @@ fn configure_backend(
 ) -> Result<Backend, String> {
     let mut backend = Backend::parse(args.get("engine").unwrap_or(default_engine))?;
     // Sizing flows through one rule per knob: an explicit flag wins, else
-    // the trace's own field — which for `shards` and `shard_threads`,
-    // like `threads` for non-CPU backends, is ignored unless the engine
-    // is sharded. Both land in the same Backend::with_* call, so every
-    // pool engine agrees with what the spec asked for.
+    // the trace's own field — which for `shards`, like `threads` for
+    // non-CPU backends, is ignored unless the engine is sharded. Both
+    // land in the same Backend::with_* call, so every pool engine agrees
+    // with what the spec asked for.
     let sharded = matches!(backend, Backend::Sharded { .. });
     let threads = args.get_usize("threads")?;
     if let Some(t) = threads.or(trace.and_then(|t| t.threads)) {
@@ -848,12 +845,6 @@ fn configure_backend(
     let shards = args.get_usize("shards")?;
     if let Some(k) = shards.or(trace.and_then(|t| t.shards).filter(|_| sharded)) {
         backend = backend.with_shards(k, parse_strategy(args)?)?;
-    }
-    let shard_threads = args
-        .get_usize("shard-threads")
-        .map_err(|e| format!("{e} (0 = one thread per shard)"))?;
-    if let Some(t) = shard_threads.or(trace.and_then(|t| t.shard_threads).filter(|_| sharded)) {
-        backend = backend.with_shard_threads(t)?;
     }
     if let Some(name) = args.get("sampler") {
         backend = backend.with_sampler(Backend::parse_sampler(name)?);
@@ -908,7 +899,6 @@ const SERVE_OPTIONS: &[&str] = &[
     "sampler",
     "shards",
     "strategy",
-    "shard-threads",
     "quantum",
     "tenant-budget",
     "seed",
@@ -1758,7 +1748,7 @@ mod tests {
         // A walk-strategy pack of an rmat: input materializes the graph
         // (placing its vertices needs all of it), stats reports the
         // stationary-weighted crossing estimate, and a matching walk run
-        // adopts the file partition with parallel executors.
+        // adopts the file partition.
         let packed_path = tmp("walk_strategy.lrwpak");
         let out = run(
             "graph",
@@ -1788,8 +1778,6 @@ mod tests {
                 "2",
                 "--strategy",
                 "walk",
-                "--shard-threads",
-                "2",
                 "--length",
                 "5",
                 "--queries",
@@ -1798,7 +1786,6 @@ mod tests {
         )
         .unwrap();
         assert!(walk.contains("shard partition from file"), "{walk}");
-        assert!(walk.contains("threads=2"), "{walk}");
     }
 
     #[test]
@@ -1906,6 +1893,27 @@ mod tests {
         let err = walk().unwrap_err();
         assert!(err.starts_with("corrupt binary graph at byte "), "{err}");
         assert!(err.contains("shard cut section has wrong size"), "{err}");
+    }
+
+    #[test]
+    fn a_column_id_past_the_vertex_count_is_an_error_not_a_panic() {
+        // Every `col_index` (id 2) entry names a vertex past n. That used
+        // to load, and the first step of a walk panicked in `csr.rs`.
+        let packed_path = tmp("damaged_columns.lrwpak");
+        run("graph", &parse(&["pack", "rmat:8:3", "-o", &packed_path])).unwrap();
+        let mut bytes = std::fs::read(&packed_path).unwrap();
+        let cols = section_entry(&bytes, 2);
+        let (off, len) = (word(&bytes, cols + 8), word(&bytes, cols + 16));
+        for id in bytes[off as usize..(off + len) as usize].chunks_exact_mut(4) {
+            id.copy_from_slice(&0x8000_0484u32.to_le_bytes());
+        }
+        std::fs::write(&packed_path, bytes).unwrap();
+        for engine in ["cpu", "sim"] {
+            let args = parse(&[&packed_path, "--engine", engine, "--queries", "64"]);
+            let err = run("walk", &args).unwrap_err();
+            assert!(err.starts_with("corrupt binary graph at byte "), "{err}");
+            assert!(err.contains("col_index names a vertex past"), "{err}");
+        }
     }
 
     #[test]
@@ -2058,6 +2066,7 @@ mod tests {
         for (sub, raw) in [
             ("walk", vec!["--in-memory", "g.lrwpak"]),
             ("serve", vec!["--in-memory", "g.lrwpak"]),
+            ("walk", vec!["--shard-threads", "2", "g.lrwpak"]),
             ("graph", vec!["pack", "rmat:8", "--no-prefix", "-o", "x"]),
         ] {
             let err = run(sub, &parse(&raw)).unwrap_err();
@@ -2238,27 +2247,35 @@ mod tests {
     #[test]
     fn info_runs_the_structural_check_the_loader_skips() {
         let edges = tmp("dangling_edges.txt");
-        std::fs::write(&edges, "0 1\n1 2\n").unwrap();
+        std::fs::write(&edges, "0 1\n0 2\n1 2\n").unwrap();
         let path = tmp("dangling.lrwpak");
         run("convert", &parse(&["--input", &edges, "-o", &path])).unwrap();
         assert!(run("info", &parse(&[&path]))
             .unwrap()
             .contains("structure       : valid"));
+        let clean = std::fs::read(&path).unwrap();
+        // Section 2 is `col_index`; vertex 0's edges are its first two.
+        let col = word(&clean, section_entry(&clean, 2) + 8) as usize;
+        let damaged = |first_target: u32| {
+            let mut bytes = clean.clone();
+            bytes[col..col + 4].copy_from_slice(&first_target.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+        };
 
-        // Point vertex 0's only edge outside the vertex set (section 2 is
-        // `col_index`).
-        let mut bytes = std::fs::read(&path).unwrap();
-        let col = word(&bytes, section_entry(&bytes, 2) + 8) as usize;
-        bytes[col..col + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
+        // An edge outside the vertex set is a load error of its own.
+        damaged(u32::MAX);
+        let err = run("info", &parse(&[&path])).unwrap_err();
+        assert!(err.contains("col_index names a vertex past"), "{err}");
 
-        // Header, table and CSR endpoints are intact, so the load passes…
+        // A duplicated edge keeps header, table, CSR endpoints and ids
+        // intact, so the load passes…
+        damaged(2);
         let g = load_graph_file(&path, LoadMode::Auto).unwrap().graph;
-        assert_eq!(g.neighbors(0), &[u32::MAX]);
-        // …and `info` names the source vertex of the dangling edge.
+        assert_eq!(g.neighbors(0), &[2, 2]);
+        // …and `info` names the vertex whose adjacency is broken.
         let err = run("info", &parse(&[&path])).unwrap_err();
         assert!(err.contains("failed validation"), "{err}");
-        assert!(err.contains("edge (0,4294967295) points outside"), "{err}");
+        assert!(err.contains("adjacency of vertex 0 unsorted"), "{err}");
     }
 
     #[test]

@@ -41,15 +41,13 @@ pub enum Backend {
     /// The partitioned engine (`crate::sharded::ShardedEngine`): one
     /// step lane per shard, walker hand-offs at shard boundaries.
     Sharded {
-        /// Shard count (`>= 1`; 1 degenerates to the reference path).
+        /// Shard count (`>= 1`; 1 has nothing to hand off and runs one
+        /// `LaneSession` lane on the whole graph).
         shards: usize,
         /// How vertices are assigned to shards.
         strategy: ShardStrategy,
         /// Per-step weighted sampling method.
         sampler: SamplerKind,
-        /// Executor threads: 1 = the calling thread, 0 = one pinned
-        /// executor per shard, n = min(n, shards) executors.
-        shard_threads: usize,
     },
 }
 
@@ -71,7 +69,6 @@ impl Backend {
                 shards: 2,
                 strategy: ShardStrategy::Range,
                 sampler: SamplerKind::InverseTransform,
-                shard_threads: 1,
             }),
             other => Err(format!(
                 "unknown --engine {other:?} (expected sim, cpu, reference or sharded)"
@@ -121,38 +118,12 @@ impl Backend {
             return Err("--shards must be at least 1".into());
         }
         match self {
-            Self::Sharded {
-                sampler,
-                shard_threads,
-                ..
-            } => Ok(Self::Sharded {
+            Self::Sharded { sampler, .. } => Ok(Self::Sharded {
                 shards,
                 strategy,
                 sampler,
-                shard_threads,
             }),
             _ => Err("--shards only applies to --engine sharded".into()),
-        }
-    }
-
-    /// Set the executor thread count of a sharded backend (1 = the
-    /// executor loop on the calling thread, 0 = one pinned executor per
-    /// shard). Errors for every other backend so `--shard-threads` on
-    /// the wrong engine is loud.
-    pub fn with_shard_threads(self, shard_threads: usize) -> Result<Self, String> {
-        match self {
-            Self::Sharded {
-                shards,
-                strategy,
-                sampler,
-                ..
-            } => Ok(Self::Sharded {
-                shards,
-                strategy,
-                sampler,
-                shard_threads,
-            }),
-            _ => Err("--shard-threads only applies to --engine sharded".into()),
         }
     }
 
@@ -170,15 +141,11 @@ impl Backend {
                 },
             },
             Self::Sharded {
-                shards,
-                strategy,
-                shard_threads,
-                ..
+                shards, strategy, ..
             } => Self::Sharded {
                 shards,
                 strategy,
                 sampler,
-                shard_threads,
             },
         }
     }
@@ -211,11 +178,9 @@ impl Backend {
                 shards,
                 strategy,
                 sampler,
-                shard_threads,
-            } => Box::new(
-                ShardedEngine::partition(graph, shards, strategy, app, sampler, seed)
-                    .with_shard_threads(shard_threads),
-            ),
+            } => Box::new(ShardedEngine::partition(
+                graph, shards, strategy, app, sampler, seed,
+            )),
         }
     }
 
@@ -294,56 +259,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_threads_knob_applies_to_sharded_only() {
-        let b = Backend::parse("sharded")
-            .unwrap()
-            .with_shard_threads(2)
-            .unwrap();
-        assert!(matches!(
-            b,
-            Backend::Sharded {
-                shard_threads: 2,
-                ..
-            }
-        ));
-        // The knob survives a later with_shards / with_sampler reshape.
-        let b = b
-            .with_shards(4, ShardStrategy::Walk)
-            .unwrap()
-            .with_sampler(SamplerKind::Alias);
-        assert!(matches!(
-            b,
-            Backend::Sharded {
-                shards: 4,
-                strategy: ShardStrategy::Walk,
-                shard_threads: 2,
-                ..
-            }
-        ));
-        for name in ["sim", "reference", "cpu"] {
-            let err = Backend::parse(name)
-                .unwrap()
-                .with_shard_threads(2)
-                .unwrap_err();
-            assert!(err.contains("--shard-threads"), "{name}: {err}");
-        }
-    }
-
-    #[test]
     fn parallel_sharded_backend_builds_working_engines() {
+        // The sharded backend's lanes walk what the reference walks.
         let g = generators::rmat_dataset(7, 3);
         let qs = QuerySet::per_nonisolated_vertex(&g, 4, 1);
-        let sequential = Backend::parse("sharded")
+        let reference = Backend::parse("reference")
             .unwrap()
             .build(&g, &Uniform, 9)
             .run_collected(&qs);
-        let parallel = Backend::parse("sharded")
-            .unwrap()
-            .with_shard_threads(2)
+        let sharded = Backend::parse("sharded")
             .unwrap()
             .build(&g, &Uniform, 9)
             .run_collected(&qs);
-        assert_eq!(parallel, sequential);
+        assert_eq!(sharded, reference);
     }
 
     #[test]

@@ -63,10 +63,6 @@ pub struct Trace {
     /// `--engine sharded` — ignored by the other backends, mirroring
     /// how `threads` only shapes the CPU engine.
     pub shards: Option<usize>,
-    /// Executor threads per sharded pool engine (`0` = one per shard,
-    /// `1` = the calling thread); `None` leaves the backend's default.
-    /// Only meaningful with `--engine sharded`.
-    pub shard_threads: Option<usize>,
     /// Graph the trace should run on (a `.lrwpak` path, as on the
     /// command line); the CLI positional overrides it, and a positional
     /// of `-` explicitly defers to this field.
@@ -81,7 +77,6 @@ impl Trace {
         Self {
             threads: None,
             shards: None,
-            shard_threads: None,
             graph: None,
             jobs,
         }
@@ -180,9 +175,6 @@ pub fn to_json(trace: &Trace) -> String {
     if let Some(k) = trace.shards {
         let _ = writeln!(out, "  \"shards\": {k},");
     }
-    if let Some(t) = trace.shard_threads {
-        let _ = writeln!(out, "  \"shard_threads\": {t},");
-    }
     if let Some(g) = &trace.graph {
         let _ = writeln!(out, "  \"graph\": \"{}\",", json::escape(g));
     }
@@ -249,10 +241,6 @@ pub fn parse_trace(text: &str) -> Result<Trace, String> {
                         trace.threads = setting(&key, &value, 0, MAX_TRACE_THREADS, note)?;
                     }
                     "shards" => trace.shards = setting(&key, &value, 1, MAX_TRACE_SHARDS, "")?,
-                    "shard_threads" => {
-                        let note = " (0 = one per shard)";
-                        trace.shard_threads = setting(&key, &value, 0, MAX_TRACE_SHARDS, note)?;
-                    }
                     "graph" => match value {
                         Value::String(s) if !s.is_empty() => trace.graph = Some(s),
                         _ => return Err("trace \"graph\" must be a non-empty string".into()),
@@ -518,8 +506,13 @@ mod tests {
             let err = parse_trace(bad).unwrap_err();
             assert!(err.contains("threads"), "{bad}: {err}");
         }
-        let err = parse_trace(r#"{"workers": 2, "jobs": []}"#).unwrap_err();
-        assert!(err.contains("unknown trace field"), "{err}");
+        for unknown in [
+            r#"{"workers": 2, "jobs": []}"#,
+            r#"{"shard_threads": 2, "jobs": []}"#,
+        ] {
+            let err = parse_trace(unknown).unwrap_err();
+            assert!(err.contains("unknown trace field"), "{unknown}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sharded walk execution: one engine lane per graph partition, walkers
 //! migrating at shard boundaries through bounded hand-off queues
 //! (DESIGN.md §11), all on **one schedule** — the shard-executor loop of
-//! DESIGN.md §12 — whatever the thread count.
+//! DESIGN.md §12, run on the calling thread.
 //!
 //! [`ShardedEngine`] runs a [`lightrw_graph::ShardedGraph`] — built by
 //! [`lightrw_graph::partition_graph`] (see `lightrw_graph::partition`
@@ -12,27 +12,21 @@
 //! [`HotStepper`] and a run queue of the walkers standing on it; a walker
 //! whose step lands on a **ghost** vertex (owned by another shard) is
 //! serialized into a hand-off record and held in a per-destination outbox
-//! until the outbox reaches the flush budget or the executor runs out of
+//! until the outbox reaches the flush budget or the loop runs out of
 //! local work.
 //!
-//! Every `advance` is one round of that loop over `shard_threads`
-//! executors, each owning the lanes `s` with `s % threads == executor`:
+//! Every `advance` is one round of that loop:
 //!
 //! - What **persists** in the session: the per-shard run queues of live
-//!   walkers, lent to the executors for the round. A lane whose per-round
-//!   budget is spent leaves its walkers where they are.
-//! - What **travels**: hand-off batches between lanes (over a channel when
-//!   another executor owns the destination, so a crossing overlaps with
-//!   the other executors' compute) and *finished paths* back to the
-//!   session thread, which emits them as they stream in — the non-`Send`
-//!   [`WalkSink`] never crosses a thread.
-//! - How a round **ends**: an atomic count of walkers that can still move
-//!   this round; the executor that counts out the last one broadcasts
-//!   `Quiesce` (the invariant is stated at [`run_executor`]).
-//! - `shard_threads == 1` (default) is that loop with one executor run on
-//!   the calling thread: no spawn, no pin, every destination local.
-//!   `shard_threads >= 2` spawns scoped threads that pin themselves via
-//!   `lightrw_graph::sys::pin_current_thread`.
+//!   walkers. A lane whose per-round budget is spent leaves its walkers
+//!   where they are.
+//! - What **travels**: hand-off batches, from an outbox into the
+//!   destination lane's run queue, and finished paths, into the session's
+//!   per-query slots, which the [`InOrderEmitter`] drains into the sink
+//!   when the round ends.
+//! - How a round **ends**: a sweep of every lane in which no lane worked,
+//!   followed by a flush that finds every outbox empty. Every walker
+//!   still alive then sits in a run queue for the next round.
 //!
 //! The three contracts that make all of this safe:
 //!
@@ -41,8 +35,8 @@
 //!   software engine shares (DESIGN.md §5) — and each step goes through
 //!   the one walker kernel, [`VisitEnv::visit`], which positions the
 //!   lane's stepper on the walker's stream first. A walk's draws are therefore a pure
-//!   function of its query — not of shard count, flush budget, thread
-//!   count, or batch schedule. That is what makes every configuration of
+//!   function of its query — not of shard count, flush budget or batch
+//!   schedule. That is what makes every configuration of
 //!   this engine **bit-identical** to [`lightrw_walker::ReferenceEngine`],
 //!   and what the agreement, conformance and property suites pin.
 //! - **Second-order hand-offs carry the previous row.** Node2Vec weights
@@ -57,22 +51,20 @@
 //! model of [`crate::pcie`]): each flush costs one link latency plus
 //! `bytes / bandwidth`, with a record costing a fixed header plus four
 //! bytes per shipped prev-row entry. [`WalkSession::model_seconds`]
-//! reports the accumulated transfer seconds **plus** the lane compute
-//! clock, so cluster straggler accounting never treats a sharded board as
-//! free compute. Hand-off and byte totals are schedule-independent (walks
-//! are deterministic); flush counts and transfer seconds depend on batch
-//! coalescing and may differ with the thread count and the round budget.
+//! reports the accumulated transfer seconds **plus** the rounds' wall
+//! time on the calling thread, so cluster straggler accounting never
+//! treats a sharded board as free compute. Every counter is
+//! deterministic: hand-off and byte totals are a property of the walks,
+//! and flush counts and transfer seconds follow the flush budget and the
+//! `advance` budgets, nothing else.
 //!
 //! `k = 1` has nothing to hand off: it runs the ordinary
 //! [`LaneSession`], one lane on shard 0's graph.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
-use lightrw_graph::{partition_graph, sys, Graph, ShardStrategy, ShardedGraph, VertexId};
+use lightrw_graph::{partition_graph, Graph, ShardStrategy, ShardedGraph, VertexId};
 use lightrw_walker::{
     BatchProgress, HotStepper, InOrderEmitter, LaneSession, QuerySet, SamplerKind, VisitEnv,
     WalkApp, WalkEngine, WalkProgram, WalkSession, WalkSink, Walker,
@@ -89,17 +81,13 @@ use crate::platform::U250_PLATFORM;
 pub const HANDOFF_RECORD_BYTES: u64 = 40;
 
 /// A partitioned-execution engine: one step lane per shard, bounded
-/// hand-off queues between them, modelled transfer costs per flush,
-/// and optionally parallel pinned shard executors.
+/// hand-off queues between them and modelled transfer costs per flush.
 pub struct ShardedEngine<'a> {
     sharded: ShardedGraph,
     app: &'a dyn WalkApp,
     sampler: SamplerKind,
     seed: u64,
     flush_budget: usize,
-    /// Requested executor thread count: 1 = the calling thread,
-    /// 0 = one executor per shard, n = min(n, k) executors.
-    shard_threads: usize,
     /// Provenance note surfaced through session diagnostics (e.g. "the
     /// packed partition was discarded and rebuilt in memory").
     partition_note: Option<String>,
@@ -127,7 +115,6 @@ impl<'a> ShardedEngine<'a> {
             sampler,
             seed,
             flush_budget: Self::DEFAULT_FLUSH_BUDGET,
-            shard_threads: 1,
             partition_note: None,
         }
     }
@@ -150,12 +137,13 @@ impl<'a> ShardedEngine<'a> {
         self
     }
 
-    /// Set the executor thread count: `1` runs the executor loop on the
-    /// calling thread (no spawn, no pin), `0` spawns one pinned executor
-    /// per shard, and any other value is capped at the shard count.
-    /// Sampled walks are bit-identical across every setting.
-    pub fn with_shard_threads(mut self, shard_threads: usize) -> Self {
-        self.shard_threads = shard_threads;
+    /// Kept only for the benchmark package, whose sharded side rung
+    /// (`benchmark/src/ladder.rs`) still calls it; it has no effect, since
+    /// every session runs the one executor loop on the calling thread. The
+    /// next change to the benchmark removes it together with the
+    /// `core.sharded_steps_per_s` figure it feeds.
+    #[doc(hidden)]
+    pub fn with_shard_threads(self, _shard_threads: usize) -> Self {
         self
     }
 
@@ -174,11 +162,6 @@ impl<'a> ShardedEngine<'a> {
     /// Records buffered per shard pair before a forced flush.
     pub fn flush_budget(&self) -> usize {
         self.flush_budget
-    }
-
-    /// Requested executor thread count (raw: 0 = one per shard).
-    pub fn shard_threads(&self) -> usize {
-        self.shard_threads
     }
 }
 
@@ -269,7 +252,7 @@ impl ShardWalker {
 type Record = (usize, ShardWalker);
 
 /// Multi-shard session: every `advance` is one round of the executor
-/// loop ([`run_executor`], DESIGN.md §12) over `threads` executors.
+/// loop (DESIGN.md §12) on the calling thread.
 struct MultiShardSession<'s> {
     sharded: &'s ShardedGraph,
     app: &'s dyn WalkApp,
@@ -278,23 +261,21 @@ struct MultiShardSession<'s> {
     /// walker's stream.
     steppers: Vec<HotStepper>,
     /// Live walkers queued on the shard that owns their `cur`. They stay
-    /// here between rounds; a round lends each queue to its executor.
+    /// here between rounds.
     runq: Vec<VecDeque<Record>>,
+    /// Hand-offs waiting for their flush, one outbox per destination
+    /// shard. Empty between rounds.
+    outbox: Vec<Vec<Record>>,
     flush_budget: usize,
-    /// Resolved executor count, `1..=k`; one executor runs on the calling
-    /// thread.
-    threads: usize,
     /// Finished paths by query index, waiting for the emitter's watermark.
     done: Vec<Option<Vec<VertexId>>>,
     emitter: InOrderEmitter,
     steps_done: u64,
     hand_offs: u64,
     transfers: FlushTally,
-    /// The lane compute component of `model_seconds`: per round, the
-    /// straggler executor's busy time.
+    /// The lane compute component of `model_seconds`: the rounds' wall
+    /// time on the calling thread.
     compute_s: f64,
-    /// Executors that successfully pinned in the last round.
-    pinned: usize,
     note: Option<&'s str>,
 }
 
@@ -302,10 +283,6 @@ impl<'s> MultiShardSession<'s> {
     fn new(engine: &'s ShardedEngine<'s>, queries: &QuerySet) -> Self {
         let sharded = &engine.sharded;
         let k = sharded.k();
-        let threads = match engine.shard_threads {
-            0 => k,
-            t => t.min(k),
-        };
         let max_degree = sharded
             .shards
             .iter()
@@ -335,129 +312,110 @@ impl<'s> MultiShardSession<'s> {
             program: queries.program().clone(),
             steppers,
             runq,
+            outbox: (0..k).map(|_| Vec::new()).collect(),
             flush_budget: engine.flush_budget,
-            threads,
             done: vec![None; queries.len()],
             emitter: InOrderEmitter::new(queries.len()),
             steps_done: 0,
             hand_offs: 0,
             transfers: FlushTally::default(),
             compute_s: 0.0,
-            pinned: 0,
             note: engine.partition_note.as_deref(),
         }
     }
+
+    /// Sweep lane `s`: step the queue head until retirement, hand-off, or
+    /// the lane's per-round budget. Crossings land in the outboxes, which
+    /// flush as soon as a destination reaches the flush budget. The
+    /// engine's only step site; returns whether the lane visited anyone.
+    fn sweep_lane(&mut self, s: usize, budget: u64, visits: &mut u64) -> bool {
+        let graph = &self.sharded.shards[s].graph;
+        let env = VisitEnv {
+            graph,
+            app: self.app,
+            program: &self.program,
+        };
+        let mut worked = false;
+        while *visits < budget {
+            let Some((_, wk)) = self.runq[s].front_mut() else {
+                break;
+            };
+            worked = true;
+            *visits += 1;
+            self.steps_done += wk.visit(env, &mut self.steppers[s]) as u64;
+            if let Some(path) = wk.w.take_path() {
+                let (wi, _) = self.runq[s].pop_front().expect("stepped the queue head");
+                self.done[wi] = Some(path);
+                continue;
+            }
+            let t = self.sharded.owner_of(wk.w.st.cur);
+            if t != s {
+                // Hand-off. Second-order apps ship the previous vertex's row:
+                // it lives on this shard, not the destination.
+                if self.app.second_order() {
+                    if let Some(prev) = wk.w.st.prev {
+                        wk.prev_row = Some(graph.neighbors(prev).to_vec());
+                    }
+                }
+                self.hand_offs += 1;
+                let walker = self.runq[s].pop_front().expect("stepped the queue head");
+                self.outbox[t].push(walker);
+                if self.outbox[t].len() >= self.flush_budget {
+                    flush(&mut self.transfers, &mut self.outbox[t], &mut self.runq[t]);
+                }
+            }
+        }
+        worked
+    }
+
+    /// Flush every non-empty outbox, whatever its fill (the loop is out
+    /// of local work). Returns whether any walker moved.
+    fn flush_outboxes(&mut self) -> bool {
+        let mut moved = false;
+        for (slot, runq) in self.outbox.iter_mut().zip(&mut self.runq) {
+            if !slot.is_empty() {
+                flush(&mut self.transfers, slot, runq);
+                moved = true;
+            }
+        }
+        moved
+    }
+}
+
+/// Flush one outbox as a coalesced batch: charge the transfer model, then
+/// queue its walkers on the destination lane. The one place a batch
+/// leaves an outbox.
+fn flush(transfers: &mut FlushTally, slot: &mut Vec<Record>, runq: &mut VecDeque<Record>) {
+    transfers.charge(slot);
+    runq.extend(slot.drain(..));
 }
 
 impl WalkSession for MultiShardSession<'_> {
     fn advance(&mut self, max_steps: u64, sink: &mut dyn WalkSink) -> BatchProgress {
-        let mut progress = BatchProgress::default();
-        let live: usize = self.runq.iter().map(VecDeque::len).sum();
-        // Every finished path was collected by the round that finished
-        // it, so with no live walker there is nothing left to emit.
-        if live > 0 {
-            let threads = self.threads;
-            let active = AtomicUsize::new(live);
-            let (txs, rxs): (Vec<Sender<ExecMsg>>, Vec<Receiver<ExecMsg>>) =
-                (0..threads).map(|_| channel()).unzip();
-            let (done_tx, done_rx) = channel::<Vec<(usize, Vec<VertexId>)>>();
-
-            let mut execs: Vec<(ExecCtx<'_>, Vec<ExecLane<'_>>, Receiver<ExecMsg>)> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(exec, rx)| {
-                    let ctx = ExecCtx {
-                        exec,
-                        threads,
-                        budget: max_steps.max(1),
-                        flush_budget: self.flush_budget,
-                        app: self.app,
-                        program: &self.program,
-                        sharded: self.sharded,
-                        txs: txs.clone(),
-                        done_tx: done_tx.clone(),
-                        done_buf: RefCell::new(Vec::new()),
-                        active: &active,
-                    };
-                    (ctx, Vec::new(), rx)
-                })
-                .collect();
-            // Shard s runs on executor s % threads; executor-local lane
-            // index is s / threads.
-            for (s, (stepper, runq)) in self.steppers.iter_mut().zip(&mut self.runq).enumerate() {
-                execs[s % threads].1.push(ExecLane {
-                    shard: s,
-                    graph: &self.sharded.shards[s].graph,
-                    stepper,
-                    runq,
-                    attempts: 0,
-                });
-            }
-            // The executors hold the only senders now, so the completion
-            // channel disconnects when the last of them returns (or dies).
-            drop(done_tx);
-            drop(txs);
-
-            // Collect finished paths on the session thread, emitting at
-            // the watermark as they stream in — emission overlaps with
-            // the executors' remaining compute, and the non-Send sink
-            // never leaves this thread.
-            let (done, emitter) = (&mut self.done, &mut self.emitter);
-            let mut emitted = 0;
-            let mut collect = || {
-                for batch in &done_rx {
-                    for (wi, path) in batch {
-                        done[wi] = Some(path);
-                    }
-                    emitted += emitter.drain(sink, |id| done[id].take());
+        let steps_before = self.steps_done;
+        // A round: sweep every lane, and when none of them worked, flush
+        // the outboxes; stop when that moved nobody. A lane spent at
+        // `max_steps` visits keeps its walkers for the next round.
+        if self.runq.iter().any(|q| !q.is_empty()) {
+            let t_round = Instant::now();
+            let budget = max_steps.max(1);
+            let mut visits = vec![0; self.runq.len()];
+            loop {
+                let mut worked = false;
+                for (s, lane_visits) in visits.iter_mut().enumerate() {
+                    worked |= self.sweep_lane(s, budget, lane_visits);
                 }
-            };
-            let round_stats: Vec<ExecStats> = if threads == 1 {
-                let (ctx, lanes, rx) = execs.pop().expect("one executor");
-                let stats = run_executor(ctx, lanes, rx);
-                collect();
-                vec![stats]
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = execs
-                        .into_iter()
-                        .map(|(ctx, lanes, rx)| {
-                            scope.spawn(move || {
-                                let pinned = sys::pin_current_thread(ctx.exec);
-                                ExecStats {
-                                    pinned,
-                                    ..run_executor(ctx, lanes, rx)
-                                }
-                            })
-                        })
-                        .collect();
-                    collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                })
-            };
-            progress.paths_completed = emitted;
-
-            self.pinned = round_stats.iter().filter(|s| s.pinned).count();
-            // The round's compute clock is the straggler executor's busy
-            // time: the overlapped duration, as a host with one core per
-            // executor observes it (on a CI host with fewer cores the
-            // wall clock serializes the executors, but each one's busy
-            // time still measures its own share of the work).
-            self.compute_s += round_stats.iter().map(|s| s.busy_s).fold(0.0f64, f64::max);
-            for st in round_stats {
-                progress.steps += st.steps;
-                self.hand_offs += st.hand_offs;
-                self.transfers.flushes += st.transfers.flushes;
-                self.transfers.bytes += st.transfers.bytes;
-                self.transfers.seconds += st.transfers.seconds;
+                if !worked && !self.flush_outboxes() {
+                    break;
+                }
             }
-            self.steps_done += progress.steps;
+            self.compute_s += t_round.elapsed().as_secs_f64();
         }
-        progress.finished = self.finished();
-        progress
+        BatchProgress {
+            steps: self.steps_done - steps_before,
+            paths_completed: self.emitter.drain(sink, |id| self.done[id].take()),
+            finished: self.finished(),
+        }
     }
 
     fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
@@ -486,21 +444,18 @@ impl WalkSession for MultiShardSession<'_> {
 
     /// Modelled interconnect seconds spent on hand-off flushes plus the
     /// compute clock — the board is never free compute in cluster
-    /// straggler accounting. Compute is the straggler executor's busy
-    /// time per round (the overlapped duration, independent of how many
-    /// physical cores the host could actually grant); with one executor,
-    /// its own.
+    /// straggler accounting. Compute is the wall time of every round,
+    /// read with [`Instant`] on the calling thread that runs the loop;
+    /// the emission into the sink that ends a round is not part of it.
     fn model_seconds(&self) -> Option<f64> {
         Some(self.transfers.seconds + self.compute_s)
     }
 
     fn diagnostics(&self) -> Option<String> {
         let mut d = format!(
-            "k={} strategy={} threads={} pinned={} hand-offs={} flushes={} transfer-bytes={} transfer-s={:.9} compute-s={:.9}",
+            "k={} strategy={} hand-offs={} flushes={} transfer-bytes={} transfer-s={:.9} compute-s={:.9}",
             self.sharded.k(),
             self.sharded.strategy.name(),
-            self.threads,
-            self.pinned,
             self.hand_offs,
             self.transfers.flushes,
             self.transfers.bytes,
@@ -515,293 +470,10 @@ impl WalkSession for MultiShardSession<'_> {
     }
 }
 
-// --- The shard-executor loop (DESIGN.md §12) ------------------------------
-
-/// Channel message between executors: a coalesced hand-off batch bound
-/// for one shard, or the quiescence broadcast that ends the round.
-enum ExecMsg {
-    Batch { shard: usize, walkers: Vec<Record> },
-    Quiesce,
-}
-
-/// Per-executor tallies folded into the session after the round.
-#[derive(Default)]
-struct ExecStats {
-    steps: u64,
-    hand_offs: u64,
-    transfers: FlushTally,
-    /// Seconds this executor spent with work in hand: its own thread CPU
-    /// time (wall minus inbox-blocked time where the per-thread clock is
-    /// unsupported). The session's compute clock is the straggler
-    /// executor's busy time — the overlapped duration a host with one core
-    /// per executor would observe, which keeps the model clock meaningful
-    /// on CI hosts with fewer cores than executors.
-    busy_s: f64,
-    pinned: bool,
-}
-
-/// One shard lane lent to an executor for a single advance round.
-struct ExecLane<'a> {
-    shard: usize,
-    graph: &'a Graph,
-    stepper: &'a mut HotStepper,
-    runq: &'a mut VecDeque<Record>,
-    /// Visits this round; at `budget` the lane is spent and everything in
-    /// its queue has been counted out of `active`.
-    attempts: u64,
-}
-
-/// Everything an executor shares or owns for one advance round.
-struct ExecCtx<'a> {
-    exec: usize,
-    threads: usize,
-    budget: u64,
-    flush_budget: usize,
-    app: &'a dyn WalkApp,
-    program: &'a WalkProgram,
-    sharded: &'a ShardedGraph,
-    txs: Vec<Sender<ExecMsg>>,
-    done_tx: Sender<Vec<(usize, Vec<VertexId>)>>,
-    done_buf: RefCell<Vec<(usize, Vec<VertexId>)>>,
-    active: &'a AtomicUsize,
-}
-
-/// Finished paths per message on the completion channel. Sending them
-/// one channel message at a time costs more than the walking; batches
-/// keep the session thread's wake-ups rare.
-const COMPLETION_BATCH: usize = 256;
-
-impl ExecCtx<'_> {
-    /// Count `n` walkers out of the round; whoever counts out the last
-    /// one broadcasts `Quiesce` so every blocked executor unblocks and
-    /// returns.
-    fn count_out(&self, n: usize) {
-        if n > 0 && self.active.fetch_sub(n, Ordering::AcqRel) == n {
-            for tx in &self.txs {
-                let _ = tx.send(ExecMsg::Quiesce);
-            }
-        }
-    }
-
-    /// Queue a finished path for the session thread and count its walker
-    /// out. The path travels in a batch — flushed at [`COMPLETION_BATCH`],
-    /// before this executor blocks, and at exit — so the walker is
-    /// *counted* out immediately but *shipped* lazily.
-    fn retire(&self, wi: usize, path: Vec<VertexId>) {
-        let mut buf = self.done_buf.borrow_mut();
-        buf.push((wi, path));
-        if buf.len() >= COMPLETION_BATCH {
-            let _ = self.done_tx.send(std::mem::take(&mut *buf));
-        }
-        drop(buf);
-        self.count_out(1);
-    }
-
-    /// Ship any buffered paths now. Must run before blocking on the
-    /// inbox (the session thread may be waiting on exactly these paths
-    /// to move its watermark) and before the executor returns.
-    fn flush_completions(&self) {
-        let mut buf = self.done_buf.borrow_mut();
-        if !buf.is_empty() {
-            let _ = self.done_tx.send(std::mem::take(&mut *buf));
-        }
-    }
-}
-
-/// Deliver a batch into the destination lane's queue, draining `batch`.
-/// A spent lane will not step them this round, so they are counted out
-/// on arrival — an exhausted lane can never strand a counted-in walker.
-fn deliver(ctx: &ExecCtx<'_>, lanes: &mut [ExecLane<'_>], shard: usize, batch: &mut Vec<Record>) {
-    let lane = &mut lanes[shard / ctx.threads];
-    debug_assert_eq!(lane.shard, shard);
-    if lane.attempts >= ctx.budget {
-        ctx.count_out(batch.len());
-    }
-    lane.runq.extend(batch.drain(..));
-}
-
-/// Flush the outbox bound for shard `t` as one coalesced batch: charge
-/// the transfer model, then queue it on `t`'s lane — directly when this
-/// executor owns it, through the owner's inbox (so the crossing overlaps
-/// with this executor's remaining compute) otherwise. Returns whether
-/// the walkers landed on one of this executor's own lanes.
-fn flush_to(
-    ctx: &ExecCtx<'_>,
-    lanes: &mut [ExecLane<'_>],
-    t: usize,
-    slot: &mut Vec<Record>,
-    stats: &mut ExecStats,
-) -> bool {
-    stats.transfers.charge(slot);
-    let owner = t % ctx.threads;
-    if owner == ctx.exec {
-        deliver(ctx, lanes, t, slot);
-        return true;
-    }
-    // A send only fails after the peer saw Quiesce, which can only happen
-    // once no walker can move — and this batch holds walkers still
-    // counted in, so the peer is still running.
-    let _ = ctx.txs[owner].send(ExecMsg::Batch {
-        shard: t,
-        walkers: std::mem::take(slot),
-    });
-    false
-}
-
-/// Flush every non-empty outbox, whatever its fill (the executor is out
-/// of local work). Returns whether any walker landed on its own lanes.
-fn flush_outbox(
-    ctx: &ExecCtx<'_>,
-    lanes: &mut [ExecLane<'_>],
-    outbox: &mut [Vec<Record>],
-    stats: &mut ExecStats,
-) -> bool {
-    let mut landed_here = false;
-    for (t, slot) in outbox.iter_mut().enumerate() {
-        if !slot.is_empty() {
-            landed_here |= flush_to(ctx, lanes, t, slot, stats);
-        }
-    }
-    landed_here
-}
-
-/// Sweep lane `i`: step the queue head until retirement, hand-off, or
-/// the lane's per-round budget. Crossings land in `outbox`, which
-/// flushes as soon as a destination reaches the flush budget. The
-/// engine's only step site.
-fn sweep_lane(
-    ctx: &ExecCtx<'_>,
-    lanes: &mut [ExecLane<'_>],
-    i: usize,
-    outbox: &mut [Vec<Record>],
-    stats: &mut ExecStats,
-) -> bool {
-    if lanes[i].attempts >= ctx.budget {
-        return false;
-    }
-    let (shard, graph) = (lanes[i].shard, lanes[i].graph);
-    let env = VisitEnv {
-        graph,
-        app: ctx.app,
-        program: ctx.program,
-    };
-    let mut worked = false;
-    while lanes[i].attempts < ctx.budget {
-        let lane = &mut lanes[i];
-        let Some((_, wk)) = lane.runq.front_mut() else {
-            break;
-        };
-        worked = true;
-        lane.attempts += 1;
-        stats.steps += wk.visit(env, lane.stepper) as u64;
-        if let Some(path) = wk.w.take_path() {
-            let (wi, _) = lane.runq.pop_front().expect("stepped the queue head");
-            ctx.retire(wi, path);
-            continue;
-        }
-        let t = ctx.sharded.owner_of(wk.w.st.cur);
-        if t != shard {
-            // Hand-off. Second-order apps ship the previous vertex's row:
-            // it lives on this shard, not the destination.
-            if ctx.app.second_order() {
-                if let Some(prev) = wk.w.st.prev {
-                    wk.prev_row = Some(graph.neighbors(prev).to_vec());
-                }
-            }
-            stats.hand_offs += 1;
-            outbox[t].push(lane.runq.pop_front().expect("stepped the queue head"));
-            if outbox[t].len() >= ctx.flush_budget {
-                flush_to(ctx, lanes, t, &mut outbox[t], stats);
-            }
-        }
-    }
-    let lane = &lanes[i];
-    if lane.attempts >= ctx.budget {
-        // Spent: what is still queued stays queued for the next round and
-        // leaves this round's count; later arrivals do so in `deliver`.
-        ctx.count_out(lane.runq.len());
-    }
-    worked
-}
-
-/// Executor body: loop { absorb arrivals, sweep local lanes }; block on
-/// the inbox only when out of local work with every outbox flushed, and
-/// return on `Quiesce`.
-///
-/// Termination invariant: `active` counts the walkers that can still
-/// move this round — those in run queues not yet counted out, in
-/// outboxes and in channels. A walker is counted out exactly once:
-/// when it retires, or when the lane holding it (or receiving it) has
-/// spent its budget. `Quiesce` is broadcast only at zero — at which point
-/// no batch can be in flight anywhere, so returning immediately is safe,
-/// and every walker still alive sits in a run queue for the next round.
-fn run_executor(
-    ctx: ExecCtx<'_>,
-    mut lanes: Vec<ExecLane<'_>>,
-    rx: Receiver<ExecMsg>,
-) -> ExecStats {
-    let mut stats = ExecStats::default();
-    // Busy time: prefer the per-thread CPU clock — on a host with fewer
-    // cores than executors a descheduled thread's *wall* clock keeps
-    // running while a sibling executes, so wall-minus-blocked would
-    // report every executor busy for the whole round. CPU time counts
-    // only this thread's own cycles on any host. Where the clock is
-    // unsupported, degrade to wall-minus-blocked.
-    let cpu_enter = sys::thread_cpu_seconds();
-    let t_enter = Instant::now();
-    let mut blocked_s = 0.0f64;
-    let mut outbox: Vec<Vec<Record>> = (0..ctx.sharded.k()).map(|_| Vec::new()).collect();
-    'round: loop {
-        // Absorb queued arrivals without blocking.
-        loop {
-            match rx.try_recv() {
-                Ok(ExecMsg::Batch { shard, mut walkers }) => {
-                    deliver(&ctx, &mut lanes, shard, &mut walkers)
-                }
-                Ok(ExecMsg::Quiesce) => break 'round,
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        let mut worked = false;
-        for i in 0..lanes.len() {
-            worked |= sweep_lane(&ctx, &mut lanes, i, &mut outbox, &mut stats);
-        }
-        if !worked {
-            // Out of local work: flush stragglers below the budget, then
-            // block for arrivals (or the quiescence broadcast). Buffered
-            // paths ship first — the session thread may be waiting on
-            // exactly these.
-            if flush_outbox(&ctx, &mut lanes, &mut outbox, &mut stats) {
-                continue;
-            }
-            ctx.flush_completions();
-            let t_block = Instant::now();
-            let msg = rx.recv();
-            blocked_s += t_block.elapsed().as_secs_f64();
-            match msg {
-                Ok(ExecMsg::Batch { shard, mut walkers }) => {
-                    deliver(&ctx, &mut lanes, shard, &mut walkers)
-                }
-                Ok(ExecMsg::Quiesce) | Err(_) => break 'round,
-            }
-        }
-    }
-    ctx.flush_completions();
-    stats.busy_s = match (cpu_enter, sys::thread_cpu_seconds()) {
-        (Some(t0), Some(t1)) => (t1 - t0).max(0.0),
-        _ => (t_enter.elapsed().as_secs_f64() - blocked_s).max(0.0),
-    };
-    debug_assert!(
-        outbox.iter().all(|b| b.is_empty()),
-        "quiesce with live outbox"
-    );
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightrw_graph::generators;
+    use lightrw_graph::{generators, sys};
     use lightrw_walker::{Node2Vec, ReferenceEngine, Uniform, WalkEngineExt};
 
     #[test]
@@ -875,67 +547,37 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executors_match_the_sequential_schedule() {
-        let mut g = generators::rmat_dataset(7, 5);
-        g.build_prefix_cache();
-        let qs = QuerySet::n_queries(&g, 48, 10, 21);
-        let nv = Node2Vec::paper_params();
-        let baseline = ReferenceEngine::new(&g, &nv, SamplerKind::InverseTransform, 11).run(&qs);
-        for (threads, flush) in [(2, 1), (3, 7), (0, 64)] {
-            let engine = ShardedEngine::partition(
-                &g,
-                3,
-                ShardStrategy::Range,
-                &nv,
-                SamplerKind::InverseTransform,
-                11,
-            )
-            .with_flush_budget(flush)
-            .with_shard_threads(threads);
-            let got = engine.run_collected(&qs);
-            assert_eq!(got, baseline, "threads={threads} flush={flush}");
-        }
-    }
-
-    #[test]
     fn parallel_diagnostics_report_threads_and_compute_seconds() {
         let mut g = generators::rmat_dataset(8, 17);
         g.build_prefix_cache();
         let qs = QuerySet::n_queries(&g, 64, 16, 3);
-        // (shard_threads, what the diagnostics must say): one executor
-        // runs on the calling thread and pins nothing.
-        for (threads, expect) in [(2, "threads=2"), (1, "threads=1 pinned=0")] {
-            let engine = ShardedEngine::partition(
-                &g,
-                4,
-                ShardStrategy::Range,
-                &Uniform,
-                SamplerKind::InverseTransform,
-                7,
-            )
-            .with_shard_threads(threads)
-            .with_partition_note("partition built in memory");
-            let cores_before = sys::allowed_cores();
-            let mut sink = lightrw_walker::CountingSink::default();
-            let mut session = engine.start_session(&qs);
-            while !session.finished() {
-                session.advance(256, &mut sink);
-            }
-            assert_eq!(sink.paths, 64);
-            let diag = session.diagnostics().unwrap();
-            assert!(
-                diag.contains(expect) && diag.contains("compute-s="),
-                "{diag}"
-            );
-            assert!(diag.ends_with("partition built in memory"), "{diag}");
-            let model = session.model_seconds().unwrap();
-            assert!(model > 0.0, "compute time folds into model seconds");
-            assert_eq!(
-                sys::allowed_cores(),
-                cores_before,
-                "shard_threads={threads} changed the calling thread's affinity"
-            );
+        // The loop runs on the calling thread and pins nothing.
+        let engine = ShardedEngine::partition(
+            &g,
+            4,
+            ShardStrategy::Range,
+            &Uniform,
+            SamplerKind::InverseTransform,
+            7,
+        )
+        .with_partition_note("partition built in memory");
+        let cores_before = sys::allowed_cores();
+        let mut sink = lightrw_walker::CountingSink::default();
+        let mut session = engine.start_session(&qs);
+        while !session.finished() {
+            session.advance(256, &mut sink);
         }
+        assert_eq!(sink.paths, 64);
+        let diag = session.diagnostics().unwrap();
+        assert!(diag.contains("compute-s="), "{diag}");
+        assert!(diag.ends_with("partition built in memory"), "{diag}");
+        let model = session.model_seconds().unwrap();
+        assert!(model > 0.0, "compute time folds into model seconds");
+        assert_eq!(
+            sys::allowed_cores(),
+            cores_before,
+            "a session changed the calling thread's affinity"
+        );
     }
 
     #[test]
@@ -950,8 +592,7 @@ mod tests {
             &Uniform,
             SamplerKind::InverseTransform,
             5,
-        )
-        .with_shard_threads(0);
+        );
         let mut sink = lightrw_walker::CountingSink::default();
         let mut session = engine.start_session(&qs);
         session.advance(3, &mut sink);
@@ -960,5 +601,53 @@ mod tests {
         assert!(session.finished());
         let again = session.cancel(&mut lightrw_walker::CountingSink::default());
         assert_eq!(again.paths_completed, 0, "second cancel emits nothing");
+    }
+
+    #[test]
+    fn flushes_and_transfer_bytes_are_fixed_by_the_flush_budget() {
+        // One schedule makes every counter a function of the queries, the
+        // partition, the flush budget and the advance budgets. Hand-offs
+        // and bytes do not move with the budget; flushes do.
+        let mut g = generators::rmat_dataset(8, 17);
+        g.build_prefix_cache();
+        let qs = QuerySet::n_queries(&g, 64, 16, 3);
+        let nv = Node2Vec::paper_params();
+        // (k, flush budget, hand-offs, flushes, transfer bytes)
+        let uniform = [
+            (2, 1, 362, 362, 14480),
+            (2, 64, 362, 24, 14480),
+            (4, 1, 531, 531, 21240),
+            (4, 64, 531, 57, 21240),
+        ];
+        let node2vec = [
+            (2, 1, 400, 400, 54820),
+            (2, 64, 400, 23, 54820),
+            (4, 1, 541, 541, 72352),
+            (4, 64, 541, 53, 72352),
+        ];
+        let apps: [(&dyn WalkApp, _); 2] = [(&Uniform, uniform), (&nv, node2vec)];
+        for (app, cases) in apps {
+            for (k, flush, hand_offs, flushes, bytes) in cases {
+                let engine = ShardedEngine::partition(
+                    &g,
+                    k,
+                    ShardStrategy::Range,
+                    app,
+                    SamplerKind::InverseTransform,
+                    7,
+                )
+                .with_flush_budget(flush);
+                let mut sink = lightrw_walker::CountingSink::default();
+                let mut session = engine.start_session(&qs);
+                while !session.finished() {
+                    session.advance(256, &mut sink);
+                }
+                let diag = session.diagnostics().unwrap();
+                let expect =
+                    format!("hand-offs={hand_offs} flushes={flushes} transfer-bytes={bytes} ");
+                let name = app.name();
+                assert!(diag.contains(&expect), "{name} k={k} flush={flush}: {diag}");
+            }
+        }
     }
 }

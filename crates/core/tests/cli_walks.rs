@@ -74,8 +74,7 @@ fn walk_prints_identical_paths_on_every_software_engine() {
         ("cpu3.txt", &["--engine", "cpu", "--threads", "3"]),
         ("shards1.txt", &["--shards", "1"]),
         ("shards2.txt", &["--shards", "2"]),
-        ("shards2x2.txt", &["--shards", "2", "--shard-threads", "2"]),
-        ("shards3x0.txt", &["--shards", "3", "--shard-threads", "0"]),
+        ("shards3.txt", &["--shards", "3"]),
     ] {
         let got = walk(&graph, &dir, name, engine_args);
         assert_eq!(got, golden, "{engine_args:?} changed the walks");

@@ -328,6 +328,18 @@ fn misordered_row(rows: &[u64], edges: u64) -> Option<usize> {
     })
 }
 
+/// The first entry of a column lane that names a vertex at or past `n`,
+/// if any: what would make a walk that steps there read past every row.
+/// One pass takes the largest id; only a damaged lane pays for a second,
+/// to name the entry.
+fn out_of_range_col(cols: &[VertexId], n: usize) -> Option<usize> {
+    let max = cols.iter().fold(0, |max, &v| max.max(v));
+    if (max as usize) < n {
+        return None;
+    }
+    cols.iter().position(|&v| v as usize >= n)
+}
+
 /// Load a packed graph file. The heavy sections are *borrowed* from the
 /// file region (mmap or aligned heap buffer); nothing CSR-sized is
 /// copied onto the heap in `Auto` mode on Linux.
@@ -454,6 +466,12 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
 
     let (col_off, _) = expect(SEC_COL, m as u64 * 4, "col_index section has wrong size")?;
     let col_index = sec_u32(&region, col_off as usize, m).ok_or_else(bad)?;
+    if let Some(i) = out_of_range_col(&col_index, n) {
+        return Err(corrupt(
+            col_off + i as u64 * 4,
+            "col_index names a vertex past the vertex count",
+        ));
+    }
 
     let vertex_labels = if flags & FLAG_VLABELS != 0 {
         let (off, _) = expect(SEC_VLABELS, n as u64, "vertex-label section has wrong size")?;
@@ -693,6 +711,13 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
                     me as u64 * 4,
                     "shard col section has wrong size",
                 )?;
+                // The lane has a row per vertex of the whole graph, so its
+                // targets are ids below the whole graph's n.
+                let col_index = sec_u32(&region, col_off as usize, me).ok_or_else(bad)?;
+                if let Some(i) = out_of_range_col(&col_index, n) {
+                    let what = "shard col section names a vertex past the vertex count";
+                    return Err(corrupt(col_off + i as u64 * 4, what));
+                }
                 let w_off = require(
                     shard_section(s, SHARD_LANE_WEIGHTS),
                     me as u64 * 4,
@@ -722,7 +747,7 @@ pub fn load_packed_sharded<P: AsRef<Path>>(
                 };
                 Graph {
                     row_index,
-                    col_index: sec_u32(&region, col_off as usize, me).ok_or_else(bad)?,
+                    col_index,
                     weights: sec_u32(&region, w_off as usize, me).ok_or_else(bad)?,
                     vertex_labels: g.vertex_labels.clone(),
                     edge_labels,
@@ -1049,9 +1074,9 @@ mod tests {
         })
     }
 
-    /// Both loaders on damaged bytes: an `Err`, or graphs whose every row
-    /// can be walked and a partition whose every owner is one of its
-    /// shards — never a panic.
+    /// Both loaders on damaged bytes: an `Err`, or graphs whose every edge
+    /// can be followed to its target's row and a partition whose every
+    /// owner is one of its shards — never a panic.
     fn load_damaged(bytes: &[u8], name: &str) -> Result<(), String> {
         let path = tmp(name);
         std::fs::write(&path, bytes).unwrap();
@@ -1060,7 +1085,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let walk = |g: &Graph| {
             for v in 0..g.num_vertices() as VertexId {
-                let _ = g.neighbor_view(v);
+                for &u in g.neighbor_view(v).targets {
+                    let _ = g.neighbor_view(u);
+                }
             }
         };
         if let Ok(p) = flat {
@@ -1113,6 +1140,43 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A column id at or past n loaded, and a walk that stepped there
+    /// panicked indexing `row_index`. Now each loader names the section:
+    /// the file's own `col_index`, and a walk shard's compacted lane.
+    #[test]
+    fn out_of_range_column_ids_are_errors_at_load() {
+        type Load = fn(&Path) -> Result<(), IoError>;
+        let flat: Load = |p| load_packed(p, LoadMode::Auto).map(drop);
+        let sharded: Load = |p| load_packed_sharded(p, LoadMode::Auto).map(drop);
+        let [plain, _, walk] = clean_packs();
+        let path = tmp("out_of_range_cols.lrwpak");
+        let n = u64_at(plain, 24) as u32;
+        for (clean, id, load, what) in [
+            (plain, SEC_COL, flat, "col_index names a vertex past"),
+            (
+                walk,
+                shard_section(1, SHARD_LANE_COL),
+                sharded,
+                "shard col section names",
+            ),
+        ] {
+            for bad in [n, u32::MAX] {
+                let (off, len) = section_of(clean, id).unwrap();
+                let mut bytes = clean.clone();
+                let at = off + len / 8 * 4;
+                bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+                let err = load(&path).expect_err("a column id past n must not load");
+                assert!(err.to_string().contains(what), "{err}");
+                assert!(
+                    matches!(err, IoError::CorruptAt { offset, .. } if offset == at as u64),
+                    "{err}"
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn the_damage_that_used_to_panic_is_an_error() {
         let [_, range, walk] = clean_packs();
@@ -1156,12 +1220,12 @@ mod tests {
 
         /// Start from a clean pack and damage it: overwrite one word of
         /// the header, the section table, the shard metadata (count and
-        /// counts, cuts, owner table) or a row-offset lane, or truncate
-        /// the file.
+        /// counts, cuts, owner table), a row-offset lane or a column
+        /// lane, or truncate the file.
         #[test]
         fn damaged_packs_are_errors_not_panics(
             which in 0usize..3,
-            area in 0u8..5,
+            area in 0u8..6,
             at in 0usize..1 << 16,
             word in proptest::prop_oneof![
                 proptest::strategy::Just(u64::MAX / 2),
@@ -1183,6 +1247,12 @@ mod tests {
                 .filter_map(|id| section_of(&bytes, id))
                 .flat_map(|(off, len)| (off..off + len).step_by(8))
                 .collect::<Vec<_>>();
+            let cols = (0..4).map(|s| shard_section(s, SHARD_LANE_COL));
+            let col_words = std::iter::once(SEC_COL)
+                .chain(cols)
+                .filter_map(|id| section_of(&bytes, id))
+                .flat_map(|(off, len)| (off..off + len / 8 * 8).step_by(8))
+                .collect::<Vec<_>>();
             let table_words = 3 * u64_at(&bytes, 40) as usize;
             let pos = match area {
                 0 => Some(at % 6 * 8),
@@ -1190,6 +1260,7 @@ mod tests {
                 2 if !shard_words.is_empty() => Some(shard_words[at % shard_words.len()]),
                 2 => Some(at % 6 * 8),
                 3 => Some(row_words[at % row_words.len()]),
+                4 => Some(col_words[at % col_words.len()]),
                 _ => None,
             };
             match pos {

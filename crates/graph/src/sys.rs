@@ -1,8 +1,8 @@
 //! The one module that calls the C library: read-only file mapping, CPU
-//! affinity, the per-thread CPU clock and the shutdown signals.
+//! affinity and the shutdown signals.
 //!
 //! The build is offline and vendored-only, so instead of the `libc`,
-//! `core_affinity` and `ctrlc` crates this declares the seven libc symbols
+//! `core_affinity` and `ctrlc` crates this declares the six libc symbols
 //! it needs, which Rust's std already links on Linux.
 //!
 //! Every call here keeps one contract, **degrade, never fail** (DESIGN.md
@@ -11,9 +11,8 @@
 //! CPU hotplug, any syscall error — as a plain `None`, `false` or empty
 //! vector. Callers treat that as slower or coarser, never as broken: a
 //! file that cannot be mapped is read onto the heap, an unpinned worker
-//! runs wherever the scheduler puts it, a missing thread clock falls back
-//! to wall time, and a handler that cannot be installed leaves the default
-//! kill-on-signal disposition.
+//! runs wherever the scheduler puts it, and a handler that cannot be
+//! installed leaves the default kill-on-signal disposition.
 
 use std::fs::File;
 
@@ -29,13 +28,6 @@ mod libc {
         pub bits: [u64; super::MASK_WORDS],
     }
 
-    /// glibc's `struct timespec` on 64-bit Linux.
-    #[repr(C)]
-    pub struct Timespec {
-        pub tv_sec: i64,
-        pub tv_nsec: i64,
-    }
-
     /// glibc's `struct sigaction`: the handler pointer, a 1024-bit signal
     /// mask (`sigset_t`), the flags word and the legacy restorer pointer.
     /// Field order mirrors the glibc definition, not the raw kernel one.
@@ -49,8 +41,6 @@ mod libc {
 
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
-    /// Linux UAPI value: the CPU-time clock of the calling thread.
-    pub const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
 
     extern "C" {
         pub fn mmap(
@@ -64,7 +54,6 @@ mod libc {
         pub fn munmap(addr: *mut u8, length: usize) -> i32;
         pub fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
         pub fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-        pub fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
         pub fn sigaction(signum: i32, act: *const SigAction, oldact: *mut SigAction) -> i32;
         #[cfg(test)]
         pub fn raise(signum: i32) -> i32;
@@ -188,31 +177,6 @@ fn pin_to(_cpu: usize) -> bool {
 pub fn pin_current_thread(index: usize) -> bool {
     let allowed = allowed_cores();
     !allowed.is_empty() && pin_to(allowed[index % allowed.len()])
-}
-
-/// CPU seconds the calling thread has executed so far
-/// (`CLOCK_THREAD_CPUTIME_ID`), or `None` where that clock is missing.
-/// Only differences between two calls on the same thread mean anything.
-///
-/// Unlike a wall clock, it does not run while the thread is descheduled,
-/// so on a host with fewer cores than threads each thread still measures
-/// its own share of the work.
-#[cfg(target_os = "linux")]
-pub fn thread_cpu_seconds() -> Option<f64> {
-    let mut ts = libc::Timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // SAFETY: `ts` is a properly sized, writable timespec.
-    if unsafe { libc::clock_gettime(libc::CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
-        return None;
-    }
-    Some(ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9)
-}
-
-#[cfg(not(target_os = "linux"))]
-pub fn thread_cpu_seconds() -> Option<f64> {
-    None
 }
 
 /// The graceful-shutdown latch for serving loops.
@@ -400,44 +364,5 @@ mod tests {
     #[test]
     fn out_of_range_cpu_is_rejected_not_panicked() {
         assert!(!pin_to(MASK_WORDS * 64 + 7));
-    }
-
-    #[test]
-    fn thread_cpu_time_is_monotonic_and_advances_under_load() {
-        let Some(t0) = thread_cpu_seconds() else {
-            if cfg!(target_os = "linux") {
-                panic!("linux must have the per-thread CPU clock");
-            }
-            return;
-        };
-        // Burn a little CPU; volatile-ish accumulation defeats const-fold.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        assert!(acc != 1, "keep the loop alive");
-        let t1 = thread_cpu_seconds().expect("clock stays available");
-        assert!(t1 >= t0, "thread CPU clock went backwards");
-        assert!(t1 > t0, "2M multiplies took no measurable CPU time");
-    }
-
-    #[test]
-    fn sibling_thread_work_does_not_charge_this_thread() {
-        let Some(t0) = thread_cpu_seconds() else {
-            return;
-        };
-        std::thread::spawn(|| {
-            let mut acc = 1u64;
-            for i in 0..2_000_000u64 {
-                acc = acc.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(i);
-            }
-            acc
-        })
-        .join()
-        .unwrap();
-        let t1 = thread_cpu_seconds().expect("clock stays available");
-        // The sibling burned real CPU; almost none of it lands here. The
-        // bound is loose (scheduler noise) but far below the sibling's.
-        assert!(t1 - t0 < 0.5, "sibling work charged to this thread");
     }
 }

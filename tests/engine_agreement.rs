@@ -237,15 +237,9 @@ fn every_software_engine_samples_the_reference_walks_bit_for_bit() {
                     );
                 }
                 for k in [1, 2, 4] {
-                    for shard_threads in [1, 2, 0] {
-                        let engine =
-                            ShardedEngine::partition(&g, k, ShardStrategy::Range, app, kind, seed)
-                                .with_shard_threads(shard_threads);
-                        check(
-                            &engine,
-                            &format!("sharded k={k} shard_threads={shard_threads}"),
-                        );
-                    }
+                    let engine =
+                        ShardedEngine::partition(&g, k, ShardStrategy::Range, app, kind, seed);
+                    check(&engine, &format!("sharded k={k}"));
                 }
             }
         }

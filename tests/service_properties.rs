@@ -355,7 +355,6 @@ proptest! {
     fn sharded_sessions_emit_exactly_once_under_random_schedules(
         shards in 1usize..7,
         flush in 1usize..24,
-        shard_threads in 0usize..4,
         length in 1u32..10,
         n_queries in 1usize..40,
         budgets in vec(1u64..17, 1..30),
@@ -365,10 +364,7 @@ proptest! {
     ) {
         // The partitioned execution path (DESIGN.md §11–§12) under the
         // same adversarial schedules as the CPU lanes above: a random
-        // shard count, a random hand-off flush budget, a random executor
-        // thread count (0 = one pinned executor per shard, 1 = the
-        // loop on the calling thread, 2..4 = shards folded onto fewer
-        // executors with racy channel batch arrival), a random
+        // shard count, a random hand-off flush budget, a random
         // advance-budget sequence and an optional mid-flight cancel must
         // preserve exactly-once id-ordered emission — here the
         // `InOrderEmitter` watermark sits over walkers that *migrate
@@ -393,8 +389,7 @@ proptest! {
             sampler,
             31,
         )
-        .with_flush_budget(flush)
-        .with_shard_threads(shard_threads);
+        .with_flush_budget(flush);
         let noniso = g.non_isolated_vertices();
         let starts: Vec<u32> = (0..n_queries)
             .map(|i| noniso[(start_seed as usize + i * 3) % noniso.len()])

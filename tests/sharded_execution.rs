@@ -9,10 +9,10 @@
 //! - **Partition independence**: shard count, partition strategy and
 //!   flush budget never change sampled walks, because every walker owns
 //!   a private RNG stream that travels with it across hand-offs.
-//! - **Schedule independence**: the executor loop reproduces the
-//!   walker-at-a-time `ReferenceEngine::run` oracle bit for bit for
-//!   every app × sampler kind, whatever the thread count
-//!   (`with_shard_threads`).
+//! - **Schedule independence**: the executor loop, which interleaves
+//!   three shard lanes, reproduces the walker-at-a-time
+//!   `ReferenceEngine::run` oracle bit for bit for every app × sampler
+//!   kind.
 //! - **Packed round-trip**: a partition loaded from an `LRWPAK01` file
 //!   (range cuts, or a walk-aware owner table with compacted shard
 //!   lanes) drives the engine to the same walks as an in-memory
@@ -96,13 +96,11 @@ fn partition_strategy_shard_count_and_flush_budget_never_change_walks() {
 
 #[test]
 fn parallel_executors_are_bit_identical_to_the_reference_engine() {
-    // Executors may retire walkers and deliver hand-off batches in any
-    // order, yet the sampled walks must equal the walker-at-a-time
-    // oracle exactly — for every app × sampler kind, because each
-    // walker's RNG stream is a pure function of its query, not of the
-    // schedule. threads=1 runs all three lanes on the calling thread;
-    // threads=2 folds three shards onto two executors (one runs two
-    // lanes); threads=0 pins one executor per shard.
+    // The executor loop retires walkers and delivers hand-off batches in
+    // lane order, not query order, yet the sampled walks must equal the
+    // walker-at-a-time oracle exactly — for every app × sampler kind,
+    // because each walker's RNG stream is a pure function of its query,
+    // not of the schedule.
     let mut g = generators::rmat_dataset(8, 14);
     g.build_prefix_cache();
     let mp = MetaPath::new(vec![0, 1, 0, 1, 0]);
@@ -113,18 +111,15 @@ fn parallel_executors_are_bit_identical_to_the_reference_engine() {
     for app in apps {
         for kind in ALL_SAMPLERS {
             let reference = ReferenceEngine::new(&g, app, kind, 21).run(&qs);
-            for threads in [1, 2, 0] {
-                let engine = ShardedEngine::partition(&g, 3, ShardStrategy::Range, app, kind, 21)
-                    .with_shard_threads(threads);
-                let got = engine.run_collected(&qs);
-                assert_eq!(
-                    got,
-                    reference,
-                    "executor schedule changed walks: {} / {} threads={threads}",
-                    app.name(),
-                    kind.name()
-                );
-            }
+            let engine = ShardedEngine::partition(&g, 3, ShardStrategy::Range, app, kind, 21);
+            let got = engine.run_collected(&qs);
+            assert_eq!(
+                got,
+                reference,
+                "executor schedule changed walks: {} / {}",
+                app.name(),
+                kind.name()
+            );
         }
     }
 }
