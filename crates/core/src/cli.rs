@@ -74,14 +74,7 @@ pub struct Args {
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &[
-    "directed",
-    "undirected",
-    "binary",
-    "help",
-    "relabel",
-    "repartition",
-];
+const BOOL_FLAGS: &[&str] = &["directed", "undirected", "binary", "help", "relabel"];
 
 impl Args {
     /// Parse raw arguments (not including program name / subcommand).
@@ -216,9 +209,9 @@ pub fn usage() -> &'static str {
      \x20        NAME: inverse-transform|alias|sequential-wrs|pwrs|rejection\n\
      \x20              |a-expj\n\
      \x20        --threads is cpu-only (0 = one worker lane per core)\n\
-     \x20        [--shards K] [--strategy NAME] [--repartition]\n\
-     \x20        --shards K walks on the sharded engine;\n\
-     \x20        --repartition overrides a mismatched packed partition\n\
+     \x20        [--shards K] [--strategy NAME]\n\
+     \x20        --shards K walks on the sharded engine, under the\n\
+     \x20        file's partition when it fits the pinned flags\n\
      serve    GRAPH.lrwpak (--jobs SPEC.json | --synthetic-tenants N\n\
      \x20        | --listen ADDR)\n\
      \x20        [--jobs-per-tenant N] [--queries N] [--length N]\n\
@@ -495,26 +488,24 @@ fn cmd_graph_stats(args: &Args) -> Result<String, String> {
             len
         );
     }
-    if let Some(meta) = &p.shard_meta {
+    if let Some(sharded) = &p.partition {
         out += &format!(
             "shard partition : {} shards ({}), expected crossing rate {:.4}\n",
-            meta.k(),
-            meta.strategy.name(),
-            meta.crossing_rate(),
+            sharded.k(),
+            sharded.strategy.name(),
+            sharded.crossing_rate(),
         );
         // The raw crossing rate above counts boundary edges uniformly; a
         // walker doesn't visit edges uniformly. Weight the boundary by the
         // estimated stationary visit distribution to predict what fraction
         // of *walk steps* will hand off (lightrw_graph::partition).
-        if let Ok(sp) = packed::load_packed_sharded(path, LoadMode::Auto) {
-            out += &format!(
-                "                  expected walk crossing rate {:.4} \
-                 (stationary-weighted boundary)\n",
-                lightrw_graph::expected_walk_crossing(g, &sp.sharded.ownership),
-            );
-        }
+        out += &format!(
+            "                  expected walk crossing rate {:.4} \
+             (stationary-weighted boundary)\n",
+            lightrw_graph::expected_walk_crossing(g, &sharded.ownership),
+        );
         out += "  shard     vertices        edges     boundary\n";
-        for (s, c) in meta.shards.iter().enumerate() {
+        for (s, c) in sharded.shards.iter().enumerate() {
             out += &format!(
                 "  {s:<5} {:>12} {:>12} {:>12}\n",
                 c.owned_vertices, c.owned_edges, c.boundary_edges
@@ -593,20 +584,8 @@ fn parse_app(args: &Args, g: &Graph) -> Result<Box<dyn WalkApp>, String> {
 
 /// The options `walk` reads.
 const WALK_OPTIONS: &[&str] = &[
-    "app",
-    "length",
-    "program",
-    "queries",
-    "engine",
-    "batch",
-    "seed",
-    "threads",
-    "sampler",
-    "binary",
-    "out",
-    "shards",
-    "strategy",
-    "repartition",
+    "app", "length", "program", "queries", "engine", "batch", "seed", "threads", "sampler",
+    "binary", "out", "shards", "strategy",
 ];
 
 fn cmd_walk(args: &Args) -> Result<String, String> {
@@ -659,70 +638,36 @@ fn cmd_walk(args: &Args) -> Result<String, String> {
     let engine_name = args.get("engine").unwrap_or(default_engine);
     let backend = configure_backend(args, None, default_engine)?;
     let batch = args.get_u64("batch", 1 << 16)?;
-    // A sharded backend over a file that was packed with a matching
-    // partition runs straight off the file's shard sections (mmap-cheap:
-    // shard rows are served zero-copy) instead of re-partitioning the
-    // loaded graph in memory. A file packed without `--shards` is
-    // partitioned in memory by `Backend::build`; a partition that is
-    // there and does not load is an error, not a reason to build another.
+    // A sharded walk over a file that carries a partition walks under it
+    // when it fits the `--shards` / `--strategy` the user pinned (flags
+    // left at their defaults adopt the file's). Any other request is
+    // partitioned in memory, as for a file that carries none, and the
+    // diagnostics name the file's partition.
     let mut shard_source = String::new();
-    let engine: Box<dyn WalkEngine + '_> = match backend {
-        Backend::Sharded {
-            shards,
-            strategy,
-            sampler,
-        } if loaded.shard_meta.is_some() => {
-            // Only flags the user actually pinned can conflict with the
-            // file's persisted partition; defaults adopt whatever the
-            // file carries.
-            let shards_pinned = args.get("shards").is_some();
-            let strategy_pinned = args.get("strategy").is_some();
-            match packed::load_packed_sharded(path, LoadMode::Auto).map_err(|e| e.to_string())? {
-                p if (!shards_pinned || p.sharded.k() == shards)
-                    && (!strategy_pinned || p.sharded.strategy == strategy) =>
-                {
-                    shard_source = ", shard partition from file".into();
-                    Box::new(crate::sharded::ShardedEngine::new(
-                        p.sharded,
-                        app.as_ref(),
-                        sampler,
-                        seed,
-                    ))
-                }
-                p => {
-                    // The file's persisted partition contradicts the
-                    // request. Rebuilding in memory silently would walk a
-                    // partition the user never asked to pay for, so this
-                    // is opt-in via --repartition.
-                    let file_k = p.sharded.k();
-                    let file_strategy = p.sharded.strategy.name();
-                    if !args.flag("repartition") {
-                        return Err(format!(
-                            "{path} was packed with a shard partition of k={file_k} \
-                             strategy={file_strategy}, but this run asked for k={shards} \
-                             strategy={}; re-run with `--shards {file_k} --strategy \
-                             {file_strategy}` to use the file's partition, or pass \
-                             --repartition to rebuild the requested one in memory",
-                            strategy.name(),
-                        ));
-                    }
-                    // The engine's partition note already narrates the
-                    // rebuild in diagnostics; no summary suffix needed.
-                    Box::new(
-                        crate::sharded::ShardedEngine::partition(
-                            &g,
-                            shards,
-                            strategy,
-                            app.as_ref(),
-                            sampler,
-                            seed,
-                        )
-                        .with_partition_note(format!(
-                            "repartitioned in memory (file partition was k={file_k} \
-                             strategy={file_strategy})"
-                        )),
-                    )
-                }
+    let engine: Box<dyn WalkEngine + '_> = match (backend, loaded.partition) {
+        (
+            Backend::Sharded {
+                shards,
+                strategy,
+                sampler,
+            },
+            Some(file),
+        ) => {
+            let fits = (args.get("shards").is_none() || file.k() == shards)
+                && (args.get("strategy").is_none() || file.strategy == strategy);
+            if fits {
+                shard_source = ", shard partition from file".into();
+                let engine = ShardedEngine::new(&g, file, app.as_ref(), sampler, seed);
+                Box::new(engine)
+            } else {
+                let note = format!(
+                    "partitioned in memory (the file's partition is k={} strategy={})",
+                    file.k(),
+                    file.strategy.name()
+                );
+                let engine =
+                    ShardedEngine::partition(&g, shards, strategy, app.as_ref(), sampler, seed);
+                Box::new(engine.with_partition_note(note))
             }
         }
         _ => backend.build(&g, app.as_ref(), seed),
@@ -1789,84 +1734,44 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_packed_partition_fails_fast_unless_repartition() {
+    fn a_mismatched_packed_partition_walks_the_requested_one() {
         let packed_path = tmp("mismatch.lrwpak");
         run(
             "graph",
             &parse(&["pack", "rmat:7:5", "--shards", "2", "-o", &packed_path]),
         )
         .unwrap();
+        let plain_path = tmp("mismatch_plain.lrwpak");
+        run("graph", &parse(&["pack", "rmat:7:5", "-o", &plain_path])).unwrap();
+        let walk = |graph: &str, flags: &[&str]| {
+            let corpus = tmp("mismatch_walks.txt");
+            let common = [graph, "--length", "4", "--queries", "8", "-o", &corpus];
+            let out = run("walk", &parse(&[&common[..], flags].concat())).unwrap();
+            (out, std::fs::read(&corpus).unwrap())
+        };
 
-        // Asking for a different k than the file carries must not
-        // silently rebuild a partition in memory.
-        let err = run(
-            "walk",
-            &parse(&[
-                &packed_path,
-                "--shards",
-                "3",
-                "--length",
-                "4",
-                "--queries",
-                "8",
-            ]),
-        )
-        .unwrap_err();
-        assert!(err.contains("k=2"), "{err}");
-        assert!(err.contains("--repartition"), "{err}");
-
-        // A pinned strategy mismatch trips the same guard.
-        let err = run(
-            "walk",
-            &parse(&[
-                &packed_path,
-                "--shards",
-                "2",
-                "--strategy",
-                "fennel",
-                "--length",
-                "4",
-                "--queries",
-                "8",
-            ]),
-        )
-        .unwrap_err();
-        assert!(err.contains("strategy=range"), "{err}");
-
-        // --repartition opts into the rebuild, and the session
-        // diagnostics record that the file partition was discarded.
-        let ok = run(
-            "walk",
-            &parse(&[
-                &packed_path,
-                "--shards",
-                "3",
-                "--repartition",
-                "--length",
-                "4",
-                "--queries",
-                "8",
-            ]),
-        )
-        .unwrap();
-        assert!(ok.contains("k=3"), "{ok}");
-        assert!(ok.contains("repartitioned in memory"), "{ok}");
-        assert!(ok.contains("file partition was k=2 strategy=range"), "{ok}");
+        // A k or a pinned strategy the file does not carry is partitioned
+        // in memory, as on a file with no partition: the same walks, and
+        // a note naming the file's partition.
+        for flags in [
+            &["--shards", "3"][..],
+            &["--shards", "2", "--strategy", "fennel"],
+        ] {
+            let (out, corpus) = walk(&packed_path, flags);
+            let (plain_out, plain_corpus) = walk(&plain_path, flags);
+            assert_eq!(corpus, plain_corpus, "{flags:?}");
+            assert!(
+                out.contains("partitioned in memory (the file's partition is k=2 strategy=range)"),
+                "{out}"
+            );
+            assert!(!out.contains("shard partition from file"), "{out}");
+            assert!(!plain_out.contains("partitioned in memory"), "{plain_out}");
+            let k = format!("k={}", flags[1]);
+            assert!(out.contains(&k) && plain_out.contains(&k), "{out}");
+        }
 
         // Defaults that the user never pinned adopt the file's partition.
-        let ok = run(
-            "walk",
-            &parse(&[
-                &packed_path,
-                "--engine",
-                "sharded",
-                "--length",
-                "4",
-                "--queries",
-                "8",
-            ]),
-        )
-        .unwrap();
+        let (ok, _) = walk(&packed_path, &["--engine", "sharded"]);
         assert!(ok.contains("shard partition from file"), "{ok}");
     }
 
@@ -1884,7 +1789,8 @@ mod tests {
         assert!(ok.contains("shard partition from file"), "{ok}");
 
         // Shorten the cut section's (id 9) table entry by one cut: the
-        // flat loader does not read it, the sharded loader refuses it.
+        // loader refuses the file rather than walk a partition it cannot
+        // read.
         let mut bytes = std::fs::read(&packed_path).unwrap();
         let cuts = section_entry(&bytes, 9);
         let len = word(&bytes, cuts + 16) - 4;
@@ -2067,6 +1973,7 @@ mod tests {
             ("walk", vec!["--in-memory", "g.lrwpak"]),
             ("serve", vec!["--in-memory", "g.lrwpak"]),
             ("walk", vec!["--shard-threads", "2", "g.lrwpak"]),
+            ("walk", vec!["--repartition", "g.lrwpak"]),
             ("graph", vec!["pack", "rmat:8", "--no-prefix", "-o", "x"]),
         ] {
             let err = run(sub, &parse(&raw)).unwrap_err();
@@ -2157,7 +2064,7 @@ mod tests {
         let expected = DatasetProfile::orkut().stand_in(8, 5);
         let loaded = load_graph_file(&standin, LoadMode::Heap).unwrap();
         assert_eq!(loaded.graph, expected);
-        assert!(loaded.relabeling.is_none() && loaded.shard_meta.is_none());
+        assert!(loaded.relabeling.is_none() && loaded.partition.is_none());
     }
 
     #[test]
@@ -2197,8 +2104,8 @@ mod tests {
     fn edgeless_table_shards_pack_load_and_walk_like_memory() {
         // A typed graph whose only out-edges leave vertex 0: at k = 3 two
         // fennel or walk shards own no edges, and the file must still
-        // carry every lane the sharded loader asks for. The walk off the
-        // file partition must be the walk off an in-memory one.
+        // round-trip their partition. The walk off the file partition must
+        // be the walk off an in-memory one.
         let edges = tmp("star_edges.txt");
         let lines: String = (1..=7).map(|v| format!("0 {v} {v} 1\n")).collect();
         std::fs::write(&edges, lines).unwrap();

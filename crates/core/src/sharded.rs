@@ -3,17 +3,17 @@
 //! (DESIGN.md §11), all on **one schedule** — the shard-executor loop of
 //! DESIGN.md §12, run on the calling thread.
 //!
-//! [`ShardedEngine`] runs a [`lightrw_graph::ShardedGraph`] — built by
-//! [`lightrw_graph::partition_graph`] (see `lightrw_graph::partition`
-//! for the placement strategies, including the walk-aware
-//! `ShardStrategy::Walk`) or loaded from a packed sharded file
-//! ([`lightrw_graph::load_packed_sharded`]) — behind the ordinary
-//! [`WalkSession`] contract. Each shard owns a step lane with its own
-//! [`HotStepper`] and a run queue of the walkers standing on it; a walker
-//! whose step lands on a **ghost** vertex (owned by another shard) is
-//! serialized into a hand-off record and held in a per-destination outbox
-//! until the outbox reaches the flush budget or the loop runs out of
-//! local work.
+//! [`ShardedEngine`] runs a [`lightrw_graph::ShardedGraph`] — an owner
+//! table over the one graph, built by [`lightrw_graph::partition_graph`]
+//! (see `lightrw_graph::partition` for the placement strategies,
+//! including the walk-aware `ShardStrategy::Walk`) or read with the graph
+//! from a packed file — behind the ordinary [`WalkSession`] contract.
+//! Each shard has a step lane with its own [`HotStepper`] and a run
+//! queue of the walkers standing on the vertices it owns; every lane
+//! steps on the whole graph. A walker whose step lands on a vertex
+//! another shard owns is serialized into a hand-off record and held in a
+//! per-destination outbox until the outbox reaches the flush budget or
+//! the loop runs out of local work.
 //!
 //! Every `advance` is one round of that loop:
 //!
@@ -28,7 +28,7 @@
 //!   followed by a flush that finds every outbox empty. Every walker
 //!   still alive then sits in a run queue for the next round.
 //!
-//! The three contracts that make all of this safe:
+//! The contracts that make all of this safe:
 //!
 //! - **RNG streams travel with the walker.** Every walker starts on
 //!   [`lightrw_walker::SamplerStream::for_query`] — the derivation every
@@ -39,18 +39,15 @@
 //!   schedule. That is what makes every configuration of
 //!   this engine **bit-identical** to [`lightrw_walker::ReferenceEngine`],
 //!   and what the agreement, conformance and property suites pin.
-//! - **Second-order hand-offs carry the previous row.** Node2Vec weights
-//!   read the *previous* vertex's adjacency, which the destination shard
-//!   does not store. The record ships the row (charged to the transfer
-//!   model) and the lane arms it as a prev-row override
-//!   ([`HotStepper::arm_prev_row`]) for the arrival step.
 //! - **Emission is exactly-once and id-ordered** via the shared
 //!   [`InOrderEmitter`] watermark, identical to the CPU engine's lanes.
 //!
 //! Hand-off batches are charged to the modelled interconnect (the PCIe
 //! model of [`crate::pcie`]): each flush costs one link latency plus
-//! `bytes / bandwidth`, with a record costing a fixed header plus four
-//! bytes per shipped prev-row entry. [`WalkSession::model_seconds`]
+//! `bytes / bandwidth`. A record costs a fixed header; a second-order
+//! record also carries the previous vertex's row, which Node2Vec's
+//! weights read and a board holding only its own shard would not have,
+//! at four bytes per entry. [`WalkSession::model_seconds`]
 //! reports the accumulated transfer seconds **plus** the rounds' wall
 //! time on the calling thread, so cluster straggler accounting never
 //! treats a sharded board as free compute. Every counter is
@@ -59,7 +56,7 @@
 //! `advance` budgets, nothing else.
 //!
 //! `k = 1` has nothing to hand off: it runs the ordinary
-//! [`LaneSession`], one lane on shard 0's graph.
+//! [`LaneSession`], one lane on the graph.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -73,9 +70,9 @@ use lightrw_walker::{
 use crate::pcie::PcieBreakdown;
 use crate::platform::U250_PLATFORM;
 
-/// Serialized size of one hand-off record, excluding the optional
-/// prev-row payload: query id (4), current and previous vertex (4 + 5),
-/// step counters (4 + 4), a has-payload flag (1), and the
+/// Serialized size of one hand-off record, excluding a second-order
+/// record's prev-row payload: query id (4), current and previous vertex
+/// (4 + 5), step counters (4 + 4), a has-payload flag (1), and the
 /// [`lightrw_walker::SamplerStream`] position (16) — 38 bytes, padded to
 /// the 8-byte record alignment. Payload entries add four bytes each.
 pub const HANDOFF_RECORD_BYTES: u64 = 40;
@@ -83,13 +80,14 @@ pub const HANDOFF_RECORD_BYTES: u64 = 40;
 /// A partitioned-execution engine: one step lane per shard, bounded
 /// hand-off queues between them and modelled transfer costs per flush.
 pub struct ShardedEngine<'a> {
+    graph: &'a Graph,
     sharded: ShardedGraph,
     app: &'a dyn WalkApp,
     sampler: SamplerKind,
     seed: u64,
     flush_budget: usize,
-    /// Provenance note surfaced through session diagnostics (e.g. "the
-    /// packed partition was discarded and rebuilt in memory").
+    /// Provenance note surfaced through session diagnostics (e.g. where
+    /// the partition came from).
     partition_note: Option<String>,
 }
 
@@ -100,9 +98,10 @@ impl<'a> ShardedEngine<'a> {
     /// records while keeping in-flight walkers bounded (DESIGN.md §11).
     pub const DEFAULT_FLUSH_BUDGET: usize = 64;
 
-    /// Wrap an already-partitioned graph (e.g. loaded from a packed
-    /// sharded file).
+    /// Walk `graph` under a partition of it (e.g. the one a packed file
+    /// carries).
     pub fn new(
+        graph: &'a Graph,
         sharded: ShardedGraph,
         app: &'a dyn WalkApp,
         sampler: SamplerKind,
@@ -110,6 +109,7 @@ impl<'a> ShardedEngine<'a> {
     ) -> Self {
         assert!(sharded.k() > 0, "sharded engine requires at least 1 shard");
         Self {
+            graph,
             sharded,
             app,
             sampler,
@@ -121,14 +121,14 @@ impl<'a> ShardedEngine<'a> {
 
     /// Partition `g` into `k` shards and build an engine over the result.
     pub fn partition(
-        g: &Graph,
+        g: &'a Graph,
         k: usize,
         strategy: ShardStrategy,
         app: &'a dyn WalkApp,
         sampler: SamplerKind,
         seed: u64,
     ) -> Self {
-        Self::new(partition_graph(g, k, strategy), app, sampler, seed)
+        Self::new(g, partition_graph(g, k, strategy), app, sampler, seed)
     }
 
     /// Override the hand-off flush budget (clamped to at least 1).
@@ -154,7 +154,7 @@ impl<'a> ShardedEngine<'a> {
         self
     }
 
-    /// The partitioned graph this engine executes over.
+    /// The partition this engine executes under.
     pub fn sharded(&self) -> &ShardedGraph {
         &self.sharded
     }
@@ -179,15 +179,8 @@ impl WalkEngine for ShardedEngine<'_> {
         let engine: &'s ShardedEngine<'s> = self;
         if self.sharded.k() == 1 {
             Box::new(
-                LaneSession::new(
-                    &self.sharded.shards[0].graph,
-                    self.app,
-                    self.sampler,
-                    self.seed,
-                    queries,
-                    1,
-                )
-                .with_note(self.partition_note.as_deref()),
+                LaneSession::new(self.graph, self.app, self.sampler, self.seed, queries, 1)
+                    .with_note(self.partition_note.as_deref()),
             )
         } else {
             Box::new(MultiShardSession::new(engine, queries))
@@ -204,22 +197,29 @@ impl WalkEngine for ShardedEngine<'_> {
 // --- k >= 2: lanes, outboxes and hand-offs -------------------------------
 
 /// Modelled interconnect charges for hand-off flushes.
-#[derive(Default)]
-struct FlushTally {
+struct FlushTally<'g> {
+    /// The graph whose rows second-order records carry.
+    graph: &'g Graph,
+    second_order: bool,
     flushes: u64,
     bytes: u64,
     seconds: f64,
 }
 
-impl FlushTally {
-    /// Charge one coalesced flush of `batch`: a record per walker plus
-    /// four bytes per shipped prev-row entry, as one modelled link
-    /// transfer (latency + bytes / bandwidth).
+impl FlushTally<'_> {
+    /// Charge one coalesced flush of `batch` as one modelled link
+    /// transfer (latency + bytes / bandwidth): a record per walker and,
+    /// for a second-order app, four bytes per entry of the row of the
+    /// vertex it stepped from — the row its next step reads.
     fn charge(&mut self, batch: &[Record]) {
         let bytes: u64 = batch
             .iter()
-            .map(|(_, wk)| {
-                HANDOFF_RECORD_BYTES + 4 * wk.prev_row.as_ref().map_or(0, Vec::len) as u64
+            .map(|(_, w)| {
+                let prev_row = match w.st.prev {
+                    Some(prev) if self.second_order => self.graph.degree(prev) as u64,
+                    _ => 0,
+                };
+                HANDOFF_RECORD_BYTES + 4 * prev_row
             })
             .sum();
         self.seconds += PcieBreakdown::model(&U250_PLATFORM, bytes, 0.0, 0).upload_s;
@@ -228,32 +228,14 @@ impl FlushTally {
     }
 }
 
-/// One in-flight walker plus, between a hand-off and the arrival step,
-/// the shipped prev-row payload.
-struct ShardWalker {
-    w: Walker,
-    /// Previous vertex's adjacency row, shipped with a second-order
-    /// hand-off; armed as the stepper's prev-row override for exactly
-    /// the arrival step.
-    prev_row: Option<Vec<VertexId>>,
-}
-
-impl ShardWalker {
-    /// One visit on `stepper`, consuming the prev-row payload if this is
-    /// the arrival step. Returns whether a step was taken.
-    fn visit(&mut self, env: VisitEnv<'_>, stepper: &mut HotStepper) -> bool {
-        let prev_row = self.prev_row.take();
-        env.visit(stepper, &mut self.w, prev_row.as_deref())
-    }
-}
-
 /// A live walker as run queues, outboxes and hand-off batches hold it:
 /// its query index and its state.
-type Record = (usize, ShardWalker);
+type Record = (usize, Walker);
 
 /// Multi-shard session: every `advance` is one round of the executor
 /// loop (DESIGN.md §12) on the calling thread.
 struct MultiShardSession<'s> {
+    graph: &'s Graph,
     sharded: &'s ShardedGraph,
     app: &'s dyn WalkApp,
     program: WalkProgram,
@@ -272,7 +254,7 @@ struct MultiShardSession<'s> {
     emitter: InOrderEmitter,
     steps_done: u64,
     hand_offs: u64,
-    transfers: FlushTally,
+    transfers: FlushTally<'s>,
     /// The lane compute component of `model_seconds`: the rounds' wall
     /// time on the calling thread.
     compute_s: f64,
@@ -283,30 +265,20 @@ impl<'s> MultiShardSession<'s> {
     fn new(engine: &'s ShardedEngine<'s>, queries: &QuerySet) -> Self {
         let sharded = &engine.sharded;
         let k = sharded.k();
-        let max_degree = sharded
-            .shards
-            .iter()
-            .map(|s| s.graph.max_degree())
-            .max()
-            .unwrap_or(0) as usize;
         let steppers = (0..k)
             .map(|_| {
                 let mut st = HotStepper::new(engine.app, engine.sampler, engine.seed);
-                st.reserve(max_degree);
+                st.reserve(engine.graph.max_degree() as usize);
                 st
             })
             .collect();
         let mut runq: Vec<VecDeque<Record>> = (0..k).map(|_| VecDeque::new()).collect();
         for (wi, &q) in queries.queries().iter().enumerate() {
-            runq[sharded.owner_of(q.start)].push_back((
-                wi,
-                ShardWalker {
-                    w: Walker::start(q, engine.sampler, engine.seed),
-                    prev_row: None,
-                },
-            ));
+            let walker = Walker::start(q, engine.sampler, engine.seed);
+            runq[sharded.owner_of(q.start)].push_back((wi, walker));
         }
         Self {
+            graph: engine.graph,
             sharded,
             app: engine.app,
             program: queries.program().clone(),
@@ -318,7 +290,13 @@ impl<'s> MultiShardSession<'s> {
             emitter: InOrderEmitter::new(queries.len()),
             steps_done: 0,
             hand_offs: 0,
-            transfers: FlushTally::default(),
+            transfers: FlushTally {
+                graph: engine.graph,
+                second_order: engine.app.second_order(),
+                flushes: 0,
+                bytes: 0,
+                seconds: 0.0,
+            },
             compute_s: 0.0,
             note: engine.partition_note.as_deref(),
         }
@@ -329,34 +307,26 @@ impl<'s> MultiShardSession<'s> {
     /// flush as soon as a destination reaches the flush budget. The
     /// engine's only step site; returns whether the lane visited anyone.
     fn sweep_lane(&mut self, s: usize, budget: u64, visits: &mut u64) -> bool {
-        let graph = &self.sharded.shards[s].graph;
         let env = VisitEnv {
-            graph,
+            graph: self.graph,
             app: self.app,
             program: &self.program,
         };
         let mut worked = false;
         while *visits < budget {
-            let Some((_, wk)) = self.runq[s].front_mut() else {
+            let Some((_, w)) = self.runq[s].front_mut() else {
                 break;
             };
             worked = true;
             *visits += 1;
-            self.steps_done += wk.visit(env, &mut self.steppers[s]) as u64;
-            if let Some(path) = wk.w.take_path() {
+            self.steps_done += env.visit(&mut self.steppers[s], w) as u64;
+            if let Some(path) = w.take_path() {
                 let (wi, _) = self.runq[s].pop_front().expect("stepped the queue head");
                 self.done[wi] = Some(path);
                 continue;
             }
-            let t = self.sharded.owner_of(wk.w.st.cur);
+            let t = self.sharded.owner_of(w.st.cur);
             if t != s {
-                // Hand-off. Second-order apps ship the previous vertex's row:
-                // it lives on this shard, not the destination.
-                if self.app.second_order() {
-                    if let Some(prev) = wk.w.st.prev {
-                        wk.prev_row = Some(graph.neighbors(prev).to_vec());
-                    }
-                }
                 self.hand_offs += 1;
                 let walker = self.runq[s].pop_front().expect("stepped the queue head");
                 self.outbox[t].push(walker);
@@ -419,9 +389,9 @@ impl WalkSession for MultiShardSession<'_> {
     }
 
     fn cancel(&mut self, sink: &mut dyn WalkSink) -> BatchProgress {
-        for (wi, mut wk) in self.runq.iter_mut().flat_map(|q| q.drain(..)) {
-            wk.w.done = true;
-            self.done[wi] = wk.w.take_path();
+        for (wi, mut w) in self.runq.iter_mut().flat_map(|q| q.drain(..)) {
+            w.done = true;
+            self.done[wi] = w.take_path();
         }
         BatchProgress {
             paths_completed: self.emitter.drain(sink, |id| self.done[id].take()),

@@ -39,10 +39,11 @@
 //!   affinity, the per-thread CPU clock, shutdown signals), each call
 //!   degrading where the OS lacks it;
 //! - [`partition`] — the sharded-execution data model (DESIGN.md §11):
-//!   [`partition_graph`] splits a CSR into K [`Shard`] sub-CSRs with
-//!   ghost-vertex tables under a range, fennel or walk-aware
-//!   [`ShardStrategy`]; `pack --shards K` persists the partition as
-//!   extra `LRWPAK01` sections, [`load_packed_sharded`] maps it back.
+//!   [`partition_graph`] gives every vertex an owner among K shards under
+//!   a range, fennel or walk-aware [`ShardStrategy`], as a
+//!   [`ShardedGraph`] owner table over the one graph; `pack --shards K`
+//!   persists it as two `LRWPAK01` sections, which
+//!   [`packed::load_packed`] reads back with the graph.
 //!
 //! ```
 //! use lightrw_graph::GraphBuilder;
@@ -78,10 +79,8 @@ pub use csr::{
     ROW_ENTRY_BYTES,
 };
 pub use generators::DatasetProfile;
-pub use packed::{
-    load_packed_sharded, LoadMode, PackedGraph, PackedShardedGraph, ShardCounts, ShardMeta,
-};
+pub use packed::{LoadMode, PackedGraph};
 pub use partition::{
-    clamp_shards, expected_walk_crossing, partition_graph, stationary_estimate, Ownership, Shard,
-    ShardStrategy, ShardedGraph,
+    clamp_shards, expected_walk_crossing, partition_graph, stationary_estimate, Ownership,
+    ShardCounts, ShardStrategy, ShardedGraph,
 };

@@ -35,21 +35,19 @@
 //!
 //! [`PackStats`] carries each phase's wall time: `ingest_s` (phase 1),
 //! `merge_s` (phase 2) and `sections_s` (phases 3 and 4 with the shard
-//! passes below).
+//! pass below).
 //!
-//! A shard partition ([`Partition`]) costs one more merge before the
-//! section table is sized, for each shard's ghost set and boundary
-//! count. Range cuts come from the degrees; a fennel or walk partition
-//! is the caller's owner table, in the file's vertex ids, and each of
-//! its shards gets compacted copies of the rows it owns, written by one
-//! further merge per shard.
+//! A shard partition ([`Partition`]) is an owner table over the file's
+//! one graph: range cuts from the degrees, or the caller's fennel or walk
+//! owner table in the file's vertex ids. With two or more shards it costs
+//! one more merge, which counts each shard's boundary edges.
 //!
 //! Peak memory is `16·chunk_records` bytes (64 MiB at the default 4 Mi
 //! records; the sort is in place) plus 64 KiB per open run or section
 //! and O(|V|): 12 bytes per vertex of degrees and row offsets, the
-//! vertex labels, with a partition 4 bytes per vertex of owners and
-//! `shards·|V|` ghost bits — independent of |E|. Temp disk is 16 bytes
-//! per input record beyond the final chunk.
+//! vertex labels and, with a partition, 4 bytes per vertex of owners —
+//! independent of |E|. Temp disk is 16 bytes per input record beyond the
+//! final chunk.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -67,11 +65,10 @@ use crate::draws::{PairDraw, RmatLanes};
 use crate::generators::{RMAT_A, RMAT_B, RMAT_C};
 use crate::io::IoError;
 use crate::packed::{
-    assign_offsets, shard_section, write_header, FLAG_DIRECTED, FLAG_ELABELS, FLAG_PREFIX,
-    FLAG_RELABEL, FLAG_SHARDS, FLAG_VLABELS, SEC_COL, SEC_ELABELS, SEC_NEW_TO_OLD, SEC_PREFIX_ALL,
+    assign_offsets, write_header, FLAG_DIRECTED, FLAG_ELABELS, FLAG_PREFIX, FLAG_RELABEL,
+    FLAG_SHARDS, FLAG_VLABELS, SEC_COL, SEC_ELABELS, SEC_NEW_TO_OLD, SEC_PREFIX_ALL,
     SEC_REL_PREFIX_BASE, SEC_ROW, SEC_SHARD_ASSIGN, SEC_SHARD_CUTS, SEC_SHARD_META, SEC_VLABELS,
-    SEC_WEIGHTS, SHARD_LANE_COL, SHARD_LANE_ELABELS, SHARD_LANE_GHOSTS, SHARD_LANE_PREFIX,
-    SHARD_LANE_ROW, SHARD_LANE_WEIGHTS,
+    SEC_WEIGHTS,
 };
 use crate::partition::{clamp_shards, cuts_from_row_index, table_assignment, ShardStrategy};
 use crate::reorder::{by_degree_descending, Relabeling};
@@ -134,7 +131,7 @@ pub struct PackStats {
     /// Wall seconds of the statistics merge.
     pub merge_s: f64,
     /// Wall seconds of the rest: with `relabel` the re-sort, with shards
-    /// their passes, and the section pass that writes the file.
+    /// their pass, and the section pass that writes the file.
     pub sections_s: f64,
 }
 
@@ -395,10 +392,9 @@ fn fill<B: AsRef<[u8]>>(
     w.flush()
 }
 
-/// The edge-indexed sections of one CSR — the file's own, or a fennel or
-/// walk shard's compacted copy — as write handles: targets, weights and,
-/// where the file has them, relations and the prefix cumulative; the
-/// file's own also the per-relation cumulatives, each with its row sum.
+/// The file's edge-indexed sections as write handles: targets, weights
+/// and, where the file has them, relations, the prefix cumulative and
+/// the per-relation cumulatives, each with its row sum.
 struct EdgeLanes {
     col: BufWriter<File>,
     weights: BufWriter<File>,
@@ -408,38 +404,31 @@ struct EdgeLanes {
 }
 
 impl EdgeLanes {
-    /// `ids` are the col, weights, relation and prefix section ids.
     fn open(
         section: &impl Fn(u64) -> io::Result<BufWriter<File>>,
-        ids: [u64; 4],
         relations: bool,
         prefix: bool,
     ) -> io::Result<Self> {
         Ok(Self {
-            col: section(ids[0])?,
-            weights: section(ids[1])?,
-            relations: relations.then(|| section(ids[2])).transpose()?,
-            prefix: prefix.then(|| section(ids[3])).transpose()?,
+            col: section(SEC_COL)?,
+            weights: section(SEC_WEIGHTS)?,
+            relations: relations.then(|| section(SEC_ELABELS)).transpose()?,
+            prefix: prefix.then(|| section(SEC_PREFIX_ALL)).transpose()?,
             relation_prefix: Vec::new(),
         })
     }
 
-    /// One linear pass over the merged records fills the lanes with the
-    /// rows `keep` picks, asked once per row.
-    fn fill(mut self, runs: &Runs, keep: impl Fn(u32) -> bool) -> io::Result<()> {
-        let (mut cur_u, mut kept, mut acc) = (None, false, 0u64);
+    /// One linear pass over the merged records fills the lanes.
+    fn fill(mut self, runs: &Runs) -> io::Result<()> {
+        let (mut cur_u, mut acc) = (None, 0u64);
         let mut merge = runs.merge()?;
         while let Some(rec) = merge.next()? {
             if cur_u != Some(rec.u()) {
                 cur_u = Some(rec.u());
-                kept = keep(rec.u());
                 acc = 0;
                 for entry in self.relation_prefix.iter_mut() {
                     entry.1 = 0;
                 }
-            }
-            if !kept {
-                continue;
             }
             acc += rec.w as u64;
             self.col.write_all(&rec.v().to_le_bytes())?;
@@ -615,8 +604,7 @@ where
         };
 
     // Row offsets as one in-memory array: O(|V|), the pipeline's
-    // existing budget (the degree vector); the shard cuts and every
-    // per-shard row lane derive from it.
+    // existing budget (the degree vector); the shard cuts derive from it.
     let mut row: Vec<u64> = Vec::with_capacity(n + 1);
     {
         let mut acc = 0u64;
@@ -653,12 +641,11 @@ where
             (k, *strategy, Cow::Borrowed(owner.as_slice()))
         }
     };
-    // Fennel and walk shards store compacted copies of the rows they own,
-    // and the file the owner table; a range partition's file, the cuts.
-    let compacted = strategy != ShardStrategy::Range;
-    let (ownership_id, ownership) = match compacted {
-        true => (SEC_SHARD_ASSIGN, &owner[..]),
-        false => (SEC_SHARD_CUTS, &cuts[..]),
+    // The file stores a range partition as its cuts, a fennel or walk
+    // partition as its owner table.
+    let (ownership_id, ownership) = match strategy {
+        ShardStrategy::Range => (SEC_SHARD_CUTS, &cuts[..]),
+        _ => (SEC_SHARD_ASSIGN, &owner[..]),
     };
     // Per shard: owned vertices, owned edges, boundary edges.
     let mut counts = vec![[0u64; 3]; k];
@@ -667,29 +654,16 @@ where
         counts[s as usize][1] += d as u64;
     }
     // With two or more shards, one extra linear pass over the merged
-    // records *before* the section table is sized finds each shard's
-    // ghost set and boundary count. Ghost membership is k×n bits —
-    // bounded like the degrees.
-    let mut ghost_bits: Vec<Vec<u64>> = vec![vec![0u64; n.div_ceil(64)]; k];
+    // records counts each shard's boundary edges.
     if k > 1 {
         let mut merge = runs.merge()?;
         while let Some(rec) = merge.next()? {
-            let (s, v) = (owner[rec.u() as usize] as usize, rec.v());
-            if owner[v as usize] as usize != s {
-                counts[s][2] += 1;
-                ghost_bits[s][v as usize / 64] |= 1 << (v % 64);
+            let s = owner[rec.u() as usize];
+            if owner[rec.v() as usize] != s {
+                counts[s as usize][2] += 1;
             }
         }
     }
-    let ghosts: Vec<Vec<u32>> = ghost_bits
-        .iter()
-        .map(|bits| {
-            (0..n as u32)
-                .filter(|&v| bits[v as usize / 64] >> (v % 64) & 1 == 1)
-                .collect()
-        })
-        .collect();
-    drop(ghost_bits);
 
     let mut flags = 0u64;
     if directed {
@@ -723,22 +697,6 @@ where
         flags |= FLAG_SHARDS;
         lens.push((SEC_SHARD_META, (2 + 3 * k as u64) * 8));
         lens.push((ownership_id, ownership.len() as u64 * 4));
-        for (s, shard_ghosts) in ghosts.iter().enumerate() {
-            lens.push((shard_section(s, SHARD_LANE_ROW), (n64 + 1) * 8));
-            let ghost_bytes = shard_ghosts.len() as u64 * 4;
-            lens.push((shard_section(s, SHARD_LANE_GHOSTS), ghost_bytes));
-            if compacted {
-                let edges = counts[s][1];
-                lens.push((shard_section(s, SHARD_LANE_COL), edges * 4));
-                lens.push((shard_section(s, SHARD_LANE_WEIGHTS), edges * 4));
-                if any_rel {
-                    lens.push((shard_section(s, SHARD_LANE_ELABELS), edges));
-                }
-                if with_prefix {
-                    lens.push((shard_section(s, SHARD_LANE_PREFIX), edges * 8));
-                }
-            }
-        }
     }
     let (table, total) = assign_offsets(&lens);
     // A buffered handle on the file, seeked to a section's offset. Several
@@ -768,26 +726,6 @@ where
             section(ownership_id)?,
             ownership.iter().map(|o| o.to_le_bytes()),
         )?;
-        for (s, shard_ghosts) in ghosts.iter().enumerate() {
-            // A fennel or walk shard's rows index its compacted lanes. A
-            // range shard shares the file's edge sections, so its rows are
-            // the global offsets clamped to the owned span: the same
-            // running sum over owned degrees, from its first row's offset.
-            let base = if compacted { 0 } else { row[cuts[s] as usize] };
-            let owned = owner.iter().zip(&stats.degree).scan(base, |acc, (&o, &d)| {
-                if o as usize == s {
-                    *acc += d as u64;
-                }
-                Some(*acc)
-            });
-            let rows = std::iter::once(base).chain(owned);
-            fill(
-                section(shard_section(s, SHARD_LANE_ROW))?,
-                rows.map(u64::to_le_bytes),
-            )?;
-            let lane = section(shard_section(s, SHARD_LANE_GHOSTS))?;
-            fill(lane, shard_ghosts.iter().map(|g| g.to_le_bytes()))?;
-        }
     }
     if let Some(labels_of) = vertex_labels {
         let mut labels = labels_of(n);
@@ -810,28 +748,13 @@ where
     }
 
     // One linear pass over the merged (possibly relabeled) records fills
-    // every edge-indexed section of the file's own CSR; one more per
-    // fennel or walk shard, its compacted copy of the rows it owns. The
-    // cumulatives are row-local, so a shard's prefix lane is the file's,
-    // restricted to those rows.
-    let ids = [SEC_COL, SEC_WEIGHTS, SEC_ELABELS, SEC_PREFIX_ALL];
-    let mut lanes = EdgeLanes::open(&section, ids, any_rel, with_prefix)?;
+    // every edge-indexed section.
+    let mut lanes = EdgeLanes::open(&section, any_rel, with_prefix)?;
     for &r in &rel_prefix_labels {
         let w = section(SEC_REL_PREFIX_BASE + r as u64)?;
         lanes.relation_prefix.push((r, 0, w));
     }
-    lanes.fill(&runs, |_| true)?;
-    for s in (0..k).filter(|_| compacted) {
-        let lanes = [
-            SHARD_LANE_COL,
-            SHARD_LANE_WEIGHTS,
-            SHARD_LANE_ELABELS,
-            SHARD_LANE_PREFIX,
-        ];
-        let ids = lanes.map(|lane| shard_section(s, lane));
-        let lanes = EdgeLanes::open(&section, ids, any_rel, with_prefix)?;
-        lanes.fill(&runs, |u| owner[u as usize] as usize == s)?;
-    }
+    lanes.fill(&runs)?;
 
     std::fs::rename(&partial, out)?;
     Ok(PackStats {
@@ -924,7 +847,7 @@ pub fn pack_rmat_dataset(
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::packed::{load_packed, load_packed_sharded, LoadMode};
+    use crate::packed::{load_packed, LoadMode};
     use crate::partition::partition_graph;
     use crate::GraphBuilder;
 
@@ -1051,12 +974,14 @@ mod tests {
     /// File checksums of `pack_rmat_dataset(10, 7, ..)` taken at the commit
     /// before the 16-byte-record pipeline: the rewrite changed no byte, at
     /// any chunk size. 5000 records make a run longer than one I/O buffer.
+    /// The sharded row was taken again when partitions became owner
+    /// tables and the per-shard section blocks left the file.
     #[test]
     fn rmat10_pack_bytes_are_pinned() {
         let pinned = [
             (false, 0, 0xa98d_0119_e554_8eb8u64),
             (true, 0, 0x2bb0_a1a5_9e4b_2ede),
-            (false, 4, 0x2480_db5a_d2bd_5f63),
+            (false, 4, 0x4226_cdf1_ad7e_29fc),
         ];
         for (relabel, shards, want) in pinned {
             for chunk in [16, 500, 5000, PackOptions::default().chunk_records] {
@@ -1223,26 +1148,13 @@ mod tests {
             ..PackOptions::default()
         };
         pack_rmat_dataset(7, seed, &out, &opts).unwrap();
-        let loaded = load_packed_sharded(&out, LoadMode::Auto).unwrap();
-        assert_eq!(loaded.meta.k(), 4);
-        assert_eq!(loaded.meta.strategy, ShardStrategy::Range);
-        assert_eq!(loaded.sharded.crossing_rate(), mem.crossing_rate());
-        for (s, (ls, ms)) in loaded
-            .sharded
-            .shards
-            .iter()
-            .zip(mem.shards.iter())
-            .enumerate()
-        {
-            assert_eq!(ls.owned_vertices, ms.owned_vertices, "shard {s}");
-            assert_eq!(ls.owned_edges, ms.owned_edges, "shard {s}");
-            assert_eq!(ls.boundary_edges, ms.boundary_edges, "shard {s}");
-            assert_eq!(&ls.ghosts[..], &ms.ghosts[..], "shard {s}");
-            for v in 0..expected.num_vertices() as u32 {
-                assert_eq!(ls.graph.neighbors(v), ms.graph.neighbors(v), "shard {s}");
-                assert_eq!(ls.graph.neighbor_weights(v), ms.graph.neighbor_weights(v));
-            }
-        }
+        let loaded = load_packed(&out, LoadMode::Auto).unwrap();
+        assert_eq!(loaded.graph, expected);
+        let sharded = loaded.partition.unwrap();
+        assert_eq!(sharded.k(), 4);
+        assert_eq!(sharded.strategy, ShardStrategy::Range);
+        assert_eq!(sharded.crossing_rate(), mem.crossing_rate());
+        assert_eq!(sharded, mem);
         std::fs::remove_file(&out).ok();
     }
 
@@ -1260,16 +1172,11 @@ mod tests {
         pack_rmat_dataset(6, seed, &out, &opts).unwrap();
         let g = generators::rmat_dataset(6, seed);
         let (expected, _) = by_degree_descending(&g);
-        let loaded = load_packed_sharded(&out, LoadMode::Heap).unwrap();
+        let loaded = load_packed(&out, LoadMode::Heap).unwrap();
         assert!(loaded.relabeling.is_some());
+        assert_eq!(loaded.graph, expected);
         let mem = partition_graph(&expected, 2, ShardStrategy::Range);
-        for (ls, ms) in loaded.sharded.shards.iter().zip(mem.shards.iter()) {
-            assert_eq!(ls.boundary_edges, ms.boundary_edges);
-            assert_eq!(&ls.ghosts[..], &ms.ghosts[..]);
-            for v in 0..expected.num_vertices() as u32 {
-                assert_eq!(ls.graph.neighbors(v), ms.graph.neighbors(v));
-            }
-        }
+        assert_eq!(loaded.partition, Some(mem));
         std::fs::remove_file(&out).ok();
     }
 
@@ -1279,14 +1186,11 @@ mod tests {
         let out = tmp("conv_fennel.lrwpak");
         pack_graph_with(&g, false, 3, ShardStrategy::Fennel, &out).unwrap();
         let mem = partition_graph(&g, 3, ShardStrategy::Fennel);
-        let loaded = load_packed_sharded(&out, LoadMode::Auto).unwrap();
-        assert_eq!(loaded.meta.strategy, ShardStrategy::Fennel);
-        for (ls, ms) in loaded.sharded.shards.iter().zip(mem.shards.iter()) {
-            assert_eq!(ls.owned_edges, ms.owned_edges);
-            for v in 0..g.num_vertices() as u32 {
-                assert_eq!(ls.graph.neighbors(v), ms.graph.neighbors(v));
-            }
-        }
+        let loaded = load_packed(&out, LoadMode::Auto).unwrap();
+        assert_eq!(loaded.graph, g);
+        let sharded = loaded.partition.unwrap();
+        assert_eq!(sharded.strategy, ShardStrategy::Fennel);
+        assert_eq!(sharded, mem);
         std::fs::remove_file(&out).ok();
     }
 
@@ -1295,7 +1199,9 @@ mod tests {
     /// writes the same bytes, except that a relabelled undirected graph
     /// now keeps `FLAG_DIRECTED` clear — the old writer set it because its
     /// degree reordering rebuilt the graph as directed. Those rows set the
-    /// bit back before hashing.
+    /// bit back before hashing. The four sharded rows were taken again
+    /// when partitions became owner tables and the per-shard section
+    /// blocks left the file.
     #[test]
     fn whole_graph_packs_keep_their_bytes() {
         use ShardStrategy::{Fennel, Range, Walk};
@@ -1309,10 +1215,10 @@ mod tests {
             (&youtube, true, 0, Range, 0x94c3_60b0_84ee_7ef5),
             (&rmat, false, 0, Range, 0xfe76_8918_d7c4_d92b),
             (&rmat, true, 0, Range, 0x37c7_302b_f027_19df),
-            (&rmat, false, 3, Range, 0x55cf_1296_08c2_3fd4),
-            (&rmat, false, 3, Fennel, 0x3022_acd8_65fa_d708),
-            (&rmat, false, 2, Walk, 0x001a_c87c_4e50_cdf2),
-            (&rmat, true, 2, Walk, 0x703a_8aca_b52b_3c58),
+            (&rmat, false, 3, Range, 0xcc8f_c584_8366_5b6c),
+            (&rmat, false, 3, Fennel, 0xc074_88a3_e598_adea),
+            (&rmat, false, 2, Walk, 0xce13_48ac_25fa_b7df),
+            (&rmat, true, 2, Walk, 0x24ee_5b22_1318_e1d2),
         ];
         for (i, (g, relabel, shards, strategy, want)) in pinned.into_iter().enumerate() {
             let out = tmp(&format!("whole_graph_{i}.lrwpak"));
@@ -1345,10 +1251,8 @@ mod tests {
         for (v, row) in (0..n).zip(&rows) {
             assert_eq!(mapped.neighbors(v), &row[..], "row {v}");
         }
-        assert_eq!(
-            load_packed_sharded(&out, LoadMode::Auto).unwrap().meta.k(),
-            2
-        );
+        let repacked = load_packed(&out, LoadMode::Auto).unwrap();
+        assert_eq!(repacked.partition.unwrap().k(), 2);
         std::fs::remove_file(&out).ok();
     }
 

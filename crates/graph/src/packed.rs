@@ -32,23 +32,21 @@
 //! cuts ((k+1)×u32) · 10 fennel/walk owner table (n×u32) · 16+r
 //! per-relation prefix cumulative for relation `r` (m×u64).
 //!
-//! With bit 5, shard `s` adds a block at id `1024 + 16·s + lane`: lane 0
-//! its full-span row offsets ((n+1)×u64), lane 1 its sorted ghost table
-//! (u32 ids). Range shards share the file's edge sections, so their row
-//! offsets are global; fennel and walk shards carry compacted copies of
-//! the rows they own — lanes 2 `col_index` (u32), 3 weights (u32), 4 edge
-//! labels (u8, typed graphs) and 5 prefix cumulative (u64, cached graphs)
-//! — and their row offsets index those.
+//! A shard partition (bit 5) is an owner table over the file's one graph
+//! (DESIGN.md §11): sections 8 and 9 or 8 and 10, nothing per shard. The
+//! loader skips every section id it does not read, so files written with
+//! per-shard blocks (ids 1024 and up) still load.
 //!
 //! The loader performs **light** validation only (magic/version, known
 //! flag bits, table bounds and alignment, section sizes against `n`/`m`,
 //! the CSR endpoints `row[0] == 0`, `row[n] == m`, row offsets that
-//! ascend and stay within the edges they index — the file's and every
-//! shard's, 8 bytes per vertex each — and the shard metadata against the
-//! graph): touching every page of a multi-GB file to re-validate
-//! adjacency sorting on each load would defeat the out-of-core design. A
-//! damaged file is an `Err`, never a panic, and every row of a file that
-//! loads is an in-bounds slice of its edge lanes. Files
+//! ascend and stay within the edges they index, column ids below `n`,
+//! and the shard partition against the graph — cuts that span the
+//! vertices in order, owners below `k`): touching every page of a
+//! multi-GB file to re-validate adjacency sorting on each load would
+//! defeat the out-of-core design. A damaged file is an `Err`, never a
+//! panic, and every row of a file that loads is an in-bounds slice of
+//! its edge lanes, every owner one of its shards. Files
 //! come only from [`crate::pack`] — the streaming pipeline behind the
 //! CLI's `generate`, `convert` and `graph pack` — which packs validated
 //! graphs; `lightrw_cli info` runs the full structural check
@@ -61,7 +59,7 @@ use std::sync::Arc;
 
 use crate::csr::{Graph, PrefixCache, VertexId};
 use crate::io::IoError;
-use crate::partition::{Ownership, Shard, ShardStrategy, ShardedGraph};
+use crate::partition::{Ownership, ShardCounts, ShardStrategy, ShardedGraph};
 use crate::reorder::Relabeling;
 use crate::store::{Region, Section};
 
@@ -93,32 +91,10 @@ pub(crate) const SEC_SHARD_META: u64 = 8;
 pub(crate) const SEC_SHARD_CUTS: u64 = 9;
 /// Table-strategy (fennel, walk) ownership: `n` u32 owners.
 pub(crate) const SEC_SHARD_ASSIGN: u64 = 10;
+/// Per-relation prefix cumulatives live at `SEC_REL_PREFIX_BASE + r`,
+/// one id for each `u8` relation `r`.
 pub(crate) const SEC_REL_PREFIX_BASE: u64 = 16;
-
-/// Per-shard sections live at `SEC_SHARD_BASE + s·SEC_SHARD_STRIDE +
-/// lane`. The base sits above every per-relation prefix id
-/// (`16 + 255`), so the two families can never collide.
-pub(crate) const SEC_SHARD_BASE: u64 = 1024;
-pub(crate) const SEC_SHARD_STRIDE: u64 = 16;
-/// Full-span row offsets ((n+1) × u64). Under the range strategy the
-/// offsets index the *global* `col_index` (the shard shares the global
-/// edge sections); under fennel and walk they index the shard's own
-/// compacted col section.
-pub(crate) const SHARD_LANE_ROW: u64 = 0;
-/// Sorted ghost-vertex table (u32 global ids).
-pub(crate) const SHARD_LANE_GHOSTS: u64 = 1;
-/// Compacted per-shard `col_index` (fennel/walk only).
-pub(crate) const SHARD_LANE_COL: u64 = 2;
-/// Compacted per-shard weights (fennel/walk only).
-pub(crate) const SHARD_LANE_WEIGHTS: u64 = 3;
-/// Compacted per-shard edge labels (fennel/walk only, typed graphs).
-pub(crate) const SHARD_LANE_ELABELS: u64 = 4;
-/// Compacted per-shard prefix cumulative (fennel/walk only, cached graphs).
-pub(crate) const SHARD_LANE_PREFIX: u64 = 5;
-
-pub(crate) fn shard_section(s: usize, lane: u64) -> u64 {
-    SEC_SHARD_BASE + s as u64 * SEC_SHARD_STRIDE + lane
-}
+const SEC_REL_PREFIX_LAST: u64 = SEC_REL_PREFIX_BASE + u8::MAX as u64;
 
 /// One section-table entry: `(id, byte offset, byte length)`.
 pub type SectionEntry = (u64, u64, u64);
@@ -136,20 +112,9 @@ pub fn section_name(id: u64) -> String {
         SEC_SHARD_META => "shard_meta".into(),
         SEC_SHARD_CUTS => "shard_cuts".into(),
         SEC_SHARD_ASSIGN => "shard_assign".into(),
-        s if s >= SEC_SHARD_BASE => {
-            let shard = (s - SEC_SHARD_BASE) / SEC_SHARD_STRIDE;
-            let lane = match (s - SEC_SHARD_BASE) % SEC_SHARD_STRIDE {
-                SHARD_LANE_ROW => "row",
-                SHARD_LANE_GHOSTS => "ghosts",
-                SHARD_LANE_COL => "col",
-                SHARD_LANE_WEIGHTS => "weights",
-                SHARD_LANE_ELABELS => "elabels",
-                SHARD_LANE_PREFIX => "prefix",
-                _ => "lane?",
-            };
-            format!("shard{shard}_{lane}")
+        r @ SEC_REL_PREFIX_BASE..=SEC_REL_PREFIX_LAST => {
+            format!("prefix_rel{}", r - SEC_REL_PREFIX_BASE)
         }
-        r if r >= SEC_REL_PREFIX_BASE => format!("prefix_rel{}", r - SEC_REL_PREFIX_BASE),
         other => format!("section{other}"),
     }
 }
@@ -211,55 +176,8 @@ pub struct PackedGraph {
     pub mapped: bool,
     /// The file's section table `(id, offset, len_bytes)`.
     pub sections: Vec<SectionEntry>,
-    /// Present when the file carries a shard partition
-    /// (`FLAG_SHARDS`); summarises it without loading the shard
-    /// sections. Use [`load_packed_sharded`] for the full partition.
-    pub shard_meta: Option<ShardMeta>,
-}
-
-/// Per-shard summary counts stored in the `SEC_SHARD_META` section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardCounts {
-    pub owned_vertices: u64,
-    pub owned_edges: u64,
-    /// Owned edges whose destination lives on another shard — each such
-    /// step forces a walker hand-off (DESIGN.md §11).
-    pub boundary_edges: u64,
-}
-
-/// Summary of the shard partition a packed file carries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMeta {
-    pub strategy: ShardStrategy,
-    pub shards: Vec<ShardCounts>,
-}
-
-impl ShardMeta {
-    pub fn k(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Fraction of all owned edges that cross a shard boundary: the
-    /// expected per-step hand-off probability under uniform edge use.
-    pub fn crossing_rate(&self) -> f64 {
-        let edges: u64 = self.shards.iter().map(|s| s.owned_edges).sum();
-        if edges == 0 {
-            return 0.0;
-        }
-        let boundary: u64 = self.shards.iter().map(|s| s.boundary_edges).sum();
-        boundary as f64 / edges as f64
-    }
-}
-
-/// A shard partition loaded from a packed file, with its provenance.
-#[derive(Debug)]
-pub struct PackedShardedGraph {
-    pub sharded: ShardedGraph,
-    /// See [`PackedGraph::relabeling`].
-    pub relabeling: Option<Relabeling>,
-    pub file_bytes: u64,
-    pub mapped: bool,
-    pub meta: ShardMeta,
+    /// The shard partition the file carries (`FLAG_SHARDS`), if any.
+    pub partition: Option<ShardedGraph>,
 }
 
 fn corrupt(offset: u64, what: &'static str) -> IoError {
@@ -344,18 +262,6 @@ fn out_of_range_col(cols: &[VertexId], n: usize) -> Option<usize> {
 /// file region (mmap or aligned heap buffer); nothing CSR-sized is
 /// copied onto the heap in `Auto` mode on Linux.
 pub fn load_packed<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<PackedGraph, IoError> {
-    Ok(load_packed_file(path, mode)?.packed)
-}
-
-/// A parsed packed file plus the region/section state the sharded
-/// loader needs beyond the base graph.
-struct LoadedFile {
-    packed: PackedGraph,
-    region: Arc<Region>,
-    by_id: HashMap<u64, (u64, u64)>,
-}
-
-fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFile, IoError> {
     let file = std::fs::File::open(path)?;
     let region = Region::from_file(&file, mode == LoadMode::Heap)?;
     let bytes = region.bytes();
@@ -495,7 +401,7 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
         let all = sec_u64(&region, off as usize, m).ok_or_else(bad)?;
         let max_rel = by_id
             .keys()
-            .filter(|&&id| (SEC_REL_PREFIX_BASE..SEC_SHARD_BASE).contains(&id))
+            .filter(|&&id| (SEC_REL_PREFIX_BASE..=SEC_REL_PREFIX_LAST).contains(&id))
             .map(|&id| id - SEC_REL_PREFIX_BASE)
             .max();
         let per_relation = match max_rel {
@@ -538,7 +444,7 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
         None
     };
 
-    let shard_meta = if flags & FLAG_SHARDS != 0 {
+    let partition = if flags & FLAG_SHARDS != 0 {
         let &(off, len) = by_id
             .get(&SEC_SHARD_META)
             .ok_or_else(|| corrupt(48, "required section missing"))?;
@@ -562,14 +468,46 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
                 boundary_edges: c[2],
             })
             .collect();
-        // Bounded by the graph's own counts, the lane sizes the sharded
-        // loader derives from these stay far inside u64.
+        // Bounded by the graph's own counts, the crossing-rate sums over
+        // these stay far inside u64.
         if shards.iter().any(|c| {
             c.owned_vertices > n64 || c.owned_edges > m64 || c.boundary_edges > c.owned_edges
         }) {
             return Err(corrupt(off + 16, "shard metadata counts exceed the graph"));
         }
-        Some(ShardMeta { strategy, shards })
+        // Every owner must be a shard: the engine indexes its per-shard
+        // queues with it.
+        let ownership = match strategy {
+            ShardStrategy::Range => {
+                let want = (k as u64 + 1) * 4;
+                let (off, _) = expect(SEC_SHARD_CUTS, want, "shard cut section has wrong size")?;
+                let cuts = sec_u32(&region, off as usize, k + 1).ok_or_else(bad)?;
+                if cuts[0] != 0 || cuts[k] as usize != n || cuts.windows(2).any(|w| w[0] > w[1]) {
+                    return Err(corrupt(off, "shard cuts do not span the vertex range"));
+                }
+                Ownership::Range {
+                    cuts: cuts.to_vec(),
+                }
+            }
+            ShardStrategy::Fennel | ShardStrategy::Walk => {
+                let want = n as u64 * 4;
+                let what = "shard assignment section has wrong size";
+                let (off, _) = expect(SEC_SHARD_ASSIGN, want, what)?;
+                let owner = sec_u32(&region, off as usize, n).ok_or_else(bad)?;
+                if let Some(i) = owner.iter().position(|&o| o as usize >= k) {
+                    let what = "shard assignment names a shard past k";
+                    return Err(corrupt(off + i as u64 * 4, what));
+                }
+                Ownership::Table {
+                    owner: owner.to_vec(),
+                }
+            }
+        };
+        Some(ShardedGraph {
+            ownership,
+            strategy,
+            shards,
+        })
     } else {
         None
     };
@@ -584,198 +522,13 @@ fn load_packed_file<P: AsRef<Path>>(path: P, mode: LoadMode) -> Result<LoadedFil
         prefix,
         max_degree: Default::default(),
     };
-    Ok(LoadedFile {
-        packed: PackedGraph {
-            graph,
-            relabeling,
-            file_bytes: file_len,
-            mapped: region.is_mapped(),
-            sections,
-            shard_meta,
-        },
-        region,
-        by_id,
-    })
-}
-
-/// Load the shard partition persisted in a packed file as a
-/// [`ShardedGraph`] whose shard sub-CSRs borrow the file region.
-///
-/// Range-partitioned files share the global edge sections across all
-/// shards (each shard adds only its own row-offset lane and ghost
-/// table — under `mmap` the clones are reference-counted window
-/// handles, not copies). Fennel- and walk-partitioned files load each
-/// shard's compacted edge lanes; their prefix caches carry the
-/// all-relations cumulative only. Fails with [`IoError::CorruptAt`] if
-/// the file was packed without `--shards`.
-pub fn load_packed_sharded<P: AsRef<Path>>(
-    path: P,
-    mode: LoadMode,
-) -> Result<PackedShardedGraph, IoError> {
-    let LoadedFile {
-        packed,
-        region,
-        by_id,
-    } = load_packed_file(path, mode)?;
-    let meta = packed
-        .shard_meta
-        .clone()
-        .ok_or_else(|| corrupt(16, "file carries no shard partition (pack with --shards)"))?;
-    let g = &packed.graph;
-    let n = g.num_vertices();
-    let k = meta.k();
-    let bad = || corrupt(48, "shard section window rejected (bounds or alignment)");
-    let require = |id: u64, want_len: u64, what: &'static str| -> Result<u64, IoError> {
-        let &(off, len) = by_id
-            .get(&id)
-            .ok_or_else(|| corrupt(48, "shard section missing"))?;
-        if len != want_len {
-            return Err(corrupt(off, what));
-        }
-        Ok(off)
-    };
-
-    let ownership = match meta.strategy {
-        ShardStrategy::Range => {
-            let off = require(
-                SEC_SHARD_CUTS,
-                (k as u64 + 1) * 4,
-                "shard cut section has wrong size",
-            )?;
-            let cuts = sec_u32(&region, off as usize, k + 1)
-                .ok_or_else(bad)?
-                .to_vec();
-            if cuts.first() != Some(&0)
-                || cuts.last().copied() != Some(n as VertexId)
-                || cuts.windows(2).any(|w| w[0] > w[1])
-            {
-                return Err(corrupt(off, "shard cuts do not span the vertex range"));
-            }
-            Ownership::Range { cuts }
-        }
-        ShardStrategy::Fennel | ShardStrategy::Walk => {
-            let off = require(
-                SEC_SHARD_ASSIGN,
-                n as u64 * 4,
-                "shard assignment section has wrong size",
-            )?;
-            let owner = sec_u32(&region, off as usize, n).ok_or_else(bad)?.to_vec();
-            if owner.iter().any(|&o| o as usize >= k) {
-                return Err(corrupt(off, "shard assignment names a shard past k"));
-            }
-            Ownership::Table { owner }
-        }
-    };
-
-    let mut shards = Vec::with_capacity(k);
-    for (s, counts) in meta.shards.iter().enumerate() {
-        let row_off = require(
-            shard_section(s, SHARD_LANE_ROW),
-            (n as u64 + 1) * 8,
-            "shard row section has wrong size",
-        )?;
-        let row_index = sec_u64(&region, row_off as usize, n + 1).ok_or_else(bad)?;
-        // A range shard's rows index the file's edge lanes, a fennel or
-        // walk shard's its own compacted ones.
-        let lane_edges = match meta.strategy {
-            ShardStrategy::Range => g.num_edges() as u64,
-            ShardStrategy::Fennel | ShardStrategy::Walk => counts.owned_edges,
-        };
-        if let Some(i) = misordered_row(&row_index, lane_edges) {
-            let what = "shard row section offsets decrease or pass its edge lane";
-            return Err(corrupt(row_off + i as u64 * 8, what));
-        }
-        let &(gh_off, gh_len) = by_id
-            .get(&shard_section(s, SHARD_LANE_GHOSTS))
-            .ok_or_else(|| corrupt(48, "shard section missing"))?;
-        if gh_len % 4 != 0 {
-            return Err(corrupt(gh_off, "shard ghost section has wrong size"));
-        }
-        let ghosts = sec_u32(&region, gh_off as usize, (gh_len / 4) as usize).ok_or_else(bad)?;
-
-        let graph = match meta.strategy {
-            ShardStrategy::Range => Graph {
-                row_index,
-                col_index: g.col_index.clone(),
-                weights: g.weights.clone(),
-                vertex_labels: g.vertex_labels.clone(),
-                edge_labels: g.edge_labels.clone(),
-                directed: g.is_directed(),
-                prefix: g.prefix.clone(),
-                max_degree: Default::default(),
-            },
-            ShardStrategy::Fennel | ShardStrategy::Walk => {
-                let me = counts.owned_edges as usize;
-                let col_off = require(
-                    shard_section(s, SHARD_LANE_COL),
-                    me as u64 * 4,
-                    "shard col section has wrong size",
-                )?;
-                // The lane has a row per vertex of the whole graph, so its
-                // targets are ids below the whole graph's n.
-                let col_index = sec_u32(&region, col_off as usize, me).ok_or_else(bad)?;
-                if let Some(i) = out_of_range_col(&col_index, n) {
-                    let what = "shard col section names a vertex past the vertex count";
-                    return Err(corrupt(col_off + i as u64 * 4, what));
-                }
-                let w_off = require(
-                    shard_section(s, SHARD_LANE_WEIGHTS),
-                    me as u64 * 4,
-                    "shard weight section has wrong size",
-                )?;
-                let edge_labels = if g.has_edge_labels() {
-                    let off = require(
-                        shard_section(s, SHARD_LANE_ELABELS),
-                        me as u64,
-                        "shard edge-label section has wrong size",
-                    )?;
-                    sec_u8(&region, off as usize, me).ok_or_else(bad)?
-                } else {
-                    Section::default()
-                };
-                let prefix = match by_id.get(&shard_section(s, SHARD_LANE_PREFIX)) {
-                    Some(&(off, len)) => {
-                        if len != me as u64 * 8 {
-                            return Err(corrupt(off, "shard prefix section has wrong size"));
-                        }
-                        Some(PrefixCache {
-                            all: sec_u64(&region, off as usize, me).ok_or_else(bad)?,
-                            per_relation: Vec::new(),
-                        })
-                    }
-                    None => None,
-                };
-                Graph {
-                    row_index,
-                    col_index,
-                    weights: sec_u32(&region, w_off as usize, me).ok_or_else(bad)?,
-                    vertex_labels: g.vertex_labels.clone(),
-                    edge_labels,
-                    directed: g.is_directed(),
-                    prefix,
-                    max_degree: Default::default(),
-                }
-            }
-        };
-        shards.push(Shard {
-            graph,
-            ghosts,
-            owned_vertices: counts.owned_vertices,
-            owned_edges: counts.owned_edges,
-            boundary_edges: counts.boundary_edges,
-        });
-    }
-
-    Ok(PackedShardedGraph {
-        sharded: ShardedGraph {
-            shards,
-            ownership,
-            strategy: meta.strategy,
-        },
-        relabeling: packed.relabeling,
-        file_bytes: packed.file_bytes,
-        mapped: packed.mapped,
-        meta,
+    Ok(PackedGraph {
+        graph,
+        relabeling,
+        file_bytes: file_len,
+        mapped: region.is_mapped(),
+        sections,
+        partition,
     })
 }
 
@@ -802,6 +555,7 @@ mod tests {
             assert_eq!(loaded.graph, g);
             assert!(loaded.graph.is_out_of_core());
             assert!(loaded.relabeling.is_none());
+            assert!(loaded.partition.is_none());
             // The prefix cache travels in the file: building it again is
             // a no-op and the cumulative arrays match the in-memory build.
             assert!(loaded.graph.has_prefix_cache());
@@ -915,66 +669,16 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn assert_matches_partition(loaded: &PackedShardedGraph, mem: &ShardedGraph, g: &Graph) {
-        let n = g.num_vertices() as u32;
-        assert_eq!(loaded.sharded.k(), mem.k());
-        assert_eq!(loaded.sharded.strategy, mem.strategy);
-        assert_eq!(loaded.meta.k(), mem.k());
-        let rate = loaded.meta.crossing_rate();
-        assert!((rate - mem.crossing_rate()).abs() < 1e-12);
-        for v in 0..n {
-            assert_eq!(loaded.sharded.owner_of(v), mem.owner_of(v), "owner of {v}");
-        }
-        for (s, (ls, ms)) in loaded
-            .sharded
-            .shards
-            .iter()
-            .zip(mem.shards.iter())
-            .enumerate()
-        {
-            assert_eq!(ls.owned_vertices, ms.owned_vertices, "shard {s} vertices");
-            assert_eq!(ls.owned_edges, ms.owned_edges, "shard {s} edges");
-            assert_eq!(ls.boundary_edges, ms.boundary_edges, "shard {s} boundary");
-            assert_eq!(&ls.ghosts[..], &ms.ghosts[..], "shard {s} ghosts");
-            for v in 0..n {
-                assert_eq!(
-                    ls.graph.neighbors(v),
-                    ms.graph.neighbors(v),
-                    "shard {s} row {v}"
-                );
-                assert_eq!(ls.graph.neighbor_weights(v), ms.graph.neighbor_weights(v));
-                assert_eq!(
-                    ls.graph.neighbor_relations(v),
-                    ms.graph.neighbor_relations(v)
-                );
-                if mem.owner_of(v) == s && ms.graph.has_prefix_cache() {
-                    assert_eq!(ls.graph.static_prefix(v), ms.graph.static_prefix(v));
-                }
-            }
-        }
-    }
-
     #[test]
     fn range_shard_partition_roundtrips_through_the_file() {
         let g = generators::rmat_dataset(8, 6);
         let mem = crate::partition_graph(&g, 4, ShardStrategy::Range);
         let path = tmp("sharded_range.lrwpak");
         pack_graph_with(&g, false, 4, ShardStrategy::Range, &path).unwrap();
-
-        // The plain loader still sees the base graph, plus the summary.
-        let flat = load_packed(&path, LoadMode::Heap).unwrap();
-        assert_eq!(flat.graph, g);
-        let meta = flat.shard_meta.unwrap();
-        assert_eq!(meta.k(), 4);
-        assert_eq!(meta.strategy, ShardStrategy::Range);
-
         for mode in [LoadMode::Auto, LoadMode::Heap] {
-            let loaded = load_packed_sharded(&path, mode).unwrap();
-            assert_matches_partition(&loaded, &mem, &g);
-            // Range shards share the global per-relation prefix lanes.
-            for shard in &loaded.sharded.shards {
-                assert!(shard.graph.has_prefix_cache());
-            }
+            let loaded = load_packed(&path, mode).unwrap();
+            assert_eq!(loaded.graph, g);
+            assert_eq!(loaded.partition, Some(mem.clone()));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -985,15 +689,13 @@ mod tests {
         let mem = crate::partition_graph(&g, 3, ShardStrategy::Fennel);
         let path = tmp("sharded_fennel.lrwpak");
         pack_graph_with(&g, false, 3, ShardStrategy::Fennel, &path).unwrap();
-        let loaded = load_packed_sharded(&path, LoadMode::Auto).unwrap();
-        assert_matches_partition(&loaded, &mem, &g);
+        let loaded = load_packed(&path, LoadMode::Auto).unwrap();
+        assert_eq!(loaded.partition, Some(mem));
         std::fs::remove_file(&path).ok();
     }
 
-    /// A fennel or walk shard that owns no edges still gets every lane the
-    /// loader asks for — an empty edge-label lane included. Here a typed
-    /// graph's only out-edges leave vertex 0, so at k = 3 two shards own
-    /// none.
+    /// A typed graph whose only out-edges leave vertex 0, so at k = 3 two
+    /// fennel or walk shards own none: their counts still round-trip.
     #[test]
     fn table_shards_without_edges_still_load() {
         let g = (1..=7)
@@ -1006,22 +708,10 @@ mod tests {
             assert!(mem.shards.iter().any(|s| s.owned_edges == 0));
             let path = tmp(&format!("edgeless_{}.lrwpak", strategy.name()));
             pack_graph_with(&g, false, 3, strategy, &path).unwrap();
-            let loaded = load_packed_sharded(&path, LoadMode::Auto).unwrap();
-            assert_matches_partition(&loaded, &mem, &g);
+            let loaded = load_packed(&path, LoadMode::Auto).unwrap();
+            assert_eq!(loaded.partition, Some(mem));
             std::fs::remove_file(&path).ok();
         }
-    }
-
-    #[test]
-    fn plain_file_refuses_sharded_load() {
-        let g = generators::rmat_dataset(6, 3);
-        let path = tmp("unsharded.lrwpak");
-        pack_graph(&g, false, &path).unwrap();
-        assert!(matches!(
-            load_packed_sharded(&path, LoadMode::Heap),
-            Err(IoError::CorruptAt { .. })
-        ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1054,7 +744,7 @@ mod tests {
     }
 
     /// Three clean packs of one typed, labelled graph: unsharded, with
-    /// three range shards, and relabelled with two walk shards.
+    /// three range shards, and relabelled with two fennel shards.
     fn clean_packs() -> &'static [Vec<u8>; 3] {
         static PACKS: std::sync::OnceLock<[Vec<u8>; 3]> = std::sync::OnceLock::new();
         PACKS.get_or_init(|| {
@@ -1069,71 +759,56 @@ mod tests {
             [
                 pack(false, 0, ShardStrategy::Range),
                 pack(false, 3, ShardStrategy::Range),
-                pack(true, 2, ShardStrategy::Walk),
+                pack(true, 2, ShardStrategy::Fennel),
             ]
         })
     }
 
-    /// Both loaders on damaged bytes: an `Err`, or graphs whose every edge
+    /// The loader on damaged bytes: an `Err`, or a graph whose every edge
     /// can be followed to its target's row and a partition whose every
     /// owner is one of its shards — never a panic.
     fn load_damaged(bytes: &[u8], name: &str) -> Result<(), String> {
         let path = tmp(name);
         std::fs::write(&path, bytes).unwrap();
-        let flat = load_packed(&path, LoadMode::Auto);
-        let sharded = load_packed_sharded(&path, LoadMode::Heap);
+        let loaded = load_packed(&path, LoadMode::Auto);
         std::fs::remove_file(&path).ok();
-        let walk = |g: &Graph| {
-            for v in 0..g.num_vertices() as VertexId {
-                for &u in g.neighbor_view(v).targets {
-                    let _ = g.neighbor_view(u);
-                }
-            }
+        let Ok(p) = loaded else {
+            return Ok(());
         };
-        if let Ok(p) = flat {
-            walk(&p.graph);
+        let g = &p.graph;
+        let n = g.num_vertices() as VertexId;
+        for v in 0..n {
+            for &u in g.neighbor_view(v).targets {
+                let _ = g.neighbor_view(u);
+            }
         }
-        if let Ok(p) = sharded {
-            let n = p.sharded.num_vertices() as VertexId;
-            if let Some(v) = (0..n).find(|&v| p.sharded.owner_of(v) >= p.sharded.k()) {
+        if let Some(sg) = &p.partition {
+            if let Some(v) = (0..n).find(|&v| sg.owner_of(v) >= sg.k()) {
                 return Err(format!("vertex {v} owned by a shard past k"));
             }
-            p.sharded.shards.iter().for_each(|shard| walk(&shard.graph));
         }
         Ok(())
     }
 
-    /// A row offset below the one before it, or past the edges its lane
+    /// A row offset below the one before it, or past the edges it
     /// indexes, loaded and then panicked in `neighbors` when its row was
-    /// walked. Now each loader names the section.
+    /// walked. Now the loader names the section.
     #[test]
     fn misordered_row_offsets_are_errors_at_load() {
-        let [plain, range, walk] = clean_packs();
+        let [plain, ..] = clean_packs();
         let n = u64_at(plain, 24) as usize;
+        let m = u64_at(plain, 32);
         let path = tmp("misordered_rows.lrwpak");
-        let damaged = |clean: &Vec<u8>, id: u64, entry: usize, value: u64| {
-            let (off, _) = section_of(clean, id).unwrap();
-            let mut bytes = clean.clone();
-            let at = off + entry * 8;
+        // A middle offset of 0, and one past the edge count.
+        for value in [0, m + 1] {
+            let (off, _) = section_of(plain, SEC_ROW).unwrap();
+            let mut bytes = plain.clone();
+            let at = off + n / 2 * 8;
             bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
-        };
-        // A middle offset of 0 in the file's own row index.
-        damaged(plain, SEC_ROW, n / 2, 0);
-        let err = load_packed(&path, LoadMode::Heap).unwrap_err();
-        assert!(
-            err.to_string().contains("row_index offsets decrease"),
-            "{err}"
-        );
-        // The same in a range shard's row lane, and a walk shard's lane
-        // ending at the file's edge count: past its own compacted edges.
-        let m = u64_at(walk, 32);
-        for (clean, entry, value) in [(range, n / 2, 0), (walk, n, m)] {
-            let lane = shard_section(1, SHARD_LANE_ROW);
-            damaged(clean, lane, entry, value);
-            let err = load_packed_sharded(&path, LoadMode::Heap).unwrap_err();
+            let err = load_packed(&path, LoadMode::Heap).unwrap_err();
             assert!(
-                err.to_string().contains("shard row section offsets"),
+                err.to_string().contains("row_index offsets decrease"),
                 "{err}"
             );
         }
@@ -1141,73 +816,66 @@ mod tests {
     }
 
     /// A column id at or past n loaded, and a walk that stepped there
-    /// panicked indexing `row_index`. Now each loader names the section:
-    /// the file's own `col_index`, and a walk shard's compacted lane.
+    /// panicked indexing `row_index`. Now the loader names the section.
     #[test]
     fn out_of_range_column_ids_are_errors_at_load() {
-        type Load = fn(&Path) -> Result<(), IoError>;
-        let flat: Load = |p| load_packed(p, LoadMode::Auto).map(drop);
-        let sharded: Load = |p| load_packed_sharded(p, LoadMode::Auto).map(drop);
-        let [plain, _, walk] = clean_packs();
+        let [plain, ..] = clean_packs();
         let path = tmp("out_of_range_cols.lrwpak");
         let n = u64_at(plain, 24) as u32;
-        for (clean, id, load, what) in [
-            (plain, SEC_COL, flat, "col_index names a vertex past"),
-            (
-                walk,
-                shard_section(1, SHARD_LANE_COL),
-                sharded,
-                "shard col section names",
-            ),
-        ] {
-            for bad in [n, u32::MAX] {
-                let (off, len) = section_of(clean, id).unwrap();
-                let mut bytes = clean.clone();
-                let at = off + len / 8 * 4;
-                bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
-                std::fs::write(&path, &bytes).unwrap();
-                let err = load(&path).expect_err("a column id past n must not load");
-                assert!(err.to_string().contains(what), "{err}");
-                assert!(
-                    matches!(err, IoError::CorruptAt { offset, .. } if offset == at as u64),
-                    "{err}"
-                );
-            }
+        for bad in [n, u32::MAX] {
+            let (off, len) = section_of(plain, SEC_COL).unwrap();
+            let mut bytes = plain.clone();
+            let at = off + len / 8 * 4;
+            bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err =
+                load_packed(&path, LoadMode::Auto).expect_err("a column id past n must not load");
+            let what = "col_index names a vertex past";
+            assert!(err.to_string().contains(what), "{err}");
+            assert!(
+                matches!(err, IoError::CorruptAt { offset, .. } if offset == at as u64),
+                "{err}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn the_damage_that_used_to_panic_is_an_error() {
-        let [_, range, walk] = clean_packs();
-        let (meta, _) = section_of(range, SEC_SHARD_META).unwrap();
-        // A shard count whose `2 + 3k` overflows.
-        let mut bytes = range.clone();
-        bytes[meta..meta + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let [_, range, fennel] = clean_packs();
         let path = tmp("overflowing_meta.lrwpak");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_packed(&path, LoadMode::Heap).unwrap_err();
-        assert!(err.to_string().contains("shard metadata count"), "{err}");
+        let load_with = |clean: &Vec<u8>, at: usize, word: &[u8]| {
+            let mut bytes = clean.clone();
+            bytes[at..at + word.len()].copy_from_slice(word);
+            std::fs::write(&path, &bytes).unwrap();
+            load_packed(&path, LoadMode::Heap).unwrap_err().to_string()
+        };
+        // A shard count whose `2 + 3k` overflows.
+        let (meta, _) = section_of(range, SEC_SHARD_META).unwrap();
+        let err = load_with(range, meta, &(u64::MAX / 2).to_le_bytes());
+        assert!(err.contains("shard metadata count"), "{err}");
 
-        // An owned-edge count whose lane sizes overflow.
-        let (meta, _) = section_of(walk, SEC_SHARD_META).unwrap();
-        let mut bytes = walk.clone();
-        bytes[meta + 24..meta + 32].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_packed_sharded(&path, LoadMode::Heap).unwrap_err();
-        assert!(err.to_string().contains("exceed the graph"), "{err}");
+        // An owned-edge count past the graph's.
+        let (meta, _) = section_of(fennel, SEC_SHARD_META).unwrap();
+        let err = load_with(fennel, meta + 24, &(u64::MAX / 2).to_le_bytes());
+        assert!(err.contains("exceed the graph"), "{err}");
 
-        // An owner past k, which would index past the executors' queues.
-        let (assign, _) = section_of(walk, SEC_SHARD_ASSIGN).unwrap();
-        let mut bytes = walk.clone();
-        bytes[assign..assign + 4].copy_from_slice(&7u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_packed_sharded(&path, LoadMode::Heap).unwrap_err();
-        assert!(err.to_string().contains("past k"), "{err}");
+        // An owner past k, which would index past the engine's queues.
+        let (assign, _) = section_of(fennel, SEC_SHARD_ASSIGN).unwrap();
+        let err = load_with(fennel, assign + 8, &7u32.to_le_bytes());
+        assert!(err.contains("past k"), "{err}");
+
+        // Cuts that do not start at 0, do not end at n, or decrease.
+        let (cuts, _) = section_of(range, SEC_SHARD_CUTS).unwrap();
+        let n = u64_at(range, 24) as u32;
+        for (entry, cut) in [(0, 1), (3, n - 1), (3, n + 1), (2, 0)] {
+            let err = load_with(range, cuts + 4 * entry, &cut.to_le_bytes());
+            assert!(err.contains("do not span the vertex range"), "{err}");
+        }
 
         // A relabeling that is not a permutation.
-        let (map, _) = section_of(walk, SEC_NEW_TO_OLD).unwrap();
-        let mut bytes = walk.clone();
+        let (map, _) = section_of(fennel, SEC_NEW_TO_OLD).unwrap();
+        let mut bytes = fennel.clone();
         bytes.copy_within(map..map + 4, map + 4);
         std::fs::write(&path, &bytes).unwrap();
         let err = load_packed(&path, LoadMode::Heap).unwrap_err();
@@ -1219,13 +887,13 @@ mod tests {
         #![proptest_config(proptest::test_runner::Config::with_cases(1024))]
 
         /// Start from a clean pack and damage it: overwrite one word of
-        /// the header, the section table, the shard metadata (count and
-        /// counts, cuts, owner table), a row-offset lane or a column
-        /// lane, or truncate the file.
+        /// the header, the section table, the shard metadata, the row
+        /// index or the column lane, one entry of the shard ownership
+        /// (cuts or owner table), or truncate the file.
         #[test]
         fn damaged_packs_are_errors_not_panics(
             which in 0usize..3,
-            area in 0u8..6,
+            area in 0u8..7,
             at in 0usize..1 << 16,
             word in proptest::prop_oneof![
                 proptest::strategy::Just(u64::MAX / 2),
@@ -1235,36 +903,31 @@ mod tests {
             ],
         ) {
             let mut bytes = clean_packs()[which].clone();
-            let shard_sections = [SEC_SHARD_META, SEC_SHARD_CUTS, SEC_SHARD_ASSIGN];
-            let shard_words = shard_sections
-                .iter()
-                .filter_map(|&id| section_of(&bytes, id))
-                .flat_map(|(off, len)| (off..off + len / 8 * 8).step_by(8))
-                .collect::<Vec<_>>();
-            let rows = (0..4).map(|s| shard_section(s, SHARD_LANE_ROW));
-            let row_words = std::iter::once(SEC_ROW)
-                .chain(rows)
-                .filter_map(|id| section_of(&bytes, id))
-                .flat_map(|(off, len)| (off..off + len).step_by(8))
-                .collect::<Vec<_>>();
-            let cols = (0..4).map(|s| shard_section(s, SHARD_LANE_COL));
-            let col_words = std::iter::once(SEC_COL)
-                .chain(cols)
-                .filter_map(|id| section_of(&bytes, id))
-                .flat_map(|(off, len)| (off..off + len / 8 * 8).step_by(8))
-                .collect::<Vec<_>>();
+            // Every `step`-byte position of the sections `ids`.
+            let positions = |ids: &[u64], step: usize| {
+                ids.iter()
+                    .filter_map(|&id| section_of(&bytes, id))
+                    .flat_map(|(off, len)| (off..off + len / step * step).step_by(step))
+                    .collect::<Vec<_>>()
+            };
+            let meta_words = positions(&[SEC_SHARD_META], 8);
+            let owners = positions(&[SEC_SHARD_CUTS, SEC_SHARD_ASSIGN], 4);
+            let row_words = positions(&[SEC_ROW], 8);
+            let col_words = positions(&[SEC_COL], 8);
             let table_words = 3 * u64_at(&bytes, 40) as usize;
+            let header = at % 6 * 8;
             let pos = match area {
-                0 => Some(at % 6 * 8),
-                1 => Some(48 + at % table_words * 8),
-                2 if !shard_words.is_empty() => Some(shard_words[at % shard_words.len()]),
-                2 => Some(at % 6 * 8),
-                3 => Some(row_words[at % row_words.len()]),
-                4 => Some(col_words[at % col_words.len()]),
+                0 => Some((header, 8)),
+                1 => Some((48 + at % table_words * 8, 8)),
+                2 if !meta_words.is_empty() => Some((meta_words[at % meta_words.len()], 8)),
+                3 => Some((row_words[at % row_words.len()], 8)),
+                4 => Some((col_words[at % col_words.len()], 8)),
+                5 if !owners.is_empty() => Some((owners[at % owners.len()], 4)),
+                2 | 5 => Some((header, 8)),
                 _ => None,
             };
             match pos {
-                Some(pos) => bytes[pos..pos + 8].copy_from_slice(&word.to_le_bytes()),
+                Some((pos, len)) => bytes[pos..pos + len].copy_from_slice(&word.to_le_bytes()[..len]),
                 None => bytes.truncate(at % bytes.len()),
             }
             let outcome = load_damaged(&bytes, "damaged.lrwpak");

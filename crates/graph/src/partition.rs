@@ -1,16 +1,12 @@
 //! Vertex partitioning for sharded walk execution (DESIGN.md §11).
 //!
-//! A [`ShardedGraph`] splits a CSR into `K` vertex-disjoint shards. Each
-//! shard is a **full-span sub-CSR**: its `row_index` still covers the
-//! whole vertex-id space, but only vertices the shard *owns* keep their
-//! adjacency rows — every other row is empty. Vertex ids therefore stay
-//! global on every shard; there is no translation table on the walk hot
-//! path, and a walker handed between shards carries plain global ids.
-//!
-//! Vertices referenced by a shard's edges but owned elsewhere are
-//! **ghosts**: the shard lists them (sorted) so an engine can tell "dead
-//! end" (empty row on the owner) from "remote" (empty row here, real row
-//! on `owner_of(v)`) without consulting the ownership map per neighbor.
+//! A [`ShardedGraph`] splits a graph's vertices into `K` disjoint
+//! shards. It is an **owner table** over the one graph every engine lane
+//! reads, plus what each shard holds: no shard stores rows of its own.
+//! Vertex ids stay global, so a walker that crosses to another shard
+//! carries plain ids and steps on the same graph there. An edge whose
+//! target another shard owns is a **boundary edge**: a step along it
+//! hands the walker off.
 //!
 //! Three ownership strategies:
 //! - [`ShardStrategy::Range`] — contiguous vertex ranges cut so each
@@ -24,17 +20,15 @@
 //!   each edge by the probability a random walker actually traverses it,
 //!   estimated from the stationary distribution (degree-proportional prior
 //!   refined by a deterministic pilot-walk pass). Minimizes *expected walk
-//!   crossings* — the quantity the parallel shard executors in
-//!   `lightrw::sharded` pay for on every hand-off (DESIGN.md §12) —
-//!   rather than the raw boundary-edge count. See
-//!   [`expected_walk_crossing`].
+//!   crossings* — the quantity `lightrw::sharded` pays for on every
+//!   hand-off (DESIGN.md §12) — rather than the raw boundary-edge count.
+//!   See [`expected_walk_crossing`].
 //!
 //! Every strategy guarantees **non-empty shards**: `k` is clamped to the
 //! vertex count and degenerate placements (skewed range cuts, greedy runs
 //! that starve a shard) are repaired deterministically.
 
 use crate::csr::{Graph, VertexId};
-use crate::store::Section;
 use lightrw_rng::{Rng, SplitMix64};
 
 /// How vertices are assigned to shards.
@@ -110,62 +104,53 @@ impl Ownership {
             Ownership::Table { owner } => owner[v as usize] as usize,
         }
     }
-
-    /// Number of shards.
-    pub fn k(&self) -> usize {
-        match self {
-            Ownership::Range { cuts } => cuts.len() - 1,
-            Ownership::Table { owner } => owner.iter().copied().max().map_or(1, |m| m as usize + 1),
-        }
-    }
 }
 
-/// One shard: a full-span sub-CSR plus its boundary bookkeeping.
-#[derive(Debug, Clone)]
-pub struct Shard {
-    /// Full-span CSR: global ids, empty rows for non-owned vertices.
-    pub graph: Graph,
-    /// Sorted global ids referenced by this shard's edges but owned by
-    /// another shard (the ghost-vertex table). A `Section` so packed
-    /// sharded files serve it zero-copy from the mapping.
-    pub ghosts: Section<VertexId>,
+/// What one shard holds of the graph.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardCounts {
     /// Vertices this shard owns.
     pub owned_vertices: u64,
-    /// Edges stored on this shard (rows of owned vertices).
+    /// Out-edges of the vertices it owns.
     pub owned_edges: u64,
-    /// Owned edges whose destination is a ghost — each is a potential
-    /// walker hand-off.
+    /// Owned edges whose target another shard owns: each step along one
+    /// hands the walker off (DESIGN.md §11).
     pub boundary_edges: u64,
 }
 
-impl Shard {
-    /// Whether `v` is a ghost on this shard (binary search over the
-    /// sorted ghost table).
-    #[inline]
-    pub fn is_ghost(&self, v: VertexId) -> bool {
-        self.ghosts.binary_search(&v).is_ok()
-    }
-
-    /// Fraction of this shard's edges that cross to another shard — the
-    /// expected per-step hand-off probability under uniform edge use.
-    pub fn crossing_rate(&self) -> f64 {
-        if self.owned_edges == 0 {
-            0.0
-        } else {
-            self.boundary_edges as f64 / self.owned_edges as f64
-        }
-    }
-}
-
-/// A graph split into `K` vertex-disjoint shards.
-#[derive(Debug, Clone)]
+/// A graph's vertices split into `K` disjoint shards: the owner table,
+/// the strategy that placed it and each shard's counts. One type for a
+/// partition built in memory ([`partition_graph`]) or read from a packed
+/// file ([`crate::packed::load_packed`]); the graph itself stays whole.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedGraph {
-    pub shards: Vec<Shard>,
     pub ownership: Ownership,
     pub strategy: ShardStrategy,
+    /// One entry per shard, so its length is `k`.
+    pub shards: Vec<ShardCounts>,
 }
 
 impl ShardedGraph {
+    /// The partition of `g` that `ownership` (of `k` shards) describes,
+    /// with every shard's counts from one pass over the graph.
+    fn count(g: &Graph, k: usize, ownership: Ownership, strategy: ShardStrategy) -> Self {
+        let mut shards = vec![ShardCounts::default(); k];
+        for v in 0..g.num_vertices() as VertexId {
+            let s = ownership.owner_of(v);
+            let row = g.neighbors(v);
+            let shard = &mut shards[s];
+            shard.owned_vertices += 1;
+            shard.owned_edges += row.len() as u64;
+            shard.boundary_edges +=
+                row.iter().filter(|&&d| ownership.owner_of(d) != s).count() as u64;
+        }
+        Self {
+            ownership,
+            strategy,
+            shards,
+        }
+    }
+
     /// Number of shards.
     pub fn k(&self) -> usize {
         self.shards.len()
@@ -177,24 +162,15 @@ impl ShardedGraph {
         self.ownership.owner_of(v)
     }
 
-    /// Vertices of the underlying graph (every shard spans all of them).
-    pub fn num_vertices(&self) -> usize {
-        self.shards.first().map_or(0, |s| s.graph.num_vertices())
-    }
-
-    /// Total stored edges across shards (= the unsharded edge count).
-    pub fn num_edges(&self) -> u64 {
-        self.shards.iter().map(|s| s.owned_edges).sum()
-    }
-
-    /// Aggregate expected crossing rate: boundary edges / all edges.
+    /// Fraction of all edges that cross a shard boundary: the expected
+    /// per-step hand-off probability under uniform edge use.
     pub fn crossing_rate(&self) -> f64 {
-        let e = self.num_edges();
-        if e == 0 {
-            0.0
-        } else {
-            self.shards.iter().map(|s| s.boundary_edges).sum::<u64>() as f64 / e as f64
+        let edges: u64 = self.shards.iter().map(|s| s.owned_edges).sum();
+        if edges == 0 {
+            return 0.0;
         }
+        let boundary: u64 = self.shards.iter().map(|s| s.boundary_edges).sum();
+        boundary as f64 / edges as f64
     }
 }
 
@@ -203,16 +179,10 @@ const FENNEL_GAMMA: f64 = 1.5;
 /// Fennel capacity slack ν: no shard grows past ν·n/k vertices.
 const FENNEL_SLACK: f64 = 1.1;
 
-/// Split `g` into `k` shards under `strategy`.
-///
-/// Every shard's sub-CSR keeps the prefix cache when the source graph has
-/// one (per-vertex cumulative sums are row-local, so a shard's cache
-/// entries are bit-identical to the unsharded graph's — the RNG-identity
-/// contract of DESIGN.md §5 survives sharding).
+/// Split `g`'s vertices into `k` shards under `strategy`.
 ///
 /// `k` is clamped to the vertex count (a shard with zero vertices can
-/// never do useful work, and empty shards used to confuse `Ownership::k`
-/// and the packed-file round trip). After clamping, every shard is
+/// never do useful work). After clamping, every shard is
 /// guaranteed to own at least one vertex.
 ///
 /// # Panics
@@ -229,12 +199,12 @@ pub fn partition_graph(g: &Graph, k: usize, strategy: ShardStrategy) -> ShardedG
             owner: table_assignment(g, k, table),
         },
     };
-    build_shards(g, k, ownership, strategy)
+    ShardedGraph::count(g, k, ownership, strategy)
 }
 
 /// The owner table of a fennel or walk partition into `k ≥ 1` shards,
 /// clamped like [`partition_graph`]'s and each owning a vertex, without
-/// the shards: what the packer persists.
+/// the counts: what the packer persists.
 pub(crate) fn table_assignment(g: &Graph, k: usize, strategy: ShardStrategy) -> Vec<u32> {
     let k = clamp_shards(k, g.num_vertices());
     let owner = match strategy {
@@ -436,7 +406,7 @@ pub fn stationary_estimate(g: &Graph) -> Vec<f64> {
 /// `Σ_v π(v)/deg(v) · |{u ∈ N(v) : owner(u) ≠ owner(v)}|` with `π` from
 /// [`stationary_estimate`]. This is the probability that one step of a
 /// stationary unbiased walker leaves its current shard — the hand-off
-/// rate the parallel executors in `lightrw::sharded` pay for — whereas
+/// rate `lightrw::sharded` pays for — whereas
 /// [`ShardedGraph::crossing_rate`] weights every edge equally.
 pub fn expected_walk_crossing(g: &Graph, own: &Ownership) -> f64 {
     let pi = stationary_estimate(g);
@@ -546,113 +516,26 @@ fn walk_assign(g: &Graph, k: usize) -> Vec<u32> {
     }
 }
 
-/// Materialize the per-shard full-span sub-CSRs from an ownership map.
-fn build_shards(
-    g: &Graph,
-    k: usize,
-    ownership: Ownership,
-    strategy: ShardStrategy,
-) -> ShardedGraph {
-    let n = g.num_vertices();
-    let has_rel = g.has_edge_labels();
-    let mut shards = Vec::with_capacity(k);
-    for s in 0..k {
-        let mut row = Vec::with_capacity(n + 1);
-        row.push(0u64);
-        let mut col: Vec<VertexId> = Vec::new();
-        let mut wts: Vec<u32> = Vec::new();
-        let mut rel: Vec<u8> = Vec::new();
-        let mut owned_vertices = 0u64;
-        let mut boundary = 0u64;
-        let mut ghost_set: Vec<VertexId> = Vec::new();
-        for v in 0..n as VertexId {
-            if ownership.owner_of(v) == s {
-                owned_vertices += 1;
-                let view = g.neighbor_view(v);
-                col.extend_from_slice(view.targets);
-                wts.extend_from_slice(view.weights);
-                if has_rel {
-                    rel.extend_from_slice(view.relations);
-                }
-                for &dst in view.targets {
-                    if ownership.owner_of(dst) != s {
-                        boundary += 1;
-                        ghost_set.push(dst);
-                    }
-                }
-            }
-            row.push(col.len() as u64);
-        }
-        ghost_set.sort_unstable();
-        ghost_set.dedup();
-        let owned_edges = col.len() as u64;
-        let mut sg = Graph {
-            row_index: Section::from(row),
-            col_index: Section::from(col),
-            weights: Section::from(wts),
-            vertex_labels: g.vertex_labels.clone(),
-            edge_labels: Section::from(rel),
-            directed: g.is_directed(),
-            prefix: None,
-            max_degree: Default::default(),
-        };
-        if g.has_prefix_cache() {
-            sg.build_prefix_cache();
-        }
-        shards.push(Shard {
-            graph: sg,
-            ghosts: Section::from(ghost_set),
-            owned_vertices,
-            owned_edges,
-            boundary_edges: boundary,
-        });
-    }
-    ShardedGraph {
-        shards,
-        ownership,
-        strategy,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
 
+    /// Every vertex has one owner below `k`, and each shard's counts
+    /// are what a shard-by-shard recount over the graph finds.
     fn check_invariants(g: &Graph, sg: &ShardedGraph) {
-        let n = g.num_vertices();
-        assert_eq!(sg.num_vertices(), n);
-        assert_eq!(sg.num_edges(), g.num_edges() as u64);
-        let mut owned = vec![false; n];
+        let n = g.num_vertices() as VertexId;
+        assert!((0..n).all(|v| sg.owner_of(v) < sg.k()), "an owner past k");
+        let edges: u64 = sg.shards.iter().map(|s| s.owned_edges).sum();
+        assert_eq!(edges, g.num_edges() as u64);
         for (s, shard) in sg.shards.iter().enumerate() {
-            assert_eq!(shard.graph.num_vertices(), n, "full-span rows");
-            let mut count = 0u64;
-            for v in 0..n as VertexId {
-                if sg.owner_of(v) == s {
-                    assert!(!owned[v as usize], "vertex {v} owned twice");
-                    owned[v as usize] = true;
-                    count += 1;
-                    // Owned rows are verbatim copies of the global rows.
-                    assert_eq!(shard.graph.neighbors(v), g.neighbors(v));
-                    assert_eq!(shard.graph.neighbor_weights(v), g.neighbor_weights(v));
-                    assert_eq!(shard.graph.static_prefix(v), g.static_prefix(v));
-                } else {
-                    assert!(shard.graph.neighbors(v).is_empty(), "ghost row not empty");
-                }
-            }
-            assert_eq!(count, shard.owned_vertices);
-            // Ghosts are exactly the remote destinations of owned edges.
-            for &gh in shard.ghosts.iter() {
-                assert_ne!(sg.owner_of(gh), s);
-            }
-            let boundary: u64 = (0..n as VertexId)
-                .filter(|&v| sg.owner_of(v) == s)
-                .flat_map(|v| g.neighbors(v).iter())
-                .filter(|&&d| sg.owner_of(d) != s)
-                .count() as u64;
-            assert_eq!(boundary, shard.boundary_edges);
+            let owned: Vec<VertexId> = (0..n).filter(|&v| sg.owner_of(v) == s).collect();
+            assert_eq!(owned.len() as u64, shard.owned_vertices, "shard {s}");
+            let rows = owned.iter().flat_map(|&v| g.neighbors(v));
+            assert_eq!(rows.clone().count() as u64, shard.owned_edges, "shard {s}");
+            let boundary = rows.filter(|&&d| sg.owner_of(d) != s).count() as u64;
+            assert_eq!(boundary, shard.boundary_edges, "shard {s}");
         }
-        assert!(owned.into_iter().all(|o| o), "every vertex owned");
     }
 
     #[test]
@@ -726,8 +609,8 @@ mod tests {
             let sg = partition_graph(&g, 1, strategy);
             assert_eq!(sg.k(), 1);
             let s = &sg.shards[0];
-            assert_eq!(s.graph, g);
-            assert!(s.ghosts.is_empty());
+            assert_eq!(s.owned_vertices, g.num_vertices() as u64);
+            assert_eq!(s.owned_edges, g.num_edges() as u64);
             assert_eq!(s.boundary_edges, 0);
             assert_eq!(sg.crossing_rate(), 0.0);
         }
@@ -738,7 +621,6 @@ mod tests {
         let cuts = Ownership::Range {
             cuts: vec![0, 3, 3, 10],
         };
-        assert_eq!(cuts.k(), 3);
         assert_eq!(cuts.owner_of(0), 0);
         assert_eq!(cuts.owner_of(2), 0);
         assert_eq!(cuts.owner_of(3), 2); // empty middle shard
@@ -785,7 +667,6 @@ mod tests {
             for k in [n, n + 1, 3 * n] {
                 let sg = partition_graph(&g, k, strategy);
                 assert_eq!(sg.k(), n, "k clamps to the vertex count");
-                assert_eq!(sg.ownership.k(), n, "ownership agrees after repair");
                 check_invariants(&g, &sg);
                 assert_all_nonempty(&sg);
             }
@@ -862,27 +743,6 @@ mod tests {
             "walk crossing rate {} too high",
             sg.crossing_rate()
         );
-    }
-
-    #[test]
-    fn labeled_graphs_shard_their_lanes() {
-        let g = crate::GraphBuilder::directed()
-            .num_vertices(6)
-            .labeled_edge(0, 3, 2, 1)
-            .labeled_edge(1, 4, 3, 0)
-            .labeled_edge(3, 0, 5, 1)
-            .labeled_edge(4, 5, 7, 2)
-            .build();
-        let sg = partition_graph(&g, 2, ShardStrategy::Range);
-        check_invariants(&g, &sg);
-        for (s, shard) in sg.shards.iter().enumerate() {
-            for v in 0..6u32 {
-                if sg.owner_of(v) == s {
-                    assert_eq!(shard.graph.neighbor_relations(v), g.neighbor_relations(v));
-                }
-                assert_eq!(shard.graph.vertex_label(v), g.vertex_label(v));
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! sampled walks.
 
 use crate::app::{StepContext, WalkApp, WeightProfile, FX_ONE};
-use crate::membership::{common_neighbor_bitset, common_neighbor_bitset_slices, NeighborBitset};
+use crate::membership::{common_neighbor_bitset, NeighborBitset};
 use crate::reference::{AnySampler, SamplerKind, SamplerStream};
 use lightrw_graph::{Graph, NeighborView, VertexId};
 
@@ -23,11 +23,6 @@ pub struct HotStepper {
     kind: SamplerKind,
     profile: WeightProfile,
     second_order: bool,
-    /// When armed, second-order membership probes use this sorted row as
-    /// `N(prev)` instead of the graph's — the hand-off payload of a walker
-    /// whose previous vertex lives on another shard (DESIGN.md §11).
-    prev_row: Vec<u32>,
-    prev_row_armed: bool,
 }
 
 impl HotStepper {
@@ -41,8 +36,6 @@ impl HotStepper {
             kind,
             profile: app.weight_profile(),
             second_order: app.second_order(),
-            prev_row: Vec::new(),
-            prev_row_armed: false,
         }
     }
 
@@ -59,24 +52,6 @@ impl HotStepper {
     #[inline]
     pub fn import_stream(&mut self, stream: &SamplerStream) {
         self.sampler.import_stream(stream);
-    }
-
-    /// Arm the prev-row override for the next step: membership probes for
-    /// `ctx.prev` consult this sorted adjacency row instead of the graph.
-    /// Sharded engines arm it for the first step a migrated second-order
-    /// walker takes on its new shard (where `prev`'s row is absent) and
-    /// [`HotStepper::clear_prev_row`] it right after.
-    pub fn arm_prev_row(&mut self, row: &[u32]) {
-        self.prev_row.clear();
-        self.prev_row.extend_from_slice(row);
-        self.prev_row_armed = true;
-    }
-
-    /// Disarm the prev-row override installed by
-    /// [`HotStepper::arm_prev_row`].
-    #[inline]
-    pub fn clear_prev_row(&mut self) {
-        self.prev_row_armed = false;
     }
 
     /// Pre-size all scratch for vertices of degree up to `max_degree`
@@ -120,29 +95,15 @@ impl HotStepper {
                 // candidate (one `has_edge` binary search each, expected
                 // O(1) proposals) instead of building the full
                 // common-neighbor bitset over both adjacency lists.
-                let Self {
-                    sampler,
-                    prev_row,
-                    prev_row_armed,
-                    ..
-                } = self;
-                let ovr: Option<&[u32]> = prev_row_armed.then_some(prev_row.as_slice());
-                sampler.select_envelope(cum, max_weight, |i| {
+                self.sampler.select_envelope(cum, max_weight, |i| {
                     let nbr = view.targets[i];
-                    let pin = match ovr {
-                        Some(row) => row.binary_search(&nbr).is_ok(),
-                        None => g.has_edge(prev, nbr),
-                    };
+                    let pin = g.has_edge(prev, nbr);
                     app.weight(ctx, nbr, view.weights[i], view.relation(i), pin)
                 })
             } else {
                 // Second-order rule (Node2Vec): build the packed membership
                 // mask, then stream F lane by lane into the sampler.
-                if self.prev_row_armed {
-                    common_neighbor_bitset_slices(view.targets, &self.prev_row, &mut self.mask);
-                } else {
-                    common_neighbor_bitset(g, ctx.cur, prev, &mut self.mask);
-                }
+                common_neighbor_bitset(g, ctx.cur, prev, &mut self.mask);
                 let Self { sampler, mask, .. } = self;
                 sampler.select_weighted_with(view.len(), |i| {
                     app.weight(
@@ -438,40 +399,6 @@ mod tests {
                         None => break,
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn armed_prev_row_matches_graph_probe_bit_for_bit() {
-        // The hand-off payload contract: arming the override with the row
-        // the graph would have consulted must leave every sampled step
-        // unchanged, on both the masked branch (Node2Vec with any sampler)
-        // and the envelope branch (Rejection kind).
-        let g = generators::rmat_dataset(8, 23);
-        let nv = Node2Vec::paper_params();
-        let mut all = KINDS.to_vec();
-        all.push(SamplerKind::Rejection);
-        for kind in all {
-            let mut plain = HotStepper::new(&nv, kind, 9);
-            let mut armed = HotStepper::new(&nv, kind, 9);
-            for v in 0..g.num_vertices() as VertexId {
-                let prev = (v * 13 + 1) % g.num_vertices() as VertexId;
-                let ctx = StepContext {
-                    step: 1,
-                    cur: v,
-                    prev: Some(prev),
-                };
-                let a = plain.step(&g, &nv, ctx);
-                armed.arm_prev_row(g.neighbors(prev));
-                let b = armed.step(&g, &nv, ctx);
-                armed.clear_prev_row();
-                assert_eq!(a, b, "{kind:?} cur={v} prev={prev}");
-                assert_eq!(
-                    plain.export_stream(),
-                    armed.export_stream(),
-                    "{kind:?} stream diverged"
-                );
             }
         }
     }

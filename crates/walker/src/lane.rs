@@ -20,10 +20,10 @@
 //!
 //! A [`LaneSession`] is lanes plus an [`InOrderEmitter`]: the
 //! [`WalkSession`] behind the reference engine (one lane), the CPU engine
-//! (one lane per worker) and the single-shard sharded engine (one lane on
-//! shard 0's graph). The multi-shard session schedules and hands off
-//! the same [`Walker`] records itself and steps them through the same
-//! [`VisitEnv::visit`].
+//! (one lane per worker) and the single-shard sharded engine (one lane).
+//! The multi-shard session schedules and hands off the same [`Walker`]
+//! records itself and steps them through the same [`VisitEnv::visit`],
+//! on the same whole graph.
 
 use crate::app::WalkApp;
 use crate::engine::{BatchProgress, InOrderEmitter, WalkSession, WalkSink};
@@ -100,7 +100,7 @@ impl Walker {
 /// rule and the program.
 #[derive(Clone, Copy)]
 pub struct VisitEnv<'a> {
-    /// The graph (or shard sub-CSR) this lane's walkers stand on.
+    /// The graph this lane's walkers stand on.
     pub graph: &'a Graph,
     /// The application weight rule.
     pub app: &'a dyn WalkApp,
@@ -110,9 +110,7 @@ pub struct VisitEnv<'a> {
 
 impl VisitEnv<'_> {
     /// One step attempt of walker `w` on `stepper`: position the stepper
-    /// on the walker's stream, arm `prev_row` (the shipped `N(prev)` of a
-    /// second-order walker that just changed shards, DESIGN.md §11) for
-    /// this attempt only, run the program's state machine, store the
+    /// on the walker's stream, run the program's state machine, store the
     /// stream back, append the emitted vertex and mark the walker done
     /// when the walk ends. Returns whether a step was taken (a move or a
     /// teleport; truncating visits — dead end, target at start — take
@@ -121,20 +119,11 @@ impl VisitEnv<'_> {
     /// The only software call of [`WalkProgram::step_attempt`] besides the
     /// [`crate::ReferenceEngine::run`] oracle.
     #[inline]
-    pub fn visit(
-        &self,
-        stepper: &mut HotStepper,
-        w: &mut Walker,
-        prev_row: Option<&[VertexId]>,
-    ) -> bool {
+    pub fn visit(&self, stepper: &mut HotStepper, w: &mut Walker) -> bool {
         stepper.import_stream(&w.stream);
-        if let Some(row) = prev_row {
-            stepper.arm_prev_row(row);
-        }
         let outcome = self
             .program
             .step_attempt(self.graph, self.app, stepper, &w.q, &mut w.st);
-        stepper.clear_prev_row();
         w.stream = stepper.export_stream();
         match outcome {
             StepOutcome::Moved { done, .. } | StepOutcome::Teleported { done, .. } => {
@@ -332,7 +321,7 @@ impl WorkerLane {
                 break;
             };
             let w = &mut self.window[slot];
-            done.steps += env.visit(&mut self.stepper, w, None) as u64;
+            done.steps += env.visit(&mut self.stepper, w) as u64;
             done.visits += 1;
             if w.done {
                 self.ring.retire();

@@ -28,9 +28,8 @@
 //!   cache, or generic streaming) under the RNG-identity contract of
 //!   DESIGN.md §5, with zero per-step heap allocation. Its sampler
 //!   stream export/import is what lets a walker own its RNG position,
-//!   and its prev-row override lets the sharded engine (DESIGN.md §11)
-//!   hand a mid-walk second-order walker to another shard's lane
-//!   without changing the sampled walk.
+//!   so the sharded engine (DESIGN.md §11) can hand a mid-walk walker
+//!   to another shard's lane without changing the sampled walk.
 //! - [`lane`] is the one software walker kernel built on it:
 //!   [`lane::VisitEnv::visit`] runs one step attempt of one walker on
 //!   its own stream, [`lane::WorkerLane`] sweeps a worker's walkers

@@ -123,11 +123,7 @@ pub fn common_neighbor_bitset(g: &Graph, cur: VertexId, prev: VertexId, bits: &m
 }
 
 /// Slice-level core of [`common_neighbor_bitset`]: intersect a candidate
-/// list against an explicit sorted adjacency row. Sharded execution uses
-/// this directly when `prev` lives on another shard — the migrated walker
-/// carries prev's row as hand-off payload (DESIGN.md §11), so the mask is
-/// bit-identical to local execution even though this shard's CSR has no
-/// row for `prev`.
+/// list against an explicit sorted adjacency row.
 pub fn common_neighbor_bitset_slices(cand: &[u32], prev_adj: &[u32], bits: &mut NeighborBitset) {
     bits.clear_resize(cand.len());
     if cand.is_empty() || prev_adj.is_empty() {

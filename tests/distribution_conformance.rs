@@ -390,8 +390,8 @@ fn sharded_execution_conforms_for_two_and_four_shards() {
     // Walker hand-off (DESIGN.md §11) must not perturb the transition
     // law: on these tiny fixed graphs a range partition puts vertex 0
     // and most of its targets in *different* shards, so nearly every
-    // step migrates a walker — serialized RNG stream, prev-row payload
-    // and all — yet the empirical law must still match the closed
+    // step migrates a walker — serialized RNG stream and all — yet the
+    // empirical law must still match the closed
     // forms derived above.
     use lightrw::graph::ShardStrategy;
 

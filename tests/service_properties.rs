@@ -370,8 +370,8 @@ proptest! {
         // `InOrderEmitter` watermark sits over walkers that *migrate
         // between shards* mid-walk, so a dropped or duplicated hand-off
         // record would surface as a missing or repeated id. Node2Vec
-        // keeps the second-order prev-row payload in play on every
-        // crossing.
+        // keeps second-order records, priced with their prev row, in play
+        // on every crossing.
         let cancel_at = (cancel_raw < 20).then_some(cancel_raw);
         let sampler = match sampler_pick {
             0 => SamplerKind::InverseTransform,
