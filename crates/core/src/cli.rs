@@ -206,8 +206,7 @@ pub fn usage() -> &'static str {
      \x20        [--seed N] [--threads N] [--sampler NAME] [--binary]\n\
      \x20        [-o FILE]\n\
      \x20        SPEC: fixed:len=N | ppr:alpha=A,max=N [,deadend=restart]\n\
-     \x20        NAME: inverse-transform|alias|sequential-wrs|pwrs|rejection\n\
-     \x20              |a-expj\n\
+     \x20        NAME: inverse-transform|sequential-wrs|pwrs|rejection\n\
      \x20        --threads is cpu-only (0 = one worker lane per core)\n\
      \x20        [--shards K] [--strategy NAME]\n\
      \x20        --shards K walks on the sharded engine, under the\n\
@@ -1662,7 +1661,7 @@ mod tests {
         assert!(info.contains("vertices        : 128"), "{info}");
 
         // Walks run straight off the packed file (mmap on linux), with
-        // the a-expj sampler exercising the prefix-jump fast path.
+        // inverse transform binary-searching each row's prefix lane.
         let wpath = tmp("pipeline_packed_walks.txt");
         let walk = run(
             "walk",
@@ -1671,7 +1670,7 @@ mod tests {
                 "--engine",
                 "cpu",
                 "--sampler",
-                "a-expj",
+                "inverse-transform",
                 "--app",
                 "static",
                 "--length",
@@ -1683,7 +1682,7 @@ mod tests {
             ]),
         )
         .unwrap();
-        assert!(walk.contains("cpu(a-expj)"), "{walk}");
+        assert!(walk.contains("cpu(inverse-transform)"), "{walk}");
         let corpus = corpus_io::read_text(std::fs::File::open(&wpath).unwrap()).unwrap();
         assert_eq!(corpus.len(), 32);
     }
@@ -1979,6 +1978,29 @@ mod tests {
             let err = run(sub, &parse(&raw)).unwrap_err();
             assert!(err.starts_with("unknown option --"), "{sub}: {err}");
             assert!(err.ends_with(&format!(" for {sub}")), "{sub}: {err}");
+        }
+        // The deleted samplers' names are unknown values: one line that
+        // lists the kinds the help text lists.
+        let g = generated("removed_samplers.lrwpak", "rmat", "6");
+        let help = usage();
+        for name in ["alias", "a-expj", "aexpj"] {
+            for (sub, extra) in [
+                ("walk", vec![]),
+                ("serve", vec!["--synthetic-tenants", "1"]),
+            ] {
+                let mut raw = vec![g.as_str(), "--sampler", name];
+                raw.extend(extra);
+                let err = run(sub, &parse(&raw)).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("unknown --sampler {name:?}")),
+                    "{err}"
+                );
+                assert!(!err.contains('\n'), "{sub}: {err}");
+                for kept in ["inverse-transform", "sequential-wrs", "pwrs", "rejection"] {
+                    assert!(err.contains(kept) && help.contains(kept), "{kept}");
+                }
+                assert!(!help.contains(name), "{name}");
+            }
         }
         // rmat's edge factor is fixed: the option is refused, not parsed
         // and dropped.

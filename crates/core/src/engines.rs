@@ -80,14 +80,12 @@ impl Backend {
     pub fn parse_sampler(name: &str) -> Result<SamplerKind, String> {
         match name {
             "inverse-transform" | "it" => Ok(SamplerKind::InverseTransform),
-            "alias" => Ok(SamplerKind::Alias),
             "sequential-wrs" => Ok(SamplerKind::SequentialWrs),
             "pwrs" | "parallel-wrs" => Ok(SamplerKind::ParallelWrs { k: 16 }),
             "rejection" => Ok(SamplerKind::Rejection),
-            "a-expj" | "aexpj" => Ok(SamplerKind::AExpJ),
             other => Err(format!(
                 "unknown --sampler {other:?} (expected inverse-transform, \
-                 alias, sequential-wrs, pwrs, rejection or a-expj)"
+                 sequential-wrs, pwrs or rejection)"
             )),
         }
     }
@@ -288,9 +286,15 @@ mod tests {
     fn sampler_knob_applies_to_every_backend() {
         let kind = Backend::parse_sampler("rejection").unwrap();
         assert_eq!(kind, SamplerKind::Rejection);
-        assert!(Backend::parse_sampler("dice")
-            .unwrap_err()
-            .contains("--sampler"));
+        // The deleted kinds' names are unknown like any other word.
+        for name in ["dice", "alias", "a-expj", "aexpj"] {
+            let err = Backend::parse_sampler(name).unwrap_err();
+            assert!(err.contains("--sampler") && !err.contains('\n'), "{err}");
+            assert!(
+                err.ends_with("(expected inverse-transform, sequential-wrs, pwrs or rejection)"),
+                "{err}"
+            );
+        }
         match Backend::parse("cpu").unwrap().with_sampler(kind) {
             Backend::Cpu { sampler, .. } => assert_eq!(sampler, SamplerKind::Rejection),
             other => panic!("{other:?}"),

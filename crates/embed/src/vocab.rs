@@ -1,6 +1,6 @@
 //! Unigram statistics over a walk corpus and the negative-sampling table.
 
-use lightrw_sampling::{AliasTable, IndexSampler};
+use lightrw_sampling::AliasTable;
 use lightrw_walker::WalkResults;
 
 /// Vertex vocabulary with corpus frequencies and a `count^0.75`

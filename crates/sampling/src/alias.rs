@@ -3,11 +3,11 @@
 //! The other classic "initialization + generation" sampler the paper cites
 //! (§2.2). Initialization builds a two-column table in O(n); generation is
 //! O(1): pick a column uniformly, then choose between the resident and the
-//! alias by a biased coin. Like the inverse-transform table, the alias
-//! table is O(n) intermediate state per step — the memory traffic LightRW's
-//! streaming sampler avoids.
+//! alias by a biased coin. No walk engine draws with it — a per-step table
+//! is the O(n) intermediate state LightRW's streaming sampler avoids — but
+//! a fixed distribution drawn many times, such as the SGNS negative table
+//! (`lightrw_embed`), is what the method is for.
 
-use crate::IndexSampler;
 use lightrw_rng::Rng;
 
 /// Vose alias table over integer weights.
@@ -22,112 +22,40 @@ pub struct AliasTable {
 impl AliasTable {
     /// Build from integer weights. Returns `None` if all weights are zero.
     pub fn build(weights: &[u32]) -> Option<Self> {
-        let mut scratch = AliasScratch::new();
-        if !scratch.rebuild(weights.len(), |i| weights[i]) {
+        let total: u64 = weights.iter().map(|&w| w as u64).sum();
+        if total == 0 {
             return None;
         }
-        Some(Self {
-            prob: scratch.prob,
-            alias: scratch.alias,
-        })
-    }
-}
-
-/// Reusable Vose build state: rebuilds an alias table in place, so engines
-/// that sample through the alias method once per walk step do no per-step
-/// heap allocation in steady state (DESIGN.md §5). Sampling is
-/// draw-for-draw identical to [`AliasTable`] — `build` above delegates
-/// here, so there is exactly one Vose implementation.
-#[derive(Debug, Clone, Default)]
-pub struct AliasScratch {
-    scaled: Vec<f64>,
-    prob: Vec<f64>,
-    alias: Vec<u32>,
-    small: Vec<usize>,
-    large: Vec<usize>,
-}
-
-impl AliasScratch {
-    /// Empty scratch; buffers grow to the largest candidate set seen.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-size all buffers for candidate sets up to `n` (worker setup).
-    pub fn reserve(&mut self, n: usize) {
-        self.scaled.reserve(n);
-        self.prob.reserve(n);
-        self.alias.reserve(n);
-        self.small.reserve(n);
-        self.large.reserve(n);
-    }
-
-    /// Rebuild the table over weights `w(0), …, w(len-1)`. Returns `false`
-    /// when the total weight is zero (dead end; table left unusable).
-    pub fn rebuild(&mut self, len: usize, w: impl Fn(usize) -> u32) -> bool {
-        let total: u64 = (0..len).map(|i| w(i) as u64).sum();
-        if total == 0 {
-            return false;
-        }
         // Scaled probabilities: p_i * n.
+        let len = weights.len();
         let scale = len as f64 / total as f64;
-        self.scaled.clear();
-        self.scaled.extend((0..len).map(|i| w(i) as f64 * scale));
-        self.prob.clear();
-        self.prob.resize(len, 0.0);
-        self.alias.clear();
-        self.alias.resize(len, 0);
+        let mut scaled: Vec<f64> = weights.iter().map(|&w| w as f64 * scale).collect();
+        let mut prob = vec![0.0; len];
+        let mut alias = vec![0u32; len];
 
-        let (scaled, prob, alias) = (&mut self.scaled, &mut self.prob, &mut self.alias);
-        self.small.clear();
-        self.large.clear();
-        for (i, &p) in scaled.iter().enumerate() {
-            if p < 1.0 {
-                self.small.push(i);
-            } else {
-                self.large.push(i);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (self.small.last(), self.large.last()) {
-            self.small.pop();
-            self.large.pop();
+        let (mut small, mut large): (Vec<usize>, Vec<usize>) =
+            (0..len).partition(|&i| scaled[i] < 1.0);
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            large.pop();
             prob[s] = scaled[s];
             alias[s] = l as u32;
             scaled[l] = (scaled[l] + scaled[s]) - 1.0;
             if scaled[l] < 1.0 {
-                self.small.push(l);
+                small.push(l);
             } else {
-                self.large.push(l);
+                large.push(l);
             }
         }
         // Numerical leftovers: remaining slots are (up to fp error) exactly 1.
-        for &l in &self.large {
-            prob[l] = 1.0;
+        for &i in large.iter().chain(&small) {
+            prob[i] = 1.0;
         }
-        for &s in &self.small {
-            prob[s] = 1.0;
-        }
-        true
+        Some(Self { prob, alias })
     }
 
-    /// Draw one category from the last [`AliasScratch::rebuild`] table.
+    /// Draw one category index with probability proportional to its weight.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let slot = rng.gen_index(self.prob.len());
-        if rng.next_f64() < self.prob[slot] {
-            slot
-        } else {
-            self.alias[slot] as usize
-        }
-    }
-}
-
-impl IndexSampler for AliasTable {
-    #[inline]
-    fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let slot = rng.gen_index(self.prob.len());
         if rng.next_f64() < self.prob[slot] {
             slot
@@ -202,30 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn scratch_rebuild_matches_fresh_build() {
-        // Same weights through the reusable scratch and the one-shot build
-        // must give draw-for-draw identical samples.
-        let sets: [&[u32]; 4] = [&[3, 1, 4, 1, 5], &[1; 8], &[0, 7, 0, 2], &[10]];
-        let mut scratch = AliasScratch::new();
-        for weights in sets {
-            assert!(scratch.rebuild(weights.len(), |i| weights[i]));
-            let table = AliasTable::build(weights).unwrap();
-            let mut a = SplitMix64::new(77);
-            let mut b = SplitMix64::new(77);
-            for _ in 0..500 {
-                assert_eq!(scratch.sample(&mut a), table.sample(&mut b));
-            }
-        }
-        assert!(!scratch.rebuild(3, |_| 0));
-    }
-
-    #[test]
     fn table_is_complete_partition() {
         // Every slot must have prob in [0,1] and a valid alias.
         let t = AliasTable::build(&[3, 1, 4, 1, 5, 9, 2, 6]).unwrap();
         for (i, (&p, &a)) in t.prob.iter().zip(&t.alias).enumerate() {
             assert!((0.0..=1.0).contains(&p), "slot {i} prob {p}");
-            assert!((a as usize) < t.len());
+            assert!((a as usize) < t.prob.len());
         }
     }
 }

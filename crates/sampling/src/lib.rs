@@ -1,18 +1,20 @@
 //! # lightrw-sampling — weighted sampling methods for dynamic random walks
 //!
 //! GDRW engines must draw one neighbor per step with probability
-//! proportional to a dynamically computed weight. This crate implements
-//! every sampling method the paper discusses, so engines and benches can
-//! swap them:
+//! proportional to a dynamically computed weight. This crate holds the
+//! draw laws the walk engines and the embedding trainer use:
 //!
 //! | Method | Paper role | Build | Draw | Barrier? |
 //! |---|---|---|---|---|
-//! | [`InverseTransformTable`] | ThunderRW's recommended default (§6.1.4) | O(n) | O(log n) | yes (init/gen) |
-//! | [`AliasTable`] | classic alternative (§2.2) | O(n) | O(1) | yes (init/gen) |
 //! | [`reservoir`] (sequential WRS) | single-pass sampler (§3.2) | — | O(n) stream | no |
 //! | [`ParallelWrs`] | **the contribution**: k items/cycle (§4, Alg. 4.1) | — | O(n/k + log k) | no |
 //! | [`rejection`] | KnightKing-style envelope accept/reject (related work) | — | expected O(log n) | no |
-//! | [`a_expj`] | exponential-jump WRS for huge rows (§3.2 + out-of-core) | — | expected O(log n) over a prefix | no |
+//! | [`AliasTable`] | classic alternative (§2.2); the SGNS negative table | O(n) | O(1) | yes (init/gen) |
+//!
+//! ThunderRW's inverse transform (§6.1.4), the baseline the paper
+//! measures against, needs no module of its own: the walk engines'
+//! sampler accumulates a cumulative row, or reads the graph's prefix
+//! cache, and binary-searches one draw into it.
 //!
 //! The parallel WRS implementation follows the hardware exactly:
 //! a per-batch prefix sum (Eq. 5 decomposition) computed with a
@@ -21,15 +23,14 @@
 //! comparator tree, and one fresh 32-bit uniform per lane per batch from a
 //! [`lightrw_rng::StreamBank`].
 //!
-//! All samplers are exercised against each other by distribution
+//! The samplers are checked against the weights by distribution
 //! goodness-of-fit tests (see [`distribution`]); they must agree because
 //! the paper's Fig. 14 compares engines built on different samplers.
 //!
-//! For the engines' allocation-free hot path (DESIGN.md §5), the crate
-//! also provides reusable-scratch variants: [`AliasScratch`] rebuilds a
-//! Vose table in place, and [`ParallelWrs::select_index_with`] consumes a
-//! weight *closure* lane by lane so callers never materialize a weight
-//! vector — both draw-for-draw identical to their one-shot counterparts.
+//! For the engines' allocation-free hot path (DESIGN.md §5),
+//! [`ParallelWrs::select_index_with`] consumes a weight *closure* lane by
+//! lane, so callers never materialize a weight vector — draw-for-draw
+//! identical to [`ParallelWrs::select_index`].
 //!
 //! ```
 //! use lightrw_sampling::ParallelWrs;
@@ -43,34 +44,12 @@
 //! assert_eq!(wrs.select(&items, &[0, 0, 0, 0]), None);
 //! ```
 
-pub mod a_expj;
-pub mod a_res;
 pub mod alias;
 pub mod distribution;
-pub mod inverse_transform;
 pub mod parallel_wrs;
 pub mod prefix;
 pub mod rejection;
 pub mod reservoir;
 
-pub use a_expj::AExpJSampler;
-pub use a_res::AResSampler;
-pub use alias::{AliasScratch, AliasTable};
-pub use inverse_transform::InverseTransformTable;
+pub use alias::AliasTable;
 pub use parallel_wrs::{ParallelWrs, WrsState};
-
-/// A table-based sampler over categories `0..len` (built once, drawn many
-/// times) — the "initialization + generation" shape the paper contrasts
-/// WRS against.
-pub trait IndexSampler {
-    /// Number of categories.
-    fn len(&self) -> usize;
-
-    /// True if there are no categories.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Draw one category index with probability proportional to its weight.
-    fn sample<R: lightrw_rng::Rng>(&self, rng: &mut R) -> usize;
-}

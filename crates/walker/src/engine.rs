@@ -399,11 +399,11 @@ impl BaselineRunStats {
 /// (DESIGN.md §9) — on a core it pins itself to, best effort.
 /// ThunderRW's software prefetch between the stages is not here: no form
 /// of it won its paired runs (DESIGN.md §9). The sampler is a flag:
-/// inverse transformation is the paper's configuration, and alias,
-/// sequential WRS and the parallel WRS of Fig. 14's "ThunderRW w/PWRS"
-/// bars are the others. Dynamic apps pay Algorithm 2.1 exactly — stream
-/// the weights, build the sampler's O(|N(v)|) table, draw — while
-/// static-profile apps take the same prefix fast paths as every other
+/// inverse transformation is the paper's configuration, and sequential
+/// WRS, the parallel WRS of Fig. 14's "ThunderRW w/PWRS" bars and
+/// KnightKing-style rejection are the others. Dynamic apps pay
+/// Algorithm 2.1 exactly — stream the weights, build the sampler's
+/// O(|N(v)|) table, draw — while static-profile apps take the same prefix fast paths as every other
 /// engine, with bit-identical walks (DESIGN.md §5), so the comparison
 /// floor is fair. Sessions are re-entrant: all mutable walk state lives
 /// in the session, and its paths equal [`CpuEngine::run`]'s for every
@@ -472,9 +472,8 @@ mod tests {
     use lightrw_rng::stats::{chi_square_counts, chi_square_crit_999};
     use lightrw_rng::{Rng, SplitMix64};
 
-    const KINDS: [SamplerKind; 5] = [
+    const KINDS: [SamplerKind; 4] = [
         SamplerKind::InverseTransform,
-        SamplerKind::Alias,
         SamplerKind::SequentialWrs,
         SamplerKind::ParallelWrs { k: 4 },
         SamplerKind::ParallelWrs { k: 16 },
@@ -506,7 +505,7 @@ mod tests {
     fn run_collected_equals_run() {
         let g = generators::rmat_dataset(7, 5);
         let qs = QuerySet::per_nonisolated_vertex(&g, 5, 2);
-        let engine = ReferenceEngine::new(&g, &Uniform, SamplerKind::Alias, 4);
+        let engine = ReferenceEngine::new(&g, &Uniform, SamplerKind::SequentialWrs, 4);
         assert_eq!(engine.run(&qs), engine.run_collected(&qs));
         // Through the object too.
         let dynamic: &dyn WalkEngine = &engine;

@@ -250,12 +250,10 @@ mod tests {
     use crate::app::{MetaPath, Node2Vec, StaticWeighted, Uniform};
     use lightrw_graph::generators;
 
-    const KINDS: [SamplerKind; 5] = [
+    const KINDS: [SamplerKind; 3] = [
         SamplerKind::InverseTransform,
-        SamplerKind::Alias,
         SamplerKind::SequentialWrs,
         SamplerKind::ParallelWrs { k: 8 },
-        SamplerKind::AExpJ,
     ];
 
     /// Delegating wrapper that hides an app's profile, forcing the generic

@@ -722,7 +722,7 @@ mod tests {
             let g = generators::rmat_dataset(6, 17);
             let nv = Node2Vec::paper_params();
             let (app, sampler): (&dyn WalkApp, _) = match app_pick {
-                0 => (&Uniform, SamplerKind::Alias),
+                0 => (&Uniform, SamplerKind::SequentialWrs),
                 1 => (&StaticWeighted, SamplerKind::InverseTransform),
                 _ => (&nv, SamplerKind::Rejection),
             };
@@ -953,7 +953,8 @@ mod tests {
     fn lane_sizes(threads: usize, n: usize) -> Vec<usize> {
         let g = generators::ring(16, 1);
         let qs = QuerySet::n_queries(&g, n, 4, 1);
-        let session = LaneSession::new(&g, &Uniform, SamplerKind::Alias, 1, &qs, threads);
+        let session =
+            LaneSession::new(&g, &Uniform, SamplerKind::InverseTransform, 1, &qs, threads);
         session.lanes.iter().map(|l| l.queries.len()).collect()
     }
 
@@ -987,7 +988,7 @@ mod tests {
         assert!(lane_sizes(4, 0).is_empty());
         let g = generators::ring(16, 1);
         let qs = QuerySet::from_starts(Vec::new(), 4);
-        let mut session = LaneSession::new(&g, &Uniform, SamplerKind::Alias, 1, &qs, 4);
+        let mut session = LaneSession::new(&g, &Uniform, SamplerKind::InverseTransform, 1, &qs, 4);
         assert!(session.finished());
         let mut got = WalkResults::new();
         assert!(session.advance(10, &mut got).finished);

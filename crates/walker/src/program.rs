@@ -46,7 +46,7 @@
 //!
 //! The restart decision draws **one 32-bit uniform from the sampler's own
 //! stream** ([`crate::HotStepper::control_draw`]) immediately *before*
-//! the step's sampling draws — table kinds tap their scalar RNG,
+//! the step's sampling draws — scalar kinds tap their SplitMix64 RNG,
 //! reservoir kinds lane 0 of their bank (one row, like any sampling
 //! cycle). Programs that cannot restart (`restart_prob() == 0`) never
 //! take the draw, which is what keeps fixed-length programs bit-identical

@@ -14,15 +14,13 @@ use crate::query::QuerySet;
 use lightrw_graph::Graph;
 use lightrw_rng::splitmix::{mix64, GOLDEN_GAMMA};
 use lightrw_rng::{Mcg64, Rng, SplitMix64, StreamBank};
-use lightrw_sampling::{reservoir, AliasScratch, ParallelWrs};
+use lightrw_sampling::{reservoir, ParallelWrs};
 
 /// Which weighted sampling method the engine uses per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerKind {
     /// Inverse transformation sampling (ThunderRW's configuration).
     InverseTransform,
-    /// Alias-method sampling.
-    Alias,
     /// Sequential weighted reservoir sampling (integer acceptance test).
     SequentialWrs,
     /// The paper's parallel WRS with `k` lanes.
@@ -41,16 +39,6 @@ pub enum SamplerKind {
     /// walks differ bit-wise (while agreeing in distribution — the
     /// conformance suite checks exactly that).
     Rejection,
-    /// A-ExpJ: Efraimidis–Espirakis reservoir sampling with exponential
-    /// jumps (`lightrw_sampling::a_expj`). On prefix-cached static steps
-    /// the jump is a binary search over the cumulative weights —
-    /// expected O(log degree) per draw with no table build, the
-    /// huge-adjacency-row fast path for out-of-core graphs
-    /// (DESIGN.md §10). Like
-    /// [`SamplerKind::Rejection`], an explicit opt-in: its RNG stream is
-    /// not draw-compatible with any other kind (the conformance suite
-    /// validates it distributionally).
-    AExpJ,
 }
 
 impl SamplerKind {
@@ -58,17 +46,21 @@ impl SamplerKind {
     pub fn name(&self) -> String {
         match self {
             Self::InverseTransform => "inverse-transform".to_string(),
-            Self::Alias => "alias".to_string(),
             Self::SequentialWrs => "sequential-wrs".to_string(),
             Self::ParallelWrs { k } => format!("parallel-wrs(k={k})"),
             Self::Rejection => "rejection".to_string(),
-            Self::AExpJ => "a-expj".to_string(),
         }
     }
 }
 
 enum SamplerState {
-    Table(SplitMix64, SamplerKind),
+    /// Inverse transform over one scalar stream; `envelope` is set for
+    /// [`SamplerKind::Rejection`], which runs the accept/reject loop on
+    /// enveloped steps and is inverse transform everywhere else.
+    Scalar {
+        rng: SplitMix64,
+        envelope: bool,
+    },
     Sequential(StreamBank),
     Parallel(ParallelWrs),
 }
@@ -76,9 +68,9 @@ enum SamplerState {
 /// A sampler stream **position** — the RNG state a walker owns
 /// (DESIGN.md §5, "RNG-stream contract").
 ///
-/// Table kinds keep the raw SplitMix64 Weyl state in `state` (`rows`
+/// Scalar kinds keep the raw SplitMix64 Weyl state in `state` (`rows`
 /// unused); bank kinds keep the shared MCG state plus the row counter.
-/// Everything else a sampler holds — decorrelator lanes, table scratch —
+/// Everything else a sampler holds — decorrelator lanes, cumulative scratch —
 /// is built once per stepper from the engine seed and is not part of the
 /// stream, so moving a position in and out of a sampler
 /// ([`AnySampler::import_stream`] / [`AnySampler::export_stream`]) never
@@ -87,7 +79,7 @@ enum SamplerState {
 pub struct SamplerStream {
     /// Raw generator state (SplitMix64 Weyl counter or shared MCG state).
     pub state: u64,
-    /// Rows generated (bank kinds only; 0 for table kinds).
+    /// Rows generated (bank kinds only; 0 for scalar kinds).
     pub rows: u64,
 }
 
@@ -99,10 +91,7 @@ impl SamplerStream {
     pub fn for_query(kind: SamplerKind, seed: u64, query_id: u32) -> Self {
         let stream_seed = mix64(seed ^ (query_id as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
         let state = match kind {
-            SamplerKind::InverseTransform
-            | SamplerKind::Alias
-            | SamplerKind::Rejection
-            | SamplerKind::AExpJ => stream_seed,
+            SamplerKind::InverseTransform | SamplerKind::Rejection => stream_seed,
             // Seeded through the generator so the odd-state invariant holds.
             SamplerKind::SequentialWrs | SamplerKind::ParallelWrs { .. } => {
                 Mcg64::new(stream_seed).state()
@@ -112,10 +101,10 @@ impl SamplerStream {
     }
 }
 
-/// A ready-to-use weighted sampler of any [`SamplerKind`]: builds per-step
-/// tables for the table-based kinds (into reusable scratch, so the
-/// steady-state walk loop allocates nothing), streams for the reservoir
-/// kinds. Shared by all three engines via [`HotStepper`].
+/// A ready-to-use weighted sampler of any [`SamplerKind`]: accumulates a
+/// per-step cumulative row for the scalar kinds (into reusable scratch, so
+/// the steady-state walk loop allocates nothing), streams for the
+/// reservoir kinds. Shared by all three engines via [`HotStepper`].
 ///
 /// Beyond the generic [`AnySampler::select_weighted_with`], two fast
 /// entry points exist for the hot-path profiles (DESIGN.md §5):
@@ -127,25 +116,22 @@ pub struct AnySampler {
     state: SamplerState,
     /// Inverse-transform cumulative scratch, reused across steps.
     cum: Vec<u64>,
-    /// Vose alias build scratch, reused across steps.
-    alias: AliasScratch,
 }
 
 impl AnySampler {
     /// Instantiate a sampler of the given kind.
     pub fn new(kind: SamplerKind, seed: u64) -> Self {
         let state = match kind {
-            SamplerKind::InverseTransform
-            | SamplerKind::Alias
-            | SamplerKind::Rejection
-            | SamplerKind::AExpJ => SamplerState::Table(SplitMix64::new(seed), kind),
+            SamplerKind::InverseTransform | SamplerKind::Rejection => SamplerState::Scalar {
+                rng: SplitMix64::new(seed),
+                envelope: kind == SamplerKind::Rejection,
+            },
             SamplerKind::SequentialWrs => SamplerState::Sequential(StreamBank::new(seed, 1)),
             SamplerKind::ParallelWrs { k } => SamplerState::Parallel(ParallelWrs::new(seed, k)),
         };
         Self {
             state,
             cum: Vec::new(),
-            alias: AliasScratch::new(),
         }
     }
 
@@ -153,7 +139,7 @@ impl AnySampler {
     #[inline]
     pub fn export_stream(&self) -> SamplerStream {
         let (state, rows) = match &self.state {
-            SamplerState::Table(rng, _) => (rng.state(), 0),
+            SamplerState::Scalar { rng, .. } => (rng.state(), 0),
             SamplerState::Sequential(bank) => bank.stream_state(),
             SamplerState::Parallel(wrs) => wrs.stream_state(),
         };
@@ -166,21 +152,17 @@ impl AnySampler {
     #[inline]
     pub fn import_stream(&mut self, stream: &SamplerStream) {
         match &mut self.state {
-            SamplerState::Table(rng, _) => *rng = SplitMix64::new(stream.state),
+            SamplerState::Scalar { rng, .. } => *rng = SplitMix64::new(stream.state),
             SamplerState::Sequential(bank) => bank.restore_stream(stream.state, stream.rows),
             SamplerState::Parallel(wrs) => wrs.restore_stream(stream.state, stream.rows),
         }
     }
 
-    /// Pre-size the table scratch for candidate sets up to `n` — worker
-    /// setup, so the step loop never grows a buffer.
+    /// Pre-size the cumulative scratch for candidate sets up to `n` —
+    /// worker setup, so the step loop never grows a buffer.
     pub fn reserve(&mut self, n: usize) {
-        match &self.state {
-            SamplerState::Table(_, SamplerKind::InverseTransform | SamplerKind::Rejection) => {
-                self.cum.reserve(n)
-            }
-            SamplerState::Table(_, SamplerKind::Alias) => self.alias.reserve(n),
-            _ => {}
+        if let SamplerState::Scalar { .. } = self.state {
+            self.cum.reserve(n)
         }
     }
 
@@ -193,15 +175,13 @@ impl AnySampler {
     /// Streaming selection: weights are produced lane by lane from `w(i)`
     /// — the fused weight-calculation + sampling pass of Alg. 4.1 — so no
     /// caller ever materializes a weight vector. Reservoir kinds consume
-    /// the stream directly; table kinds accumulate into internal scratch.
+    /// the stream directly; scalar kinds accumulate into internal scratch.
     /// Draw-for-draw identical to [`AnySampler::select_index`] on the same
     /// weights.
     pub fn select_weighted_with(&mut self, len: usize, w: impl Fn(usize) -> u32) -> Option<usize> {
-        let Self {
-            state, cum, alias, ..
-        } = self;
+        let Self { state, cum } = self;
         match state {
-            SamplerState::Table(rng, SamplerKind::InverseTransform | SamplerKind::Rejection) => {
+            SamplerState::Scalar { rng, .. } => {
                 cum.clear();
                 let mut acc = 0u64;
                 for i in 0..len {
@@ -214,52 +194,24 @@ impl AnySampler {
                 let r = rng.gen_range(acc);
                 Some(cum.partition_point(|&c| c <= r))
             }
-            SamplerState::Table(rng, SamplerKind::Alias) => {
-                if !alias.rebuild(len, w) {
-                    return None;
-                }
-                Some(alias.sample(rng))
-            }
-            SamplerState::Table(rng, SamplerKind::AExpJ) => {
-                lightrw_sampling::a_expj::select_index_with(rng, len, w)
-            }
-            SamplerState::Table(..) => unreachable!("table state built for table kinds only"),
             SamplerState::Sequential(bank) => reservoir::select_integer((0..len).map(w), bank),
             SamplerState::Parallel(wrs) => wrs.select_index_with(len, w),
         }
     }
 
     /// Degree-indexed uniform fast path: all `len` candidates share the
-    /// same `weight`. For the table kinds this is O(1)/O(log 1) instead of
-    /// an O(len) table build; reservoir kinds delegate to the stream (they
-    /// must draw per lane regardless). RNG consumption is identical to
-    /// [`AnySampler::select_weighted_with`] with a constant closure, which
-    /// for the alias kind requires `weight` to be a power of two (the Vose
-    /// scaling is then exactly 1.0 per slot) — other weights fall back to
-    /// the generic path. Engines pass `FX_ONE`.
+    /// same `weight`. For the scalar kinds this is O(1) instead of an
+    /// O(len) cumulative pass; reservoir kinds delegate to the stream
+    /// (they must draw per lane regardless). RNG consumption is identical
+    /// to [`AnySampler::select_weighted_with`] with a constant closure.
+    /// Engines pass `FX_ONE`.
     pub fn select_uniform(&mut self, len: usize, weight: u32) -> Option<usize> {
-        match &mut self.state {
-            SamplerState::Table(rng, SamplerKind::InverseTransform | SamplerKind::Rejection) => {
-                if len == 0 || weight == 0 {
-                    return None; // parity: generic path draws nothing on zero total
-                }
-                let r = rng.gen_range(len as u64 * weight as u64);
-                return Some((r / weight as u64) as usize);
+        if let SamplerState::Scalar { rng, .. } = &mut self.state {
+            if len == 0 || weight == 0 {
+                return None; // parity: generic path draws nothing on zero total
             }
-            SamplerState::Table(rng, SamplerKind::AExpJ) => {
-                // Implicit-binary-search jumps: O(log len), bit-identical
-                // to the generic stream on constant weights.
-                return lightrw_sampling::a_expj::select_uniform(rng, len, weight);
-            }
-            SamplerState::Table(rng, SamplerKind::Alias) if weight.is_power_of_two() && len > 0 => {
-                // Equal power-of-two weights scale to exactly 1.0 per Vose
-                // slot, so the column draw decides and the coin always
-                // accepts; the coin flip is still drawn for RNG parity.
-                let slot = rng.gen_index(len);
-                let _ = rng.next_f64();
-                return Some(slot);
-            }
-            _ => {}
+            let r = rng.gen_range(len as u64 * weight as u64);
+            return Some((r / weight as u64) as usize);
         }
         self.select_weighted_with(len, |_| weight)
     }
@@ -277,21 +229,12 @@ impl AnySampler {
             Some(&t) => t,
             None => return None,
         };
-        if let SamplerState::Table(rng, SamplerKind::InverseTransform | SamplerKind::Rejection) =
-            &mut self.state
-        {
+        if let SamplerState::Scalar { rng, .. } = &mut self.state {
             if total == 0 {
                 return None;
             }
             let r = rng.gen_range(total << FX_FRAC_BITS);
             return Some(cumulative.partition_point(|&c| (c << FX_FRAC_BITS) <= r));
-        }
-        if let SamplerState::Table(rng, SamplerKind::AExpJ) = &mut self.state {
-            // Exponential jumps by binary search over the cumulative
-            // array: expected O(log degree) RNG draws and comparisons,
-            // never an O(degree) pass — the huge-row path A-ExpJ exists
-            // for. Bit-identical to the streaming fallback below.
-            return lightrw_sampling::a_expj::select_prefix(rng, cumulative, FX_FRAC_BITS);
         }
         self.select_weighted_with(cumulative.len(), |i| {
             let prev = if i == 0 { 0 } else { cumulative[i - 1] };
@@ -319,7 +262,11 @@ impl AnySampler {
         weight_of: impl Fn(usize) -> u32,
     ) -> Option<usize> {
         use lightrw_sampling::rejection::{self, RejectionOutcome};
-        if let SamplerState::Table(rng, SamplerKind::Rejection) = &mut self.state {
+        if let SamplerState::Scalar {
+            rng,
+            envelope: true,
+        } = &mut self.state
+        {
             match rejection::select_from_prefix(
                 rng,
                 cumulative,
@@ -340,7 +287,7 @@ impl AnySampler {
 
     /// Draw one 32-bit uniform from this sampler's own stream — the walk
     /// program *control draw* (DESIGN.md §8). Each kind taps the stream it
-    /// already owns (table kinds: the scalar RNG; reservoir kinds: lane 0
+    /// already owns (scalar kinds: the SplitMix64 RNG; reservoir kinds: lane 0
     /// of the bank, one row like any sampling cycle), so the draw is
     /// deterministic per seed and interleaves with the sampling draws in a
     /// fixed, documented order. Programs that cannot restart never call
@@ -349,7 +296,7 @@ impl AnySampler {
     #[inline]
     pub fn control_draw(&mut self) -> u32 {
         match &mut self.state {
-            SamplerState::Table(rng, _) => rng.next_u32(),
+            SamplerState::Scalar { rng, .. } => rng.next_u32(),
             SamplerState::Sequential(bank) => bank.next_u32_lane(0),
             SamplerState::Parallel(wrs) => wrs.control_draw(),
         }
@@ -361,14 +308,12 @@ impl AnySampler {
     pub fn table_bytes(kind: SamplerKind, n: usize) -> u64 {
         match kind {
             SamplerKind::InverseTransform => 8 * n as u64,
-            SamplerKind::Alias => 12 * n as u64, // prob f64/f32 + alias u32
             // Rejection's fast path materializes nothing (the prefix cache
             // is shared graph state, not per-step scratch); its exact
             // fallback is too rare to charge.
             SamplerKind::SequentialWrs
             | SamplerKind::ParallelWrs { .. }
-            | SamplerKind::Rejection
-            | SamplerKind::AExpJ => 0,
+            | SamplerKind::Rejection => 0,
         }
     }
 }
@@ -470,14 +415,12 @@ mod tests {
     use lightrw_graph::{generators, GraphBuilder};
     use lightrw_rng::stats::{chi_square_counts, chi_square_crit_999};
 
-    const ALL_SAMPLERS: [SamplerKind; 7] = [
+    const ALL_SAMPLERS: [SamplerKind; 5] = [
         SamplerKind::InverseTransform,
-        SamplerKind::Alias,
         SamplerKind::SequentialWrs,
         SamplerKind::ParallelWrs { k: 4 },
         SamplerKind::ParallelWrs { k: 16 },
         SamplerKind::Rejection,
-        SamplerKind::AExpJ,
     ];
 
     #[test]

@@ -1442,7 +1442,7 @@ mod tests {
     fn pool_places_jobs_least_loaded() {
         let g = ring_graph();
         let e1 = reference(&g);
-        let e2 = ReferenceEngine::new(&g, &Uniform, SamplerKind::Alias, 9);
+        let e2 = ReferenceEngine::new(&g, &Uniform, SamplerKind::SequentialWrs, 9);
         let mut service = WalkService::new(vec![&e1, &e2], ServiceConfig::default());
         assert_eq!(service.num_workers(), 2);
         for i in 0..4 {

@@ -28,14 +28,12 @@ use lightrw_repro as _;
 
 const N_WALKS: usize = 30_000;
 
-const ALL_SAMPLERS: [SamplerKind; 7] = [
+const ALL_SAMPLERS: [SamplerKind; 5] = [
     SamplerKind::InverseTransform,
-    SamplerKind::Alias,
     SamplerKind::SequentialWrs,
     SamplerKind::ParallelWrs { k: 4 },
     SamplerKind::ParallelWrs { k: 16 },
     SamplerKind::Rejection,
-    SamplerKind::AExpJ,
 ];
 
 /// Every engine × sampler combination under test: the reference oracle
@@ -246,70 +244,6 @@ fn rejection_sampler_conforms_on_node2vec_for_all_three_engines() {
     }
 }
 
-#[test]
-fn a_expj_sampler_conforms_on_node2vec_for_all_three_engines() {
-    // A-ExpJ (Efraimidis–Espirakis with exponential jumps, DESIGN.md
-    // §10) is the second opt-in sampler with its own RNG stream: each
-    // transition draws exponential keys instead of one inverse-transform
-    // uniform, so — exactly like rejection above — bit-identity suites
-    // cannot pin it and the chi-square against the hand-derived kite law
-    // is its correctness gate across all three backends. Second-order
-    // steps exercise its generic streaming path; the first step (static
-    // uniform over N(0)) exercises the jump-skipping uniform fast path.
-    let g = GraphBuilder::undirected()
-        .edges([(0, 1), (0, 2), (1, 2), (1, 3)])
-        .build();
-    let nv = Node2Vec::paper_params(); // p = 2, q = 0.5
-    let pairs = [(1u32, 0u32), (1, 2), (1, 3), (2, 0), (2, 1)];
-    let probs = [1.0 / 14.0, 1.0 / 7.0, 2.0 / 7.0, 1.0 / 6.0, 1.0 / 3.0];
-
-    let engines: Vec<(&str, Box<dyn WalkEngine + '_>)> = vec![
-        (
-            "reference/a-expj",
-            Box::new(ReferenceEngine::new(&g, &nv, SamplerKind::AExpJ, 940)),
-        ),
-        (
-            "cpu/a-expj",
-            Box::new(CpuEngine::new(
-                &g,
-                &nv,
-                BaselineConfig {
-                    threads: 4,
-                    sampler: SamplerKind::AExpJ,
-                    seed: 950,
-                },
-            )),
-        ),
-        (
-            "sim/a-expj",
-            Box::new(LightRwSim::new(
-                &g,
-                &nv,
-                LightRwConfig {
-                    seed: 960,
-                    sampler: Some(SamplerKind::AExpJ),
-                    ..LightRwConfig::default()
-                },
-            )),
-        ),
-    ];
-    for (label, engine) in engines {
-        let qs = QuerySet::from_starts(vec![0; N_WALKS], 2);
-        let results = engine.run_collected(&qs);
-        let mut counts = vec![0u64; pairs.len()];
-        for p in results.iter() {
-            assert_eq!(p.len(), 3, "{label}: two-step walk on the kite");
-            let pair = (p[1], p[2]);
-            let slot = pairs
-                .iter()
-                .position(|&x| x == pair)
-                .unwrap_or_else(|| panic!("{label}: impossible transition {pair:?}"));
-            counts[slot] += 1;
-        }
-        assert_fits(label, "node2vec-a-expj", &counts, &probs);
-    }
-}
-
 /// Exact `t`-step law of the α-restart chain from `start`: one step is
 /// "teleport to `start` w.p. α, else move to a uniform neighbor" —
 /// precisely the per-attempt semantics of `WalkProgram::ppr` with the
@@ -428,7 +362,7 @@ fn sharded_execution_conforms_for_two_and_four_shards() {
     for (k, strategy, kind) in [
         (2usize, ShardStrategy::Range, SamplerKind::InverseTransform),
         (2, ShardStrategy::Fennel, SamplerKind::Rejection),
-        (4, ShardStrategy::Range, SamplerKind::AExpJ),
+        (4, ShardStrategy::Range, SamplerKind::ParallelWrs { k: 16 }),
     ] {
         let label = format!("sharded-k{k}-{}/{}", strategy.name(), kind.name());
         let engine = ShardedEngine::partition(&g, k, strategy, &nv, kind, 500 + k as u64);

@@ -105,7 +105,7 @@ fn every_engine_respects_metapath_relations() {
     for (name, results) in [
         (
             "reference",
-            ReferenceEngine::new(&g, &mp, SamplerKind::Alias, 3).run(&qs),
+            ReferenceEngine::new(&g, &mp, SamplerKind::SequentialWrs, 3).run(&qs),
         ),
         (
             "baseline",
@@ -143,14 +143,12 @@ fn run_batched(
     results
 }
 
-const ALL_SAMPLERS: [SamplerKind; 7] = [
+const ALL_SAMPLERS: [SamplerKind; 5] = [
     SamplerKind::InverseTransform,
-    SamplerKind::Alias,
     SamplerKind::SequentialWrs,
     SamplerKind::ParallelWrs { k: 4 },
     SamplerKind::ParallelWrs { k: 16 },
     SamplerKind::Rejection,
-    SamplerKind::AExpJ,
 ];
 
 #[test]
@@ -296,7 +294,7 @@ proptest::proptest! {
         eseed in 0u64..1000,
         perm_seed in 0u64..u64::MAX,
         parts in 1usize..5,
-        kind in 0usize..7,
+        kind in 0usize..ALL_SAMPLERS.len(),
         app in 0usize..4,
         budget in 1u64..40,
     ) {

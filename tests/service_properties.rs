@@ -312,7 +312,7 @@ proptest! {
         let cancel_at = (cancel_raw < 20).then_some(cancel_raw);
         let sampler = match sampler_pick {
             0 => SamplerKind::InverseTransform,
-            1 => SamplerKind::Alias,
+            1 => SamplerKind::SequentialWrs,
             _ => SamplerKind::Rejection,
         };
         let g = lightrw::graph::generators::rmat_dataset(6, 17);
@@ -375,7 +375,7 @@ proptest! {
         let cancel_at = (cancel_raw < 20).then_some(cancel_raw);
         let sampler = match sampler_pick {
             0 => SamplerKind::InverseTransform,
-            1 => SamplerKind::Alias,
+            1 => SamplerKind::SequentialWrs,
             _ => SamplerKind::Rejection,
         };
         let mut g = lightrw::graph::generators::rmat_dataset(6, 17);
